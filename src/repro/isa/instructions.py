@@ -24,7 +24,6 @@ from repro.isa.opcodes import (
     CONTROL_KINDS,
     DIRECT_CONTROL_KINDS,
     INDIRECT_CONTROL_KINDS,
-    OP_INFO,
     Kind,
     Opcode,
 )
@@ -44,9 +43,9 @@ class Instruction:
 
     The classification attributes (``kind``, ``latency``, ``is_*``) are
     computed once at decode: the timing simulators consult them per
-    *dynamic* instruction, so deriving them from :data:`OP_INFO` on
-    every access would put two dict lookups on the hottest path in the
-    repository.  They are plain precomputed attributes, excluded from
+    *dynamic* instruction, so deriving them from the opcode's
+    :data:`OP_INFO` entry on every access would put two lookups on the
+    hottest path in the repository.  They are plain precomputed attributes, excluded from
     equality/hash, and recomputed by ``dataclasses.replace``.
     """
 
@@ -78,7 +77,7 @@ class Instruction:
     is_backward: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        meta = OP_INFO[self.op]
+        meta = self.op.meta
         kind = meta.kind
         setter = object.__setattr__
         setter(self, "kind", kind)
@@ -120,7 +119,7 @@ class Instruction:
     # ------------------------------------------------------------------
     def source_registers(self) -> tuple[int, ...]:
         """Architectural registers read, with the hardwired zero removed."""
-        meta = OP_INFO[self.op]
+        meta = self.op.meta
         sources = []
         if meta.reads_rs1 and self.rs1 != ZERO:
             sources.append(self.rs1)
@@ -130,7 +129,7 @@ class Instruction:
 
     def destination_register(self) -> Optional[int]:
         """Architectural register written, or ``None`` (writes to r0 discard)."""
-        meta = OP_INFO[self.op]
+        meta = self.op.meta
         if meta.writes_rd and self.rd != ZERO:
             return self.rd
         return None
@@ -175,7 +174,7 @@ def format_instruction(inst: Instruction) -> str:
         return f"sw {n(inst.rs2)}, {inst.imm}({n(inst.rs1)})"
     if op is Opcode.LUI:
         return f"lui {n(inst.rd)}, {inst.imm}"
-    meta = OP_INFO[op]
+    meta = op.meta
     if meta.reads_rs2:
         return f"{op.value} {n(inst.rd)}, {n(inst.rs1)}, {n(inst.rs2)}"
     return f"{op.value} {n(inst.rd)}, {n(inst.rs1)}, {inst.imm}"

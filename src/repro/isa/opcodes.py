@@ -81,6 +81,12 @@ class Opcode(enum.Enum):
     NOP = "nop"
     HALT = "halt"
 
+    #: This opcode's :class:`OpInfo` — the very object in
+    #: :data:`OP_INFO`, attached to the member so a hot lookup reads an
+    #: attribute instead of hashing the enum (``Enum.__hash__`` runs in
+    #: Python).  Not an enum member: it has no value.
+    meta: OpInfo
+
 
 @dataclass(frozen=True)
 class OpInfo:
@@ -118,6 +124,10 @@ OP_INFO: dict[Opcode, OpInfo] = {
     Opcode.NOP: OpInfo(Kind.NOP, 1, False, False, False),
     Opcode.HALT: OpInfo(Kind.HALT, 1, False, False, False),
 }
+
+for _op, _meta in OP_INFO.items():
+    _op.meta = _meta
+del _op, _meta
 
 #: Opcodes that unconditionally or conditionally redirect the PC.
 CONTROL_KINDS = frozenset({

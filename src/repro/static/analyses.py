@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, Optional, TypeVar
 
 from repro.isa import INSTRUCTION_BYTES, Instruction, Kind, Opcode
 from repro.isa.registers import NUM_REGISTERS, RA, SP, ZERO
@@ -56,6 +56,8 @@ from repro.static.dataflow import (
 )
 from repro.static.dominators import DominatorTree, NaturalLoop, find_loops
 from repro.static.recovery import ProcedureRange, RecoveredCFG
+
+F = TypeVar("F")
 
 #: Synthetic defining pc for values live-in at a procedure entry.
 ENTRY_DEF = -1
@@ -549,7 +551,12 @@ class ProcedureSummaries:
 
     Recursion is handled by a fixpoint: effects only grow (and
     ``sp_balanced`` only falls), both lattices are finite, so the
-    iteration terminates.
+    iteration terminates.  Each round reads the effects snapshot taken
+    at its start, and a procedure is re-solved only when a callee's
+    fact in that snapshot changed since its last solve — the skipped
+    solve would return its previous result — so the rounds, and every
+    summary, are those of re-solving every procedure every round.
+    ``solves`` counts the :func:`solve` calls made.
     """
 
     def __init__(self, cfg: RecoveredCFG,
@@ -560,10 +567,13 @@ class ProcedureSummaries:
         #: call-site pc -> callee names (possibly empty when unknown).
         self.site_targets: dict[int, tuple[str, ...]] = {
             site.pc: site.targets for site in callgraph.sites}
+        self.solves = 0
 
         procs = cfg.procedures
         local_writes: dict[str, int] = {}
         call_pcs: dict[str, list[int]] = {}
+        #: callee name -> procedures with a reachable call site naming it.
+        callers: dict[str, set[str]] = {}
         self._graphs: dict[str, FlowGraph] = {}
         for proc in procs:
             graph = build_flow_graph(cfg, proc)
@@ -571,35 +581,41 @@ class ProcedureSummaries:
             writes = 0
             sites: list[int] = []
             for start in graph.nodes:
-                for pc in cfg.blocks[start].addresses():
-                    inst = image.try_fetch(pc)
-                    if inst is None:
-                        continue
+                for pc, inst in cfg.rows[start]:
                     dest = inst.destination_register()
                     if dest is not None:
                         writes |= 1 << dest
                     if inst.is_call:
                         sites.append(pc)
+                        for callee in self.site_targets.get(pc, ()):
+                            callers.setdefault(callee, set()).add(
+                                proc.name)
             local_writes[proc.name] = writes
             call_pcs[proc.name] = sites
+
+        def callers_of(changed: set[str]) -> set[str]:
+            return {caller for callee in changed
+                    for caller in callers.get(callee, ())}
 
         # -- frame balance fixpoint (balanced can only fall) -----------
         balanced = {proc.name: True for proc in procs}
         self.sp_results: dict[str, DataflowResult[object]] = {}
+        dirty = set(balanced)
         for _ in range(len(procs) + 1):
             effects = self._effects_map(balanced, {}, {})
-            changed = False
+            flipped: set[str] = set()
             for proc in procs:
-                analysis = SPDeltaAnalysis(image, effects)
-                result = solve(analysis, cfg,
-                               graph=self._graphs[proc.name])
+                if proc.name not in dirty:
+                    continue
+                result = self._solve(SPDeltaAnalysis(image, effects), proc)
                 self.sp_results[proc.name] = result
                 ok = self._returns_balanced(proc, result)
                 if ok != balanced[proc.name]:
                     balanced[proc.name] = ok
-                    changed = True
-            if not changed:
+                    flipped.add(proc.name)
+            if not flipped:
                 break
+            dirty = callers_of(flipped)
 
         # -- callee-saved detection (needs the final SP facts) ---------
         preserved = {proc.name: self._preserved_mask(
@@ -613,11 +629,17 @@ class ProcedureSummaries:
         # which itself consumes the current effects estimate at call
         # sites, so it sits inside the same growing fixpoint as
         # ``clobbered`` (both masks only gain bits; terminates).
+        # ``clob`` is a cheap fold over the in-place ``clobbered`` map
+        # and is recomputed for every procedure every round; only the
+        # liveness solve, which reads callees' ``used`` from the round's
+        # snapshot, is skipped when none of those changed last round.
         clobbered = {p.name: local_writes[p.name] for p in procs}
         used = {p.name: 0 for p in procs}
+        dirty = set(used)
         for _ in range(len(procs) + 1):
             effects = self._effects_map(balanced, clobbered, used)
             changed = False
+            grew: set[str] = set()
             for proc in procs:
                 clob = local_writes[proc.name]
                 for pc in call_pcs[proc.name]:
@@ -628,19 +650,21 @@ class ProcedureSummaries:
                     for callee in targets:
                         clob |= clobbered.get(callee, ALL_REGS_MASK)
                 clob &= ~preserved[proc.name] & ~(1 << ZERO)
-                graph = self._graphs[proc.name]
-                use = 0
-                if graph.nodes:
+                use = used[proc.name]
+                if proc.name in dirty and self._graphs[proc.name].nodes:
                     analysis = LivenessAnalysis(image, effects,
                                                 exit_boundary=0)
-                    live = solve(analysis, cfg, graph=graph)
-                    use = live.in_facts.get(proc.start, 0)
+                    use = self._solve(analysis, proc).in_facts.get(
+                        proc.start, 0)
+                if use != used[proc.name]:
+                    grew.add(proc.name)
                 if clob != clobbered[proc.name] or use != used[proc.name]:
                     clobbered[proc.name] = clob
                     used[proc.name] = use
                     changed = True
             if not changed:
                 break
+            dirty = callers_of(grew)
 
         self.summaries: dict[str, ProcedureSummary] = {
             proc.name: ProcedureSummary(
@@ -652,6 +676,11 @@ class ProcedureSummaries:
             ) for proc in procs}
         self.call_effects: dict[int, CallEffects] = self._effects_map(
             balanced, clobbered, used)
+
+    def _solve(self, analysis: DataflowAnalysis[F],
+               proc: ProcedureRange) -> DataflowResult[F]:
+        self.solves += 1
+        return solve(analysis, self.cfg, graph=self._graphs[proc.name])
 
     # ------------------------------------------------------------------
     def __getitem__(self, name: str) -> ProcedureSummary:
@@ -826,10 +855,7 @@ def bound_trip_counts(facts: "StaticFacts",
         step: Optional[int] = None
         well_formed = True
         for body_start in sorted(loop.body):
-            for pc in cfg.blocks[body_start].addresses():
-                inst = image.try_fetch(pc)
-                if inst is None:
-                    continue
+            for pc, inst in cfg.rows[body_start]:
                 dest = inst.destination_register()
                 if dest == limit:
                     well_formed = False     # limit not loop-invariant

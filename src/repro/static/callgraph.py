@@ -54,11 +54,7 @@ class StaticCallGraph:
         self._makes_indirect: set[str] = set()
         for proc in cfg.procedures:
             for block_start in sorted(cfg.reachable_blocks(proc)):
-                block = cfg.blocks[block_start]
-                for pc in block.addresses():
-                    inst = image.try_fetch(pc)
-                    if inst is None:
-                        continue
+                for pc, inst in cfg.rows[block_start]:
                     if inst.kind is Kind.CALL:
                         callee = entries.get(inst.imm)
                         targets = (callee,) if callee else ()

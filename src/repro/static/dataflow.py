@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Generic, Iterator, Optional, TypeVar
+from typing import Generic, Optional, Sequence, TypeVar
 
-from repro.isa import INSTRUCTION_BYTES, Instruction
+from repro.isa import Instruction
 from repro.program.image import ProgramImage
-from repro.static.recovery import BlockInfo, ProcedureRange, RecoveredCFG
+from repro.static.recovery import ProcedureRange, RecoveredCFG, Row
 
 F = TypeVar("F")
 
@@ -141,7 +141,8 @@ class DataflowAnalysis(Generic[F]):
     Subclasses set :attr:`direction` and implement :meth:`boundary`,
     :meth:`initial`, :meth:`join` and either
     :meth:`transfer_instruction` (the common case — the engine folds it
-    over the block in the right order) or :meth:`transfer_block`.
+    over the block in the right order) or :meth:`transfer_block`, which
+    receives the block's decoded rows (:attr:`RecoveredCFG.rows`).
     """
 
     direction: Direction = Direction.FORWARD
@@ -171,16 +172,12 @@ class DataflowAnalysis(Generic[F]):
         return new
 
     # -- transfer ------------------------------------------------------
-    def transfer_block(self, block: BlockInfo, fact: F) -> F:
-        """Fold the per-instruction transfer across ``block``."""
-        addresses: Iterator[int] = block.addresses()
-        if self.direction is Direction.BACKWARD:
-            addresses = reversed(range(block.start, block.end,
-                                       INSTRUCTION_BYTES))
-        for pc in addresses:
-            inst = self.image.try_fetch(pc)
-            if inst is not None:
-                fact = self.transfer_instruction(pc, inst, fact)
+    def transfer_block(self, rows: Sequence[Row], fact: F) -> F:
+        """Fold the per-instruction transfer across one block's rows."""
+        transfer = self.transfer_instruction
+        for pc, inst in (reversed(rows)
+                         if self.direction is Direction.BACKWARD else rows):
+            fact = transfer(pc, inst, fact)
         return fact
 
     def transfer_instruction(self, pc: int, inst: Instruction,
@@ -213,29 +210,21 @@ class DataflowResult(Generic[F]):
         side a consumer almost always wants — e.g. liveness after a
         definition decides whether the definition is dead).
         """
-        block = cfg.blocks[block_start]
         analysis = self.analysis
-        image = analysis.image
+        transfer = analysis.transfer_instruction
         rows: list[tuple[int, Instruction, F]] = []
         if analysis.direction is Direction.FORWARD:
             fact = self.in_facts[block_start]
-            for pc in block.addresses():
-                inst = image.try_fetch(pc)
-                if inst is None:
-                    continue
+            for pc, inst in cfg.rows[block_start]:
                 rows.append((pc, inst, fact))
-                fact = analysis.transfer_instruction(pc, inst, fact)
+                fact = transfer(pc, inst, fact)
         else:
             fact = self.out_facts[block_start]
-            for pc in reversed(range(block.start, block.end,
-                                     INSTRUCTION_BYTES)):
-                inst = image.try_fetch(pc)
-                if inst is None:
-                    continue
+            for pc, inst in reversed(cfg.rows[block_start]):
                 # Walking backward, the held fact is the one *after*
                 # ``pc`` in program order: record it, then transfer.
                 rows.append((pc, inst, fact))
-                fact = analysis.transfer_instruction(pc, inst, fact)
+                fact = transfer(pc, inst, fact)
             rows.reverse()
         return rows
 
@@ -258,6 +247,7 @@ def solve(analysis: DataflowAnalysis[F], cfg: RecoveredCFG,
     order = graph.rpo if forward else tuple(reversed(graph.rpo))
     boundary = analysis.boundary(graph)
     exits = frozenset(graph.exits)
+    block_rows = cfg.rows
 
     in_facts: dict[int, F] = {}
     out_facts: dict[int, F] = {}
@@ -284,7 +274,7 @@ def solve(analysis: DataflowAnalysis[F], cfg: RecoveredCFG,
                 if fact != in_facts[node]:
                     in_facts[node] = fact
                     changed = True
-                new_out = analysis.transfer_block(cfg.blocks[node], fact)
+                new_out = analysis.transfer_block(block_rows[node], fact)
                 if new_out != out_facts[node]:
                     out_facts[node] = new_out
                     changed = True
@@ -300,7 +290,7 @@ def solve(analysis: DataflowAnalysis[F], cfg: RecoveredCFG,
                 if fact != out_facts[node]:
                     out_facts[node] = fact
                     changed = True
-                new_in = analysis.transfer_block(cfg.blocks[node], fact)
+                new_in = analysis.transfer_block(block_rows[node], fact)
                 if new_in != in_facts[node]:
                     in_facts[node] = new_in
                     changed = True

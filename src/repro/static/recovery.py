@@ -28,10 +28,14 @@ constructor's walk in :mod:`repro.core.preconstructor`):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
-from repro.isa import INSTRUCTION_BYTES, Kind, Opcode
+from repro.isa import INSTRUCTION_BYTES, Instruction, Kind, Opcode
 from repro.program.image import ProgramImage
+
+#: One decoded instruction of a block: ``(pc, instruction)``.
+Row = tuple[int, Instruction]
 
 #: Name of the synthetic procedure covering code before the first label
 #: (the startup stub emitted by the layout pass).
@@ -97,6 +101,24 @@ class RecoveredCFG:
         for proc in self.procedures:
             self._discover_blocks(proc)
         self._predecessors: dict[int, tuple[int, ...]] = {}
+
+    @cached_property
+    def rows(self) -> dict[int, tuple[Row, ...]]:
+        """Each block's instructions in address order, by block start.
+
+        Decoded once, on first use, so dataflow transfers never fetch;
+        addresses the image cannot fetch are left out.
+        """
+        fetch = self.image.try_fetch
+        rows: dict[int, tuple[Row, ...]] = {}
+        for start, block in self.blocks.items():
+            decoded: list[Row] = []
+            for pc in block.addresses():
+                inst = fetch(pc)
+                if inst is not None:
+                    decoded.append((pc, inst))
+            rows[start] = tuple(decoded)
+        return rows
 
     # ------------------------------------------------------------------
     # Lookup

@@ -114,11 +114,7 @@ def compute_static_seeds(image: ProgramImage,
 
         # Call returns: the instruction after every reachable call site.
         for block_start in sorted(reachable):
-            block = cfg.blocks[block_start]
-            for pc in block.addresses():
-                inst = image.try_fetch(pc)
-                if inst is None:
-                    continue
+            for pc, inst in cfg.rows[block_start]:
                 if inst.kind in (Kind.CALL, Kind.CALL_INDIRECT):
                     return_pc = pc + INSTRUCTION_BYTES
                     seeds.append(StaticSeed(

@@ -369,12 +369,10 @@ def _check_table_index_range(ctx: VerifierContext) -> Iterator[LintFinding]:
     pointer; a slice word with no relocation means the masked index can
     select arbitrary data as a branch target."""
     cfg = ctx.cfg
-    image = ctx.image
     for proc in ctx.live_procedures():
         for start in sorted(cfg.reachable_blocks(proc)):
-            for pc in cfg.blocks[start].addresses():
-                inst = image.try_fetch(pc)
-                if inst is None or not inst.is_indirect or inst.is_return:
+            for pc, inst in cfg.rows[start]:
+                if not inst.is_indirect or inst.is_return:
                     continue
                 span = table_load_slice(ctx.facts, proc, pc)
                 if span is None:
@@ -453,10 +451,8 @@ def _check_direct_targets(ctx: VerifierContext) -> Iterator[LintFinding]:
         if proc.name not in ctx.callgraph.live:
             continue
         for start in sorted(cfg.reachable_blocks(proc)):
-            block = cfg.blocks[start]
-            for pc in block.addresses():
-                inst = image.try_fetch(pc)
-                if inst is None or not inst.is_direct_control:
+            for pc, inst in cfg.rows[start]:
+                if not inst.is_direct_control:
                     continue
                 target = inst.taken_target(pc)
                 if target is None:
@@ -549,16 +545,12 @@ def _check_read_before_write(ctx: VerifierContext) -> Iterator[LintFinding]:
     at such a merged read contains the arm's definition.
     """
     cfg = ctx.cfg
-    image = ctx.image
     for proc in ctx.live_procedures():
         reach = ctx.facts.reaching(proc)
         nodes = reach.graph.nodes
         defined = 0
         for start in nodes:
-            for pc in cfg.blocks[start].addresses():
-                inst = image.try_fetch(pc)
-                if inst is None:
-                    continue
+            for pc, inst in cfg.rows[start]:
                 dest = inst.destination_register()
                 if dest is None and inst.is_call:
                     dest = RA

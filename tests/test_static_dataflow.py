@@ -7,26 +7,47 @@ jump-table resolver (differentially checked against the pattern
 matcher it subsumes).
 """
 
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.isa import INSTRUCTION_BYTES, assemble
+from repro.isa import (
+    INSTRUCTION_BYTES,
+    Instruction,
+    Kind,
+    Opcode,
+    assemble,
+    info,
+)
+from repro.isa.opcodes import OP_INFO
+from repro.isa.registers import RA, ZERO
 from repro.program import ProgramImage
 from repro.static import (
     ALL_REGS_MASK,
+    BOTTOM,
     ENTRY_DEF,
     TOP,
     ConstantRangeAnalysis,
     Direction,
     Interval,
     LivenessAnalysis,
+    ProcedureSummaries,
     ReachingDefsAnalysis,
     StaticFacts,
     build_flow_graph,
     resolve_table_via_dataflow,
     solve,
 )
-from repro.static.recovery import resolve_indirect_table
+from repro.static.callgraph import StaticCallGraph
+from repro.static.recovery import RecoveredCFG, resolve_indirect_table
+from repro.static.verifier import verify_image
 from repro.workloads import generate, profile_for
+from repro.workloads.fuzz import fuzz_profile
+from repro.workloads.spec95 import SPEC95_NAMES
 
 BASE = 0x1000
 
@@ -216,6 +237,42 @@ class TestSPDelta:
         assert facts.summaries["f"].sp_balanced
         assert not facts.summaries["g"].sp_balanced
 
+    def test_unbalanced_callee_unbalances_callers_around_a_cycle(self):
+        """``g`` leaves SP moved; ``b`` calls it, and ``a`` and ``b``
+        call each other, so both lose frame balance — one round after
+        the callee they learn it from."""
+        facts = _facts("""
+        main:
+            jal a
+            halt
+        a:
+            addi sp, sp, -8
+            sw ra, 0(sp)
+            jal b
+            lw ra, 0(sp)
+            addi sp, sp, 8
+            jr ra
+        b:
+            addi sp, sp, -8
+            sw ra, 0(sp)
+            beq r1, r0, b_done
+            jal a
+            jal g
+        b_done:
+            lw ra, 0(sp)
+            addi sp, sp, 8
+            jr ra
+        g:
+            addi sp, sp, -8
+            jr ra
+        """, ["main", "a", "b", "g"])
+        for name in ("a", "b", "g"):
+            assert not facts.summaries[name].sp_balanced, name
+        assert facts.summaries["main"].sp_balanced     # halts, no return
+        main, a = _proc(facts, "main"), _proc(facts, "a")
+        assert facts.sp_delta(main).out_facts[main.start] is TOP
+        assert facts.sp_delta(a).out_facts[a.start] is TOP
+
 
 class TestSummaries:
     SOURCE = """
@@ -322,3 +379,256 @@ class TestStaticFacts:
         facts = _facts(TestSummaries.SOURCE, ["main", "outer", "inner"])
         names = [p.name for p in facts.live_procedures()]
         assert names == ["main", "outer", "inner"]
+
+
+class TestRecursiveSummaries:
+    """A mutually recursive pair ``p <-> q`` that also calls a leaf.
+
+    The summary fixpoint has to carry effects around the cycle: ``p``
+    only learns ``q``'s clobbers and upward-exposed reads (and ``q``
+    ``p``'s) after the other side has been re-solved.  ``leaf`` saves
+    and restores the callee-saved r16, so its own summary keeps r16 out
+    of ``clobbered``.  The cycle still carries r16: the clobber
+    fixpoint starts from each procedure's local writes, ``q`` reads
+    ``leaf``'s local estimate before ``leaf`` is first solved, and once
+    ``p`` and ``q`` hold the bit they sustain each other.  That is a
+    sound over-approximation, and the pin keeps it: the summaries must
+    not depend on how many procedures a round skips.
+    """
+
+    SOURCE = """
+    main:
+        addi r6, r0, 1
+        jal p
+        halt
+    p:
+        addi sp, sp, -8
+        sw ra, 0(sp)
+        addi r5, r6, 1
+        beq r5, r0, p_done
+        jal q
+    p_done:
+        lw ra, 0(sp)
+        addi sp, sp, 8
+        jr ra
+    q:
+        addi sp, sp, -8
+        sw ra, 0(sp)
+        jal leaf
+        add r7, r8, r5
+        beq r7, r0, q_done
+        jal p
+    q_done:
+        lw ra, 0(sp)
+        addi sp, sp, 8
+        jr ra
+    leaf:
+        addi sp, sp, -8
+        sw r16, 4(sp)
+        addi r16, r9, 3
+        add r10, r16, r16
+        lw r16, 4(sp)
+        addi sp, sp, 8
+        jr ra
+    """
+    PROCS = ["main", "p", "q", "leaf"]
+
+    #: name -> (clobbered, used, preserved, sp_balanced).
+    PINNED = {
+        "main": (0x200104E0, 0x20010300, 0x0, True),
+        "p": (0x200104A0, 0xA0010340, 0x80000000, True),
+        "q": (0x200104A0, 0xA0010360, 0x80000000, True),
+        "leaf": (0x20000400, 0xA0010200, 0x10000, True),
+    }
+
+    def test_summaries_are_pinned(self):
+        facts = _facts(self.SOURCE, self.PROCS)
+        got = {name: (s.clobbered, s.used, s.preserved, s.sp_balanced)
+               for name, s in facts.summaries.summaries.items()}
+        assert got == self.PINNED
+
+    def test_cycle_shares_effects(self):
+        summaries = _facts(self.SOURCE, self.PROCS).summaries
+        for name in ("p", "q"):
+            s = summaries[name]
+            assert s.sp_balanced
+            # Both ends of the cycle see r5/r7/r10 written and r6/r8/r9
+            # read on entry (r5 is read by q before any write of its own).
+            for reg in (5, 7, 10):
+                assert (s.clobbered >> reg) & 1, (name, reg)
+            for reg in (6, 8, 9):
+                assert (s.used >> reg) & 1, (name, reg)
+        assert not (summaries["leaf"].clobbered >> 16) & 1
+        assert (summaries["q"].used >> 5) & 1
+        assert not (summaries["p"].used >> 5) & 1
+        assert summaries["leaf"].preserved == 1 << 16
+
+
+class TestSolveCount:
+    @pytest.mark.parametrize("name", ["gcc", "go", "vortex"])
+    def test_summaries_resolve_only_when_a_callee_changed(self, name):
+        """Re-solving every procedure every round costs 23-25 solves
+        per procedure on these images; change-driven re-solving needs
+        about five."""
+        image = generate(profile_for(name), verify=False).image
+        summaries = StaticFacts(image).summaries
+        procs = len(summaries.cfg.procedures)
+        assert 0 < summaries.solves <= 12 * procs, (
+            f"{name}: {summaries.solves} solves for {procs} procedures")
+
+
+class TestDecodedRows:
+    @pytest.mark.parametrize("name", ["gcc", "fuzz-7", "fuzz-11"])
+    def test_rows_match_a_fetch_walk_of_each_block(self, name):
+        image = generate(profile_for(name), verify=False).image
+        cfg = RecoveredCFG(image)
+        assert sorted(cfg.rows) == sorted(cfg.blocks)
+        for start, block in cfg.blocks.items():
+            walk = tuple((pc, image.try_fetch(pc))
+                         for pc in block.addresses()
+                         if image.try_fetch(pc) is not None)
+            assert cfg.rows[start] == walk, hex(start)
+
+
+class TestOpcodeMetadata:
+    """Dataflow transfers reach opcode metadata through the member;
+    the table and the instruction layout stay as they were."""
+
+    def test_member_metadata_is_the_table_entry(self):
+        for op in Opcode:
+            assert op.meta is OP_INFO[op] is info(op)
+        assert "meta" not in Opcode.__members__
+        assert len(Opcode) == len(OP_INFO)
+
+    def test_instruction_layout_is_unchanged(self):
+        assert [(f.name, f.compare) for f in dataclasses.fields(
+            Instruction)] == [
+            ("op", True), ("rd", True), ("rs1", True), ("rs2", True),
+            ("imm", True), ("sh1", True), ("sh2", True),
+            ("kind", False), ("latency", False), ("is_control", False),
+            ("is_conditional_branch", False), ("is_call", False),
+            ("is_return", False), ("is_indirect", False),
+            ("is_direct_control", False), ("is_backward", False)]
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+    def test_classification_follows_the_table(self, op):
+        meta = OP_INFO[op]
+        for rd, rs1, rs2, imm in ((0, 0, 0, 0), (3, 1, 2, -8),
+                                  (31, 31, 29, 12)):
+            inst = Instruction(op, rd=rd, rs1=rs1, rs2=rs2, imm=imm)
+            assert inst.kind is meta.kind
+            assert inst.latency == meta.latency
+            assert inst.is_call == (meta.kind in (Kind.CALL,
+                                                  Kind.CALL_INDIRECT))
+            assert inst.is_return == (op is Opcode.JR and rs1 == RA)
+            assert inst.is_backward == (meta.kind is Kind.BRANCH
+                                        and imm < 0)
+            expected_src = tuple(
+                reg for reg, reads in ((rs1, meta.reads_rs1),
+                                       (rs2, meta.reads_rs2))
+                if reads and reg != ZERO)
+            assert inst.source_registers() == expected_src
+            expected_dest = rd if meta.writes_rd and rd != ZERO else None
+            assert inst.destination_register() == expected_dest
+
+    def test_equality_and_hash_ignore_classification(self):
+        a = Instruction(Opcode.ADDI, rd=1, rs1=2, imm=3)
+        b = Instruction(Opcode.ADDI, rd=1, rs1=2, imm=3)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((Opcode.ADDI, 1, 2, 0, 3, 0, 0))
+        assert a != Instruction(Opcode.ADDI, rd=1, rs1=2, imm=4)
+        assert a != Instruction(Opcode.ORI, rd=1, rs1=2, imm=3)
+
+
+# ---------------------------------------------------------------------------
+# Identity golden: summaries, call effects, SP facts and verifier reports
+# ---------------------------------------------------------------------------
+IDENTITY_GOLDEN = Path(__file__).parent / "golden" / "static_identity.json"
+
+#: Workload seeds per SPEC stand-in: the profile's own and one more.
+IDENTITY_SPEC_SEEDS = (None, 1)
+IDENTITY_FUZZ_SEEDS = range(40)
+
+
+def _identity_profiles():
+    for name in SPEC95_NAMES:
+        for seed in IDENTITY_SPEC_SEEDS:
+            key = name if seed is None else f"{name}@{seed}"
+            yield key, profile_for(name, seed)
+    for seed in IDENTITY_FUZZ_SEEDS:
+        yield f"fuzz-{seed}", fuzz_profile(seed)
+
+
+def _fact_token(fact):
+    if fact is BOTTOM:
+        return "bottom"
+    if fact is TOP:
+        return "top"
+    return fact
+
+
+def _identity_digest(profile) -> str:
+    """SHA-256 over everything the summary layer feeds downstream."""
+    workload = generate(profile, verify=False)
+    image = workload.image
+    cfg = RecoveredCFG(image)
+    callgraph = StaticCallGraph(cfg)
+    summaries = ProcedureSummaries(cfg, callgraph)
+    report = verify_image(image, intents=workload.branch_intents,
+                          cfg=cfg, callgraph=callgraph)
+    payload = {
+        "summaries": [[s.name, s.clobbered, s.used, s.preserved,
+                       s.sp_balanced]
+                      for _, s in sorted(summaries.summaries.items())],
+        "call_effects": [[pc, e.clobbered, e.used, e.sp_balanced]
+                         for pc, e in sorted(summaries.call_effects.items())],
+        "sp": {name: [[block, _fact_token(result.in_facts[block]),
+                       _fact_token(result.out_facts[block])]
+                      for block in sorted(result.in_facts)]
+               for name, result in sorted(summaries.sp_results.items())},
+        "report": {
+            "findings": [f.to_dict() for f in report.findings],
+            "dead_procedures": list(report.dead_procedures),
+            "rules_run": list(report.rules_run),
+        },
+    }
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _combined_digest(images: dict) -> str:
+    text = json.dumps(images, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestIdentityGolden:
+    """The summary layer's outputs, pinned per image.
+
+    Regenerate with ``PYTHONPATH=src python tests/test_static_dataflow.py
+    --record`` only when a change is meant to move analysis results.
+    """
+
+    def test_golden_covers_every_image_once(self):
+        golden = json.loads(IDENTITY_GOLDEN.read_text())
+        assert sorted(golden["images"]) == sorted(
+            key for key, _ in _identity_profiles())
+        assert golden["sha256"] == _combined_digest(golden["images"])
+
+    @pytest.mark.parametrize("key,profile", list(_identity_profiles()),
+                             ids=[key for key, _ in _identity_profiles()])
+    def test_image_matches_golden(self, key, profile):
+        golden = json.loads(IDENTITY_GOLDEN.read_text())["images"]
+        assert _identity_digest(profile) == golden[key], (
+            f"{key}: summaries, call effects, SP facts or the verifier "
+            f"report drifted from tests/golden/static_identity.json")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_static_dataflow.py --record")
+    images = {key: _identity_digest(profile)
+              for key, profile in _identity_profiles()}
+    IDENTITY_GOLDEN.write_text(json.dumps(
+        {"images": images, "sha256": _combined_digest(images)},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {IDENTITY_GOLDEN} ({len(images)} images)")
