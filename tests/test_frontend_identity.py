@@ -1,0 +1,171 @@
+"""Identity golden for the frontend and processor timing models.
+
+Pins, per simulated point, a digest of everything a refactor of the
+dispatch loop could move: the full raw :class:`FrontendStats` record,
+the trace-cache and preconstruction-buffer residents left at the end of
+the run, and the complete observability event stream.  The points are
+
+* the Figure 5 grid on gcc, go and vortex under two workload seeds;
+* every frontend mechanism on compress and gcc;
+* one dynamic-partition run (stats, residents and epoch decisions);
+* the Figure 6 and Figure 8 processor points on go and perl.
+
+Regenerate with ``PYTHONPATH=src python tests/test_frontend_identity.py
+--record`` only when a change is meant to move simulated results.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.analysis.figures import figure6_specs, figure8_specs
+from repro.analysis.sweeps import figure5_specs
+from repro.frontends import mechanism_names
+from repro.obs import IntervalMetrics, ObsBus, RingBufferSink
+from repro.processor import run_processor
+from repro.runner import ExperimentSpec
+from repro.runner.pool import StreamCache
+from repro.sim import DynamicPartitionConfig, run_frontend
+
+IDENTITY_GOLDEN = Path(__file__).parent / "golden" / "frontend_identity.json"
+
+BUDGET = 4_000
+FIGURE5_BENCHMARKS = ("gcc", "go", "vortex")
+FIGURE5_SEEDS = (1, 2)
+MECHANISM_BENCHMARKS = ("compress", "gcc")
+PROCESSOR_BENCHMARKS = ("go", "perl")
+DYNAMIC_BUDGET = 12_000
+DYNAMIC_PARTITION = DynamicPartitionConfig(epoch_traces=150)
+
+
+def _identity_points():
+    """(key, spec) for every pinned point, in a fixed order."""
+    for benchmark in FIGURE5_BENCHMARKS:
+        for seed in FIGURE5_SEEDS:
+            for spec in figure5_specs(benchmark, BUDGET):
+                spec = spec.replace(workload_seed=seed)
+                yield f"figure5 {spec.label} seed={seed}", spec
+    for benchmark in MECHANISM_BENCHMARKS:
+        for mechanism in mechanism_names():
+            spec = ExperimentSpec(benchmark=benchmark, tc_entries=64,
+                                  pb_entries=64, mechanism=mechanism,
+                                  instructions=BUDGET)
+            yield f"mechanism {spec.label}", spec
+    spec = ExperimentSpec(benchmark="gcc", tc_entries=384, pb_entries=128,
+                          kind="dynamic", instructions=DYNAMIC_BUDGET)
+    yield f"dynamic {spec.label}", spec
+    processor = list(dict.fromkeys(
+        figure6_specs(BUDGET, benchmarks=PROCESSOR_BENCHMARKS)
+        + figure8_specs(BUDGET, benchmarks=PROCESSOR_BENCHMARKS)))
+    for spec in processor:
+        yield f"processor {spec.label}", spec
+
+
+def _trace_id(trace) -> list:
+    trace_id = trace.trace_id
+    return [trace_id.start_pc, list(trace_id.outcomes),
+            list(trace_id.indirect_targets)]
+
+
+def _buffer_residents(engine) -> list:
+    if engine is None:
+        return []
+    return [[_trace_id(trace), region]
+            for trace, region in engine.buffers.resident_with_regions()]
+
+
+def _frontend_payload(result) -> dict:
+    mechanism = result.mechanism
+    return {
+        "stats": dataclasses.asdict(result.stats),
+        "trace_cache": [_trace_id(trace) for trace in
+                        result.trace_cache.resident_traces()],
+        "buffers": _buffer_residents(result.preconstruction),
+        "lines": [getattr(mechanism, "lines_requested", None),
+                  getattr(mechanism, "lines_prefetched", None)],
+    }
+
+
+def _point_payload(spec, streams: StreamCache) -> dict:
+    image = streams.image(spec.benchmark, spec.workload_seed)
+    stream = streams.stream(spec.benchmark, spec.workload_seed)
+    if spec.kind == "processor":
+        result = run_processor(image, spec.processor_config(),
+                               spec.instructions, stream=stream)
+        return {"stats": dataclasses.asdict(result.stats),
+                "buffers": _buffer_residents(result.preconstruction)}
+    config = spec.frontend_config()
+    if spec.kind == "dynamic":
+        result = run_frontend(image, config, spec.instructions,
+                              stream=stream, partition=DYNAMIC_PARTITION)
+        payload = _frontend_payload(result)
+        payload["events"] = [dataclasses.asdict(event)
+                             for event in result.partition_events]
+        return payload
+    traces = streams.traces(spec.benchmark, spec.instructions,
+                            config.selection, spec.workload_seed)
+    payload = _frontend_payload(
+        run_frontend(image, config, spec.instructions, traces=traces))
+    sink = RingBufferSink(capacity=None)
+    observed = run_frontend(image, config, spec.instructions, traces=traces,
+                            obs=ObsBus(sink, IntervalMetrics()))
+    payload["observed"] = _frontend_payload(observed)
+    payload["events"] = list(sink.events)
+    return payload
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _record() -> dict[str, str]:
+    streams = StreamCache(DYNAMIC_BUDGET)
+    return {key: _digest(_point_payload(spec, streams))
+            for key, spec in _identity_points()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(IDENTITY_GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def streams() -> StreamCache:
+    return StreamCache(DYNAMIC_BUDGET)
+
+
+class TestFrontendIdentityGolden:
+    def test_golden_covers_every_point_once(self, golden):
+        keys = [key for key, _ in _identity_points()]
+        assert len(keys) == len(set(keys))
+        assert sorted(golden["points"]) == sorted(keys)
+        assert golden["sha256"] == _digest(golden["points"])
+
+    @pytest.mark.parametrize("program", FIGURE5_BENCHMARKS
+                             + MECHANISM_BENCHMARKS[:1]
+                             + PROCESSOR_BENCHMARKS[1:])
+    def test_points_match_golden(self, golden, streams, program):
+        drifted = [key for key, spec in _identity_points()
+                   if spec.benchmark == program
+                   and _digest(_point_payload(spec, streams))
+                   != golden["points"][key]]
+        assert not drifted, (
+            f"stats, residents or events drifted from "
+            f"tests/golden/frontend_identity.json: {drifted}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_frontend_identity.py --record")
+    points = _record()
+    IDENTITY_GOLDEN.write_text(json.dumps(
+        {"points": points, "sha256": _digest(points)},
+        indent=2, sort_keys=True) + "\n")
+    print(f"wrote {IDENTITY_GOLDEN} ({len(points)} points)")
