@@ -177,8 +177,8 @@ def compare_sweep(benchmarks: Sequence[str],
                   simulator: str = "scalar") -> list[CompareRow]:
     """Run the full head-to-head comparison across ``benchmarks``.
 
-    ``simulator`` selects the frontend kernel for every point; the
-    rows are kernel-independent (the kernels are result-identical).
+    ``simulator`` sets every point's (inert) ``simulator`` field; the
+    rows do not depend on it.
     """
     pb_sizes = tuple(pb_sizes)
     specs: list[ExperimentSpec] = []

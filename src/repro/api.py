@@ -31,11 +31,11 @@ The surface, by layer:
   ``partition=`` enables the dynamic TC/PB partition) and
   :func:`run_processor` with their configuration types
   (:func:`run_dynamic_frontend` remains as a deprecated shim); the
-  batched struct-of-arrays kernel behind ``simulator="vectorized"`` —
-  :data:`SIMULATOR_KINDS`, :class:`DecodedImage`, :class:`BatchPlan` /
-  :func:`build_plan` / :exc:`PlanMismatchError`, and
-  :func:`run_frontend_batch` (served lazily: numpy is only required
-  when the vectorized kernel is actually used);
+  shared trace-partition plan every frontend point runs on —
+  :class:`BatchPlan` / :func:`build_plan` — and
+  :func:`run_frontend_batch`, which runs many points over one plan;
+  :data:`SIMULATOR_KINDS` lists the values of the inert ``simulator``
+  spec field;
 * **Frontend-mechanism zoo** — :class:`FrontendMechanism` (the seam
   every competing frontend implements), :class:`MechanismContext`,
   :func:`register_mechanism` / :func:`mechanism_names` /
@@ -183,6 +183,7 @@ from repro.triage import (
     render_report,
     write_report,
 )
+from repro.vector import BatchPlan, build_plan, run_frontend_batch
 from repro.workloads import (
     SPEC95_NAMES,
     WorkloadProfile,
@@ -221,21 +222,6 @@ def predict(benchmark: str, *,
     return predict_coverage(workload.image)
 
 
-#: Names served lazily from :mod:`repro.vector`: the batched kernel
-#: needs numpy, and the default scalar pipeline must stay importable
-#: without it.
-_VECTOR_NAMES = ("BatchPlan", "DecodedImage", "PlanMismatchError",
-                 "build_plan", "run_frontend_batch")
-
-
-def __getattr__(name: str) -> object:
-    if name in _VECTOR_NAMES:
-        import repro.vector
-
-        return getattr(repro.vector, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # Sorted alphabetically (ASCII order); tests/test_api_surface.py keeps
 # this list in lockstep with the README's documented surface.
 __all__ = [
@@ -246,7 +232,6 @@ __all__ = [
     "CompareRow",
     "CoveragePrediction",
     "DEFAULT_INSTRUCTIONS",
-    "DecodedImage",
     "DiffResult",
     "DynamicPartitionConfig",
     "ExperimentRunner",
@@ -265,7 +250,6 @@ __all__ = [
     "NullSink",
     "ObsBus",
     "ObservedRun",
-    "PlanMismatchError",
     "PreconstructionConfig",
     "PreconstructionEngine",
     "ProcessorConfig",

@@ -4,7 +4,9 @@ Implements the predictor the paper's frontend relies on (§6, item 1):
 
 * a **correlated table** indexed by a hash of the last ``depth`` trace
   identities, each entry holding a predicted next-trace id plus a 2-bit
-  replacement-hysteresis counter;
+  replacement-hysteresis counter (stored flat: one list of predictions
+  and one ``bytearray`` of counters per table, so building a predictor
+  allocates two objects per table, not one per entry);
 * a **secondary table** indexed by the most recent trace id only, which
   reduces cold-start and aliasing losses (the "hybrid configuration");
 * a **Return History Stack** (RHS) that snapshots the path history at
@@ -26,14 +28,6 @@ from repro.branch.history import PathHistory
 T = TypeVar("T", bound=Hashable)
 
 _MASK32 = 0xFFFF_FFFF
-
-
-class _Entry(Generic[T]):
-    __slots__ = ("prediction", "confidence")
-
-    def __init__(self) -> None:
-        self.prediction: Optional[T] = None
-        self.confidence = 0  # 2-bit hysteresis: 0..3
 
 
 @dataclass
@@ -58,10 +52,12 @@ class NextTracePredictor(Generic[T]):
     def __init__(self, config: NextTracePredictorConfig | None = None) -> None:
         self.config = config or NextTracePredictorConfig()
         cfg = self.config
-        self._primary: list[_Entry[T]] = [_Entry() for _ in
-                                          range(cfg.primary_entries)]
-        self._secondary: list[_Entry[T]] = [_Entry() for _ in
-                                            range(cfg.secondary_entries)]
+        # Per table: predicted next-trace ids and 2-bit hysteresis
+        # counters (0..3), indexed alike.
+        self._primary: list[Optional[T]] = [None] * cfg.primary_entries
+        self._primary_confidence = bytearray(cfg.primary_entries)
+        self._secondary: list[Optional[T]] = [None] * cfg.secondary_entries
+        self._secondary_confidence = bytearray(cfg.secondary_entries)
         self.history: PathHistory = PathHistory(depth=cfg.history_depth)
         self._rhs: list[tuple[Hashable, ...]] = []
         self.predictions = 0
@@ -85,12 +81,12 @@ class NextTracePredictor(Generic[T]):
         frontend then uses the slow path.
         """
         self.predictions += 1
-        entry = self._primary[self._primary_index()]
-        if entry.prediction is not None:
-            return entry.prediction
+        prediction = self._primary[self._primary_index()]
+        if prediction is not None:
+            return prediction
         backup = self._secondary[self._secondary_index()]
-        if backup.prediction is not None:
-            return backup.prediction
+        if backup is not None:
+            return backup
         self.no_prediction += 1
         return None
 
@@ -108,16 +104,19 @@ class NextTracePredictor(Generic[T]):
         """
         if predicted is not None and predicted == actual:
             self.correct += 1
-        for table, index in ((self._primary, self._primary_index()),
-                             (self._secondary, self._secondary_index())):
-            entry = table[index]
-            if entry.prediction == actual:
-                entry.confidence = min(3, entry.confidence + 1)
-            elif entry.confidence > 0:
-                entry.confidence -= 1
+        for table, confidence, index in (
+                (self._primary, self._primary_confidence,
+                 self._primary_index()),
+                (self._secondary, self._secondary_confidence,
+                 self._secondary_index())):
+            if table[index] == actual:
+                if confidence[index] < 3:
+                    confidence[index] += 1
+            elif confidence[index]:
+                confidence[index] -= 1
             else:
-                entry.prediction = actual
-                entry.confidence = 1
+                table[index] = actual
+                confidence[index] = 1
 
         self.history.append(actual)
         if ends_in_call:

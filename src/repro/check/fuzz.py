@@ -47,13 +47,13 @@ def fuzz_case_spec(case_seed: int,
                    simulator: Optional[str] = None) -> ExperimentSpec:
     """The deterministic check spec for fuzz case ``case_seed``.
 
-    The frontend mechanism and the simulation kernel are drawn from the
-    seed like every other sizing knob, so a fuzz sweep exercises the
-    whole competing-frontend zoo — and both kernels — through the same
-    oracle catalogue.  Each draw comes *after* the pre-existing ones so
-    the knobs sampled for a given seed are unchanged across schema
-    bumps.  ``simulator`` forces one kernel instead of drawing
-    (``repro fuzz --simulator``).
+    The frontend mechanism and the (inert) ``simulator`` value are drawn
+    from the seed like every other sizing knob, so a fuzz sweep
+    exercises the whole competing-frontend zoo through the same oracle
+    catalogue.  Each draw comes *after* the pre-existing ones so the
+    knobs sampled for a given seed are unchanged across schema bumps.
+    ``simulator`` forces one value instead of drawing (``repro fuzz
+    --simulator``).
     """
     from repro.runner.spec import SIMULATOR_KINDS
 
@@ -187,8 +187,8 @@ def run_fuzz(seeds: int,
     Failing cases are minimized (unless ``minimize=False``) against the
     requested oracle subset; with ``failures_dir`` each minimized case
     also writes a self-contained ``repro_fuzz_<seed>.py`` script.
-    ``simulator`` forces every case onto one kernel; by default each
-    case draws its kernel from its seed.
+    ``simulator`` forces every case's (inert) ``simulator`` value; by
+    default each case draws one from its seed.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")

@@ -108,9 +108,9 @@ def check_profile(profile: WorkloadProfile,
 
     ``mechanism`` selects the frontend fill/prefetch mechanism the
     timing legs run under (:mod:`repro.frontends`), so every mechanism
-    in the zoo inherits the cross-model invariants.  ``simulator``
-    selects the kernel the primary timing leg runs under; the
-    ``simulator`` oracle always compares both kernels regardless.
+    in the zoo inherits the cross-model invariants.  ``simulator`` is
+    recorded on the report only: every point runs on the one dispatch
+    loop.
 
     A workload that fails the generator's verifier gate is itself a
     finding (pseudo-oracle ``"generate"``) — the remaining oracles are
@@ -123,7 +123,7 @@ def check_profile(profile: WorkloadProfile,
                          mechanism=mechanism, simulator=simulator)
     bundle = CheckBundle(profile, instructions, tc_entries=tc_entries,
                          pb_entries=pb_entries, static_seed=static_seed,
-                         mechanism=mechanism, simulator=simulator)
+                         mechanism=mechanism)
     try:
         bundle.workload
     except WorkloadVerificationError as error:

@@ -40,10 +40,10 @@ Oracle catalogue (name → what it proves):
     pc lies inside the predicted coverage set, and the prediction never
     strays outside static reachability (gross over-approximation).
 ``simulator``
-    Scalar-vs-batched kernel differential: the struct-of-arrays kernel
-    (:mod:`repro.vector`) must reproduce the scalar kernel exactly —
-    every raw counter, the full observability event stream, and the
-    trace-cache working set left resident at end of run.
+    Batch independence: a point run alone and the same point run inside
+    a two-point batch (:func:`repro.vector.run_frontend_batch`) agree
+    exactly — every raw counter and the trace-cache working set left
+    resident at end of run.
 
 A capped number of violations per oracle are *described*; the count is
 always exact.
@@ -126,8 +126,7 @@ class CheckBundle:
     def __init__(self, profile: WorkloadProfile, instructions: int, *,
                  tc_entries: int = 128, pb_entries: int = 64,
                  static_seed: bool = False,
-                 mechanism: str = "preconstruction",
-                 simulator: str = "scalar") -> None:
+                 mechanism: str = "preconstruction") -> None:
         if instructions <= 0:
             raise ValueError("instructions must be positive")
         self.profile = profile
@@ -136,7 +135,6 @@ class CheckBundle:
         self.pb_entries = pb_entries
         self.static_seed = static_seed
         self.mechanism = mechanism
-        self.simulator = simulator
 
     # -- workload / architectural legs ---------------------------------
     @cached_property
@@ -178,68 +176,34 @@ class CheckBundle:
 
         return traces_of_stream(self.stream, self.config.selection)
 
-    @cached_property
-    def scalar_run(self):
-        """Frontend replay under the scalar kernel, observability off."""
-        return run_frontend(self.image, self.config, self.instructions,
-                            traces=self.traces)
+    @property
+    def flipped_config(self):
+        """The bundle's config with the mechanism toggled the other way."""
+        flipped_pb = 0 if self.pb_entries else 64
+        return build_frontend_config(self.tc_entries, flipped_pb,
+                                     mechanism=self.mechanism)
 
     @cached_property
-    def vector_plan(self):
-        """The batch plan the struct-of-arrays kernel runs from.
-
-        Construction cross-checks the vectorized trace delimitation
-        against the scalar partition and raises
-        :class:`~repro.vector.PlanMismatchError` on any divergence —
-        the ``simulator`` oracle reports that as a violation.
-        """
+    def plan(self):
+        """The partition's shared batch plan; every trace-partition-fed
+        leg runs on it."""
         from repro.vector import build_plan
 
-        config = self.config
-        return build_plan(
-            self.image, list(self.stream), self.traces,
-            selection=config.selection,
-            predictor=config.predictor,
-            bimodal_entries=config.bimodal_entries,
-            train_bimodal=config.train_bimodal_on_all_branches,
-            line_bytes=config.icache.line_bytes)
-
-    @cached_property
-    def vector_run(self):
-        """Frontend replay under the batched kernel, observability off."""
-        from repro.vector import run_frontend_batch
-
-        return run_frontend_batch(self.image, [self.config],
-                                  self.vector_plan)[0]
+        return build_plan(self.traces, self.config)
 
     @cached_property
     def plain_run(self):
-        """Frontend replay, observability off, trace-partition fed —
-        under the bundle's selected kernel."""
-        if self.simulator == "vectorized":
-            return self.vector_run
-        return self.scalar_run
+        """Frontend replay, observability off, trace-partition fed."""
+        return run_frontend(self.image, self.config, plan=self.plan)
 
     @cached_property
-    def scalar_events(self):
-        """The scalar kernel's full observability event stream."""
-        from repro.obs import ObsBus, RingBufferSink
-
-        sink = RingBufferSink(capacity=None)
-        run_frontend(self.image, self.config, self.instructions,
-                     traces=self.traces, obs=ObsBus(sink))
-        return list(sink.events)
-
-    @cached_property
-    def vector_events(self):
-        """The batched kernel's full observability event stream."""
-        from repro.obs import ObsBus, RingBufferSink
+    def batched_run(self):
+        """The bundle's config as the first point of a two-point batch
+        (the other point is :attr:`flipped_config`)."""
         from repro.vector import run_frontend_batch
 
-        sink = RingBufferSink(capacity=None)
-        run_frontend_batch(self.image, [self.config], self.vector_plan,
-                           obs=ObsBus(sink))
-        return list(sink.events)
+        return run_frontend_batch(
+            self.image, [self.config, self.flipped_config], self.plan)[0]
 
     @cached_property
     def observed_run(self):
@@ -251,8 +215,8 @@ class CheckBundle:
         from repro.obs import NullSink, ObsBus
 
         bus = ObsBus(NullSink())
-        result = run_frontend(self.image, self.config, self.instructions,
-                              traces=self.traces, obs=bus)
+        result = run_frontend(self.image, self.config, plan=self.plan,
+                              obs=bus)
         return result, bus
 
     @cached_property
@@ -264,11 +228,7 @@ class CheckBundle:
     @cached_property
     def flipped_run(self):
         """Frontend replay with the mechanism toggled the other way."""
-        flipped_pb = 0 if self.pb_entries else 64
-        config = build_frontend_config(self.tc_entries, flipped_pb,
-                                       mechanism=self.mechanism)
-        return run_frontend(self.image, config, self.instructions,
-                            traces=self.traces)
+        return run_frontend(self.image, self.flipped_config, plan=self.plan)
 
     # -- static legs ---------------------------------------------------
     @cached_property
@@ -543,53 +503,30 @@ def check_coverage(bundle: CheckBundle) -> list[Violation]:
 
 
 def check_simulator(bundle: CheckBundle) -> list[Violation]:
-    """The batched kernel is bit-identical to the scalar one.
+    """A point's results do not depend on the batch it ran in.
 
-    Three independent surfaces, coarsest to finest: the full raw
-    counter record (every :class:`FrontendStats` field, not just the
-    summary), the trace-cache working set left resident at end of run,
-    and the complete observability event stream.
+    The point alone (a batch of one) against the same config inside a
+    two-point batch: the full raw counter record (every
+    :class:`FrontendStats` field, not just the summary) and the
+    trace-cache working set left resident at end of run.
     """
     import dataclasses
 
-    from repro.vector import PlanMismatchError
-
     claims = _Claims("simulator")
-    try:
-        bundle.vector_plan
-    except PlanMismatchError as error:
-        claims.violate("vectorized trace delimitation diverges from "
-                       f"the scalar partition: {error}")
-        return claims.done()
+    alone = bundle.plain_run
+    batched = bundle.batched_run
+    alone_stats = dataclasses.asdict(alone.stats)
+    batched_stats = dataclasses.asdict(batched.stats)
+    for field_name in sorted(alone_stats):
+        claims.equal(f"stats.{field_name} batched == alone",
+                     batched_stats.get(field_name), alone_stats[field_name])
 
-    scalar = bundle.scalar_run
-    vector = bundle.vector_run
-    scalar_stats = dataclasses.asdict(scalar.stats)
-    vector_stats = dataclasses.asdict(vector.stats)
-    for field_name in sorted(scalar_stats):
-        claims.equal(f"stats.{field_name} vectorized == scalar",
-                     vector_stats.get(field_name),
-                     scalar_stats[field_name])
-
-    scalar_resident = [t.trace_id for t in
-                       scalar.trace_cache.resident_traces()]
-    vector_resident = [t.trace_id for t in
-                       vector.trace_cache.resident_traces()]
-    claims.equal("trace-cache working set vectorized == scalar",
-                 vector_resident, scalar_resident)
-    claims.equal("trace-cache occupancy vectorized == scalar",
-                 vector.trace_cache.occupancy(),
-                 scalar.trace_cache.occupancy())
-
-    scalar_events = bundle.scalar_events
-    vector_events = bundle.vector_events
-    claims.equal("event-stream length vectorized == scalar",
-                 len(vector_events), len(scalar_events))
-    for index, (a, b) in enumerate(zip(scalar_events, vector_events)):
-        if a != b:
-            claims.violate("event streams diverge", index=index,
-                           scalar_event=str(a.get("event")),
-                           vectorized_event=str(b.get("event")))
+    claims.equal("trace-cache working set batched == alone",
+                 [t.trace_id for t in batched.trace_cache.resident_traces()],
+                 [t.trace_id for t in alone.trace_cache.resident_traces()])
+    claims.equal("trace-cache occupancy batched == alone",
+                 batched.trace_cache.occupancy(),
+                 alone.trace_cache.occupancy())
     return claims.done()
 
 

@@ -185,9 +185,9 @@ def _parser() -> argparse.ArgumentParser:
     def simulator_arg(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--simulator", choices=SIMULATOR_KINDS,
                          default="scalar",
-                         help="frontend simulation kernel: the original "
-                              "scalar one or the batched struct-of-arrays "
-                              "one (result-identical; default: scalar)")
+                         help="inert, kept for compatibility: every "
+                              "value runs the one frontend kernel "
+                              "(default: scalar)")
 
     for name, helptext in (
             ("figure5", "miss rate vs combined TC+PB size"),
@@ -318,8 +318,9 @@ def _parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--json", action="store_true",
                       help="emit the fuzz report as JSON")
     fuzz.add_argument("--simulator", choices=SIMULATOR_KINDS, default=None,
-                      help="force every case onto one frontend kernel "
-                           "(default: each case draws its kernel from "
+                      help="inert, kept for compatibility: every "
+                           "value runs the one frontend kernel "
+                           "(default: each case draws a value from "
                            "its seed)")
     telemetry_arg(fuzz)
 
@@ -501,10 +502,10 @@ def _apply_simulator(specs: Sequence[ExperimentSpec],
                      simulator: str) -> list[ExperimentSpec]:
     """``specs`` with ``simulator`` applied where the kind supports it.
 
-    Only frontend and check points have a batched kernel; processor and
-    dynamic points always run scalar (their spec validation rejects
-    anything else), so a mixed exhibit set stays valid under
-    ``--simulator vectorized``.
+    The field is inert, but spec validation accepts a non-default value
+    only on frontend and check points, so it is applied to those alone
+    and a mixed exhibit set stays valid under ``--simulator
+    vectorized``.
     """
     if simulator == "scalar":
         return list(specs)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.branch import BimodalPredictor
 from repro.caches import InstructionCache, PrefetchCache
@@ -82,6 +82,23 @@ class PreconstructionStats:
     static_seeds_offered: int = 0
 
 
+def region_priority(regions_by_seq: dict[int, Region]
+                    ) -> Callable[[int], tuple[int, int]]:
+    """The region priority the buffer replacement policy sees: active
+    regions beat past ones, and the more recent region wins.
+
+    A function over the engine's region map rather than a bound method,
+    so the buffers hold no reference back to the engine and a finished
+    point's state is freed by reference counting alone.
+    """
+    def priority(seq: int) -> tuple[int, int]:
+        region = regions_by_seq.get(seq)
+        if region is not None and region.active:
+            return (1, seq)
+        return (0, seq)
+    return priority
+
+
 class PreconstructionEngine:
     """Preconstruction mechanism attached to a trace-processor frontend."""
 
@@ -100,9 +117,10 @@ class PreconstructionEngine:
 
         self.stack = StartPointStack(depth=cfg.start_stack_depth,
                                      completed_memory=cfg.completed_memory)
+        self._regions_by_seq: dict[int, Region] = {}
         self.buffers = PreconstructionBuffers(
             entries=cfg.buffer_entries, ways=cfg.buffer_ways,
-            priority_fn=self._region_priority)
+            priority_fn=region_priority(self._regions_by_seq))
         self._free_prefetch: list[PrefetchCache] = [
             PrefetchCache(cfg.prefetch_cache_instructions)
             for _ in range(cfg.num_prefetch_caches)]
@@ -115,7 +133,6 @@ class PreconstructionEngine:
             constructor.cid = cid
             constructor._obs_assigned = 0
         self._active_regions: list[Region] = []
-        self._regions_by_seq: dict[int, Region] = {}
         self._next_seq = 0
         #: I-cache port cycles spent beyond what past idle bursts funded
         #: (a line fetch issued with 1 cycle of budget still costs the
@@ -163,15 +180,6 @@ class PreconstructionEngine:
             self.stats.static_seeds_offered += offered
             if self.obs:
                 self.obs.emit("engine", "static_seeds", count=offered)
-
-    # ------------------------------------------------------------------
-    # Region priority seen by the buffer replacement policy.
-    # ------------------------------------------------------------------
-    def _region_priority(self, seq: int) -> tuple[int, int]:
-        region = self._regions_by_seq.get(seq)
-        if region is not None and region.active:
-            return (1, seq)
-        return (0, seq)
 
     # ------------------------------------------------------------------
     # Frontend-facing probe: buffers are accessed in parallel with the

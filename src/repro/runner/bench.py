@@ -82,10 +82,11 @@ def run_bench(quick: bool = False, jobs: int = 1,
     Speedups are only meaningful at ``jobs=1`` — the baselines are
     single-job — but parallel runs still record their wall time.
     ``profile_dir`` forwards to the runner's per-point ``cProfile``
-    capture (expect skewed wall times under it).  ``simulator``
-    selects the frontend kernel (:data:`~repro.runner.spec.SIMULATOR_KINDS`);
-    the payload records it so ``bench --check`` never compares wall
-    times across kernels.
+    capture (expect skewed wall times under it).  ``simulator`` sets
+    every point's (inert) ``simulator`` field
+    (:data:`~repro.runner.spec.SIMULATOR_KINDS`); the payload records
+    it and ``bench --check`` refuses to compare wall times across
+    values.
     """
     from repro.runner.spec import SIMULATOR_KINDS
 

@@ -120,10 +120,10 @@ class ResultCache:
             if payload.get("digest") != digest:
                 raise ValueError("digest mismatch")
             result = RunResult.from_dict(payload, cached=True)
-            # The simulator field is an execution strategy excluded
-            # from the digest: a scalar run may legitimately hit an
-            # entry a vectorized run stored (and vice versa).  Anything
-            # else differing under the same digest is corruption.
+            # The inert simulator field is excluded from the digest: a
+            # "scalar" spec may legitimately hit an entry a "vectorized"
+            # one stored (and vice versa).  Anything else differing
+            # under the same digest is corruption.
             if result.spec.replace(simulator=spec.simulator) != spec:
                 raise ValueError("spec mismatch")
             if result.spec.simulator != spec.simulator:

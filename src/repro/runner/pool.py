@@ -41,6 +41,7 @@ from repro.runner.spec import ExperimentSpec, RunResult, resolve_instructions
 from repro.sim import DynamicPartitionConfig, run_frontend
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.session import activate_worker, current_telemetry
+from repro.vector import BatchPlan, build_plan, plan_key, run_frontend_batch
 from repro.workloads import build_workload
 
 Progress = Callable[[str], None]
@@ -60,7 +61,7 @@ class StreamCache:
                             list[StreamRecord]] = {}
         self._images: dict[tuple[str, Optional[int]], Any] = {}
         self._traces: dict[tuple, list] = {}
-        self._plans: dict[tuple, Any] = {}
+        self._plans: dict[tuple, BatchPlan] = {}
 
     def image(self, benchmark: str, workload_seed: Optional[int] = None):
         key = (benchmark, workload_seed)
@@ -105,33 +106,24 @@ class StreamCache:
         return traces
 
     def plan(self, benchmark: str, instructions: int, config,
-             workload_seed: Optional[int] = None):
+             workload_seed: Optional[int] = None) -> BatchPlan:
         """The partition's :class:`~repro.vector.BatchPlan` for
         ``config``'s point-independent knobs.
 
         Keyed by :func:`repro.vector.plan_key` — every sweep point
         differing only in cache sizing / mechanism / penalties shares
-        one plan, which is the whole economy of the vectorized kernel.
+        one plan, so the next-trace and bimodal replays run once per
+        partition rather than once per point.
         """
-        from repro.vector import build_plan, plan_key
-
         key = (benchmark, workload_seed, instructions, plan_key(config))
         plan = self._plans.get(key)
         if plan is None:
-            image = self.image(benchmark, workload_seed)
-            stream = self.stream(benchmark, workload_seed)[:instructions]
             traces = self.traces(benchmark, instructions,
                                  config.selection, workload_seed)
             with (self.tele.span("workload.plan", benchmark=benchmark,
                                  instructions=instructions)
                   if self.tele else nullcontext()):
-                plan = build_plan(
-                    image, stream, traces,
-                    selection=config.selection,
-                    predictor=config.predictor,
-                    bimodal_entries=config.bimodal_entries,
-                    train_bimodal=config.train_bimodal_on_all_branches,
-                    line_bytes=config.icache.line_bytes)
+                plan = build_plan(traces, config)
             self._plans[key] = plan
         return plan
 
@@ -192,18 +184,9 @@ def _execute_spec(spec: ExperimentSpec,
 
     if spec.kind == "frontend":
         config = spec.frontend_config()
-        if spec.simulator == "vectorized":
-            from repro.vector import run_frontend_batch
-
-            plan = stream_cache.plan(spec.benchmark, spec.instructions,
-                                     config, spec.workload_seed)
-            result = run_frontend_batch(image, [config], plan)[0]
-        else:
-            traces = stream_cache.traces(spec.benchmark, spec.instructions,
-                                         config.selection,
-                                         spec.workload_seed)
-            result = run_frontend(image, config, spec.instructions,
-                                  stream=stream, traces=traces)
+        plan = stream_cache.plan(spec.benchmark, spec.instructions, config,
+                                 spec.workload_seed)
+        result = run_frontend_batch(image, [config], plan)[0]
         metrics = _frontend_metrics(result.stats)
     elif spec.kind == "processor":
         result = run_processor(image, spec.processor_config(),
@@ -261,80 +244,12 @@ def _execute_point(spec: ExperimentSpec, stream_cache: StreamCache,
     return replace(result, manifest=manifest)
 
 
-def _batchable(spec: ExperimentSpec) -> bool:
-    """May this spec join a group-level vectorized batch?"""
-    return spec.kind == "frontend" and spec.simulator == "vectorized"
-
-
-def _execute_batch(specs: Sequence[ExperimentSpec],
-                   stream_cache: StreamCache) -> list[RunResult]:
-    """Run vectorized frontend specs of one benchmark group together.
-
-    Sub-batches by plan key (points differing in selection/predictor
-    knobs cannot share a plan), executes each sub-batch in one
-    :func:`~repro.vector.run_frontend_batch` pass, and fans the batch
-    out to per-spec :class:`RunResult` envelopes — identical metrics
-    and manifests to per-point execution, with the batch wall time
-    attributed evenly.
-    """
-    from repro.vector import plan_key, run_frontend_batch
-
-    tele = current_telemetry()
-    configs = [spec.frontend_config() for spec in specs]
-    buckets: dict[tuple, list[int]] = {}
-    for index, config in enumerate(configs):
-        buckets.setdefault(plan_key(config), []).append(index)
-    results: list[Optional[RunResult]] = [None] * len(specs)
-    for indices in buckets.values():
-        spec0 = specs[indices[0]]
-        started = time.perf_counter()
-        image = stream_cache.image(spec0.benchmark, spec0.workload_seed)
-        plan = stream_cache.plan(spec0.benchmark, spec0.instructions,
-                                 configs[indices[0]], spec0.workload_seed)
-        with (tele.span("runner.vector_batch", benchmark=spec0.benchmark,
-                        points=len(indices)) if tele else nullcontext()):
-            outcomes = run_frontend_batch(
-                image, [configs[i] for i in indices], plan)
-        share = (time.perf_counter() - started) / len(indices)
-        for i, outcome in zip(indices, outcomes):
-            results[i] = RunResult(spec=specs[i],
-                                   metrics=_frontend_metrics(outcome.stats),
-                                   wall_seconds=share,
-                                   manifest=build_manifest(specs[i]))
-    return results  # type: ignore[return-value]  # every slot filled
-
-
-def _execute_group(specs: Sequence[ExperimentSpec],
-                   stream_cache: StreamCache,
-                   profile_dir: Optional[str] = None) -> list[RunResult]:
-    """Execute one benchmark group, batching where the kernel allows.
-
-    Vectorized frontend points run as one batched pass; everything else
-    (scalar points, other kinds, and any run under per-point profiling,
-    which needs one ``cProfile`` capture per spec) runs point-by-point.
-    Results come back in ``specs`` order either way.
-    """
-    if profile_dir is not None:
-        return [_execute_point(spec, stream_cache, profile_dir)
-                for spec in specs]
-    batch_indices = [i for i, spec in enumerate(specs) if _batchable(spec)]
-    if len(batch_indices) < 2:
-        return [_execute_point(spec, stream_cache, None) for spec in specs]
-    results: list[Optional[RunResult]] = [None] * len(specs)
-    batched = _execute_batch([specs[i] for i in batch_indices], stream_cache)
-    for i, result in zip(batch_indices, batched):
-        results[i] = result
-    for i, spec in enumerate(specs):
-        if results[i] is None:
-            results[i] = _execute_point(spec, stream_cache, None)
-    return results  # type: ignore[return-value]  # every slot filled
-
-
 def _run_group(specs: tuple[ExperimentSpec, ...],
                profile_dir: Optional[str] = None) -> list[RunResult]:
     """Worker entry point: one benchmark group, one stream generation."""
     stream_cache = StreamCache(max(spec.instructions for spec in specs))
-    return _execute_group(specs, stream_cache, profile_dir)
+    return [_execute_point(spec, stream_cache, profile_dir)
+            for spec in specs]
 
 
 def _run_group_traced(specs: tuple[ExperimentSpec, ...],
@@ -563,8 +478,9 @@ class ExperimentRunner:
                                  benchmark=group[0].benchmark,
                                  points=len(group))
                   if self.tele else nullcontext()):
-                executed.extend(_execute_group(group, stream_cache,
-                                               self.profile_dir))
+                executed.extend(_execute_point(spec, stream_cache,
+                                               self.profile_dir)
+                                for spec in group)
             self._announce(index, len(groups), group,
                            time.perf_counter() - group_started)
         return executed

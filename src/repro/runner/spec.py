@@ -67,11 +67,10 @@ DEFAULT_INSTRUCTIONS = 60_000
 #: Simulation kinds a spec can describe.
 KINDS = ("frontend", "processor", "dynamic", "check")
 
-#: Simulation kernels a spec can select (``simulator`` field):
-#: ``"scalar"`` is the original one-point-at-a-time frontend kernel;
-#: ``"vectorized"`` is the batched struct-of-arrays kernel
-#: (:mod:`repro.vector`), result-identical by construction and by the
-#: differential test battery.
+#: Values of the ``simulator`` field.  They once selected one of two
+#: frontend kernels; every point now runs the one dispatch loop over a
+#: shared trace-partition plan (:mod:`repro.vector`), so the field is
+#: inert and kept only for compatibility.
 SIMULATOR_KINDS = ("scalar", "vectorized")
 
 
@@ -152,10 +151,9 @@ class ExperimentSpec:
     #: registry name); ``pb_entries`` is its storage budget whatever
     #: the mechanism.
     mechanism: str = "preconstruction"
-    #: Execution strategy, not result identity: which kernel computes
-    #: the point (:data:`SIMULATOR_KINDS`).  Excluded from the digest —
-    #: scalar and vectorized results are interchangeable (differential
-    #: battery) — so either kernel's run hits the other's cache entry.
+    #: Inert (:data:`SIMULATOR_KINDS`): every value runs the same
+    #: kernel.  Excluded from the digest, so every value's run hits
+    #: the others' cache entry.
     simulator: str = "scalar"
 
     def __post_init__(self) -> None:

@@ -34,7 +34,7 @@ from repro.engine.stream import StreamRecord
 from repro.sim.config import FrontendConfig
 from repro.sim.frontend_runner import FrontendResult, FrontendSimulation
 from repro.program import ProgramImage
-from repro.trace import Trace, TraceCache, TraceCacheConfig
+from repro.trace import TraceCache, TraceCacheConfig
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class DynamicPartitionFrontend(FrontendSimulation):
         self._pb_entries = self.partition.initial_pb_entries
         self._direction = +1
         self._epoch_traces = 0
-        self._epoch_misses = 0
+        self._epoch_start_misses = 0
         self._last_epoch_rate: float | None = None
         self.events: list[PartitionEvent] = []
         self._apply_partition(self._pb_entries)
@@ -116,16 +116,15 @@ class DynamicPartitionFrontend(FrontendSimulation):
         self._pb_entries = pb_entries
 
     # ------------------------------------------------------------------
-    def _process_trace(self, actual: Trace) -> None:
-        misses_before = self.stats.trace_misses
-        super()._process_trace(actual)
+    def after_trace(self) -> None:
+        """The dispatch loop's per-occurrence hook: count the epoch."""
         self._epoch_traces += 1
-        self._epoch_misses += self.stats.trace_misses - misses_before
         if self._epoch_traces >= self.partition.epoch_traces:
             self._end_epoch()
 
     def _end_epoch(self) -> None:
-        rate = self._epoch_misses / self._epoch_traces
+        misses = self.stats.trace_misses
+        rate = (misses - self._epoch_start_misses) / self._epoch_traces
         move = self._last_epoch_rate is None
         if self._last_epoch_rate is not None:
             delta = rate - self._last_epoch_rate
@@ -148,7 +147,7 @@ class DynamicPartitionFrontend(FrontendSimulation):
             epoch_miss_rate=rate))
         self._last_epoch_rate = rate
         self._epoch_traces = 0
-        self._epoch_misses = 0
+        self._epoch_start_misses = misses
 
 
 def run_dynamic_frontend(image: ProgramImage, config: FrontendConfig,

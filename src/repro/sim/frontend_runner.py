@@ -14,6 +14,13 @@ processor's frontend:
    path (``fetch_width`` per cycle plus miss latencies), constructed by
    the fill unit, and installed in the trace cache.
 
+The next-trace predictor and the bimodal table are trained only by the
+committed path, so their evolution, and every per-occurrence trace
+feature, is the same at every point over one stream partition: it is
+computed once per partition as a :class:`~repro.vector.BatchPlan`, and
+:func:`_dispatch`, the one dispatch loop, keeps only the point's own
+caches, mechanism and counters.
+
 The fill/prefetch mechanism occupying the seam is pluggable
 (:mod:`repro.frontends`): trace preconstruction, MANA-style
 record-replay prefetching, program-map traversal, or next-N-line —
@@ -29,9 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from repro.branch import BimodalPredictor, NextTracePredictor
+from repro.branch import BimodalPredictor
 from repro.caches import InstructionCache
 from repro.core import PreconstructionEngine
 from repro.engine import FunctionalEngine, StreamRecord
@@ -43,9 +50,11 @@ from repro.frontends import (
 from repro.program import ProgramImage
 from repro.sim.config import FrontendConfig
 from repro.sim.stats import FrontendStats
-from repro.trace import MAX_TRACE_LENGTH, Trace, TraceCache, TraceSelector
+from repro.trace import MAX_TRACE_LENGTH, Trace, TraceCache, traces_of_stream
+from repro.vector.plan import NTP_WRONG, BatchPlan, build_plan
 
 if TYPE_CHECKING:
+    from repro.obs.events import ObsBus
     from repro.sim.dynamic_partition import (
         DynamicPartitionConfig,
         PartitionEvent,
@@ -87,15 +96,28 @@ class FrontendResult:
 
 
 class FrontendSimulation:
-    """Reusable frontend simulator; feed it one stream via :meth:`run`."""
+    """One frontend point: its caches, mechanism and counters.
+
+    :meth:`run` replays one stream through the point; several points
+    sharing a stream partition advance in lockstep under
+    :func:`repro.vector.run_frontend_batch`.  Both drive the same
+    dispatch loop, :func:`_dispatch`.
+    """
+
+    #: Per-occurrence hook, called after each dispatched trace (the
+    #: dynamic-partition controller's epoch step); ``None`` for a fixed
+    #: geometry.  A class attribute, so a subclass overrides it with a
+    #: method and the instance holds no reference to itself.
+    after_trace: Optional[Callable[[], None]] = None
 
     def __init__(self, image: ProgramImage, config: FrontendConfig,
-                 obs=None) -> None:
+                 obs: Optional["ObsBus"] = None, *,
+                 bimodal: Optional[BimodalPredictor] = None) -> None:
         self.image = image
         self.config = config
         self.stats = FrontendStats()
-        #: Optional :class:`repro.obs.ObsBus`.  The runner owns the
-        #: event clock: it advances ``obs.now`` to the frontend cycle
+        #: Optional :class:`repro.obs.ObsBus`.  The dispatch loop owns
+        #: the event clock: it advances ``obs.now`` to the frontend cycle
         #: count, so engine/buffer/trace-cache events share one cycle
         #: domain.  ``None`` (the default) keeps every site a single
         #: dead branch on the hot path.
@@ -105,18 +127,14 @@ class FrontendSimulation:
         self.trace_cache = TraceCache(config.trace_cache)
         if obs is not None:
             self.trace_cache.obs = obs
-        self.bimodal = BimodalPredictor(entries=config.bimodal_entries)
-        self.predictor: NextTracePredictor = NextTracePredictor(
-            config.predictor)
-        self.selector = TraceSelector(config.selection)
+        #: The slow-path bimodal table mechanisms read bias from.  Its
+        #: only writer is the dispatch loop's per-occurrence training, so
+        #: points of one batch share a single table.
+        self.bimodal = bimodal if bimodal is not None else \
+            BimodalPredictor(entries=config.bimodal_entries)
         # Pace of backend-paced consumption, precomputed per length.
         self._pace = retire_pace_table(config.retire_ipc,
                                        config.selection.max_length)
-        #: Per-trace (pc, taken) pairs of the conditional branches — a
-        #: pure function of the trace, consulted by both the slow path
-        #: and predictor training on every dynamic occurrence.  Keyed by
-        #: id(); the stored trace reference pins the id.
-        self._branch_memo: dict[int, tuple[Trace, tuple]] = {}
         self.mechanism: Optional[FrontendMechanism] = create_mechanism(
             config.mechanism,
             MechanismContext(
@@ -134,29 +152,28 @@ class FrontendSimulation:
             self.mechanism.attach_obs(obs)
 
     # ------------------------------------------------------------------
-    def run(self, stream: Iterable[StreamRecord],
-            traces: Optional[Iterable[Trace]] = None) -> FrontendResult:
-        """Replay ``stream`` through the frontend.
+    def run(self, stream: Iterable[StreamRecord] = (),
+            traces: Optional[Sequence[Trace]] = None,
+            plan: Optional[BatchPlan] = None) -> FrontendResult:
+        """Replay one stream through this point.
 
-        ``traces`` may carry the stream's precomputed trace partition
-        (see :meth:`~repro.runner.StreamCache.traces`); partitioning is
-        a pure function of the stream and the selection config, so a
-        sweep re-running one stream under many sizings need not re-feed
-        the selector per point.  When given, ``stream`` is ignored.
+        ``plan`` is the stream partition's shared precomputation (see
+        :meth:`~repro.runner.StreamCache.plan`); ``traces`` its trace
+        partition (:meth:`~repro.runner.StreamCache.traces`), from
+        which a plan is built; with neither, ``stream`` is partitioned
+        here.  A simulation replays one stream only.
         """
-        step = self._process_trace
-        if traces is not None:
-            for trace in traces:
-                step(trace)
-        else:
-            feed = self.selector.feed
-            for record in stream:
-                trace = feed(record)
-                if trace is not None:
-                    step(trace)
-            tail = self.selector.flush()
-            if tail is not None:
-                step(tail)
+        if self.stats.traces:
+            raise RuntimeError("a FrontendSimulation replays one stream; "
+                               "build a new one for the next")
+        if plan is None:
+            if traces is None:
+                traces = traces_of_stream(stream, self.config.selection)
+            plan = build_plan(traces, self.config)
+        _dispatch([self], plan, self.bimodal, self.obs)
+        return self.result()
+
+    def result(self) -> FrontendResult:
         return FrontendResult(config=self.config, stats=self.stats,
                               trace_cache=self.trace_cache,
                               preconstruction=self.precon,
@@ -165,187 +182,181 @@ class FrontendSimulation:
                               partition_events=getattr(self, "events", None))
 
     # ------------------------------------------------------------------
-    def _process_trace(self, actual: Trace) -> None:
-        stats = self.stats
-        config = self.config
-        obs = self.obs
-        mechanism = self.mechanism
-        if obs:
-            obs.now = stats.cycles
-        stats.traces += 1
-        stats.instructions += len(actual)
-
-        predicted = self.predictor.predict()
-        predicted_ok = predicted == actual.trace_id
-
-        present = self.trace_cache.lookup(actual.trace_id) is not None
-        buffer_hit = False
-        if not present and mechanism is not None:
-            buffer_hit = mechanism.probe(actual.trace_id)
-            if buffer_hit:
-                present = True
-                stats.buffer_hits += 1
-
-        idle_cycles = 0
-        cycles = 0
-        if predicted is None:
-            stats.ntp_none += 1
-        elif predicted_ok:
-            stats.ntp_correct += 1
-        else:
-            stats.ntp_wrong += 1
-            # Wrong next-trace prediction: resolution penalty during
-            # which the slow-path fetch hardware sits idle.
-            cycles += config.trace_mispredict_penalty
-            idle_cycles += config.trace_mispredict_penalty
-
-        if present:
-            stats.trace_hits += 1
-            # Backend-paced consumption: the window drains at retire_ipc,
-            # so the slow path idles while the trace cache supplies.
-            pace = self._pace[len(actual)]
-            cycles += pace
-            idle_cycles += pace
-        else:
-            stats.trace_misses += 1
-            if mechanism is not None:
-                mechanism.on_slow_path(actual)
-            cycles += self._slow_path_fetch(actual)
-
-        if obs:
-            pc = actual.trace_id.start_pc
-            if present:
-                obs.emit("frontend", "trace_hit", pc=pc, len=len(actual),
-                         buffer=buffer_hit)
-            else:
-                obs.emit("frontend", "trace_miss", pc=pc, len=len(actual))
-            obs.metrics.on_trace(obs.now, len(actual), present, buffer_hit)
-
-        stats.cycles += cycles
-        if mechanism is not None:
-            stats.idle_cycles += idle_cycles
-            mechanism.observe_dispatch(actual)
-            if idle_cycles:
-                if obs:
-                    # The idle span is the tail of this trace's cycles:
-                    # stamp engine work at the burst start so region /
-                    # construction events land inside the burst slice.
-                    obs.now = stats.cycles - idle_cycles
-                    obs.emit("frontend", "idle_burst_start",
-                             len=idle_cycles)
-                    obs.metrics.on_idle_burst(obs.now, idle_cycles)
-                mechanism.tick(idle_cycles)
-                if obs:
-                    obs.now = stats.cycles
-                    obs.emit("frontend", "idle_burst_end", len=idle_cycles)
-            if obs and self.precon is not None:
-                bucket = stats.cycles // obs.metrics.bucket_cycles
-                if bucket != self._obs_bucket:
-                    self._obs_bucket = bucket
-                    obs.metrics.on_buffer_occupancy(
-                        self.precon.buffers.occupancy())
-
-        self._train_predictors(actual, predicted)
-
-    # ------------------------------------------------------------------
-    def _slow_path_fetch(self, actual: Trace) -> int:
-        """Fetch ``actual``'s instructions via the I-cache; build and
+    def _slow_path(self, trace: Trace, plan: BatchPlan, t: int) -> int:
+        """Fetch occurrence ``t`` (``trace``) via the I-cache; build and
         install the trace.  Returns the cycles consumed."""
         stats = self.stats
-        config = self.config
         stats.slow_path_traces += 1
-        line_bytes = self.icache.config.line_bytes
-
-        cycles = -(-len(actual) // config.fetch_width)  # ceil division
-        # The dynamic path grouped into consecutive same-line runs,
-        # precomputed once per trace object.
-        for run_line, run_count in actual.line_runs(line_bytes):
-            cycles += self._slow_line(run_line, run_count)
-
-        stats.slow_instructions += len(actual)
-        # Slow path consults the bimodal predictor per conditional branch.
-        if actual.trace_id.outcomes:
-            pairs = self._branch_pairs(actual)
-            predict = self.bimodal.predict
-            penalty = config.branch_mispredict_penalty
-            mispredictions = 0
-            for pc, taken in pairs:
-                if predict(pc) != taken:
-                    mispredictions += 1
-                    cycles += penalty
-            stats.bimodal_predictions += len(pairs)
-            stats.bimodal_mispredictions += mispredictions
-
+        length = plan.length[t]
+        cycles = -(-length // self.config.fetch_width)  # ceil division
+        fetch_line = self.icache.fetch_line
+        for run_line, run_count in plan.line_runs[t]:
+            latency, missed = fetch_line(run_line, "slow_path",
+                                         instructions=run_count)
+            stats.slow_line_accesses += 1
+            if missed:
+                stats.slow_line_misses += 1
+                stats.slow_instructions_from_misses += run_count
+                cycles += latency
+        stats.slow_instructions += length
+        # The slow path consults the bimodal predictor per conditional
+        # branch; the plan replayed those predictions once.
+        branches = plan.n_branches[t]
+        if branches:
+            mispredicted = plan.n_mispredicts[t]
+            cycles += mispredicted * self.config.branch_mispredict_penalty
+            stats.bimodal_predictions += branches
+            stats.bimodal_mispredictions += mispredicted
         # Fill unit installs the newly built trace (never the partial
         # end-of-stream tail — its identity may collide).
-        if not actual.partial:
-            self.trace_cache.insert(actual)
+        if not trace.partial:
+            self.trace_cache.insert(trace)
         return cycles
 
-    def _slow_line(self, line_addr: int, instructions: int) -> int:
-        """One slow-path line access; returns extra stall cycles."""
-        latency, missed = self.icache.fetch_line(
-            line_addr, "slow_path", instructions=instructions)
+    def _finish(self, plan: BatchPlan) -> None:
+        """Point-independent totals and end-of-run mirrors."""
         stats = self.stats
-        stats.slow_line_accesses += 1
-        if missed:
-            stats.slow_line_misses += 1
-            stats.slow_instructions_from_misses += instructions
-            return latency
-        return 0
-
-    # ------------------------------------------------------------------
-    def _branch_pairs(self, trace: Trace) -> tuple[tuple[int, bool], ...]:
-        """Memoized (pc, taken) per conditional branch of ``trace``."""
-        memo = self._branch_memo.get(id(trace))
-        if memo is not None and memo[0] is trace:
-            return memo[1]
-        outcomes = trace.trace_id.outcomes
-        outcome_index = 0
-        pairs: list[tuple[int, bool]] = []
-        for pc, inst in zip(trace.pcs, trace.instructions):
-            if inst.is_conditional_branch:
-                pairs.append((pc, outcomes[outcome_index]))
-                outcome_index += 1
-        result = tuple(pairs)
-        self._branch_memo[id(trace)] = (trace, result)
-        return result
-
-    def _train_predictors(self, actual: Trace,
-                          predicted: Optional[object]) -> None:
-        self.predictor.update(
-            actual.trace_id, predicted,
-            ends_in_call=actual.ends_in_call,
-            ends_in_return=actual.ends_in_return)
-        if (actual.trace_id.outcomes
-                and self.config.train_bimodal_on_all_branches):
-            update = self.bimodal.update
-            for pc, taken in self._branch_pairs(actual):
-                update(pc, taken)
-        # Keep Table 2's mechanism-side I-cache traffic mirrored into
-        # stats, whatever client name the mechanism fetches under.
+        stats.ntp_none = plan.ntp_none
+        stats.ntp_correct = plan.ntp_correct
+        stats.ntp_wrong = plan.ntp_wrong
+        # Table 2's mechanism-side I-cache traffic, whatever client name
+        # the mechanism fetches under.
         client = (self.mechanism.icache_client
                   if self.mechanism is not None else "preconstruct")
         traffic = self.icache.traffic.get(client)
         if traffic is not None:
-            self.stats.precon_line_accesses = traffic.lines_accessed
-            self.stats.precon_line_misses = traffic.misses
+            stats.precon_line_accesses = traffic.lines_accessed
+            stats.precon_line_misses = traffic.misses
+
+
+def _dispatch(points: Sequence[FrontendSimulation], plan: BatchPlan,
+              bimodal: BimodalPredictor, obs: Optional["ObsBus"]) -> None:
+    """The frontend dispatch loop: every point of ``points`` over
+    ``plan``'s trace sequence, in lockstep.
+
+    Lockstep ordering is what makes the shared ``bimodal`` table sound:
+    at occurrence *t* every point first dispatches (mechanisms may read
+    the table's bias), then the occurrence's training updates are
+    applied once — the state evolution each point would see alone.
+    ``obs`` (an event bus) carries one cycle domain, so it needs a
+    batch of one.
+    """
+    for point in points:
+        why = plan.compatible_with(point.config)
+        if why is not None:
+            raise ValueError(f"config cannot join this batch plan: {why}")
+    if obs is not None and len(points) != 1:
+        raise ValueError("obs requires a batch of exactly one point")
+
+    length = plan.length
+    ntp_code = plan.ntp_code
+    n_branches = plan.n_branches
+    all_pairs = plan.pairs
+    train = plan.train_bimodal
+    bimodal_update = bimodal.update
+
+    for t, trace in enumerate(plan.traces):
+        trace_id = trace.trace_id
+        n = length[t]
+        wrong = ntp_code[t] == NTP_WRONG
+        for point in points:
+            stats = point.stats
+            mechanism = point.mechanism
+            if obs:
+                obs.now = stats.cycles
+            stats.traces += 1
+            stats.instructions += n
+
+            present = point.trace_cache.lookup(trace_id) is not None
+            buffer_hit = False
+            if not present and mechanism is not None:
+                buffer_hit = mechanism.probe(trace_id)
+                if buffer_hit:
+                    present = True
+                    stats.buffer_hits += 1
+
+            idle_cycles = 0
+            cycles = 0
+            if wrong:
+                # Wrong next-trace prediction: resolution penalty during
+                # which the slow-path fetch hardware sits idle.
+                cycles = idle_cycles = point.config.trace_mispredict_penalty
+
+            if present:
+                stats.trace_hits += 1
+                # Backend-paced consumption: the window drains at
+                # retire_ipc, so the slow path idles while the trace
+                # cache supplies.
+                pace = point._pace[n]
+                cycles += pace
+                idle_cycles += pace
+            else:
+                stats.trace_misses += 1
+                if mechanism is not None:
+                    mechanism.on_slow_path(trace)
+                cycles += point._slow_path(trace, plan, t)
+
+            if obs:
+                if present:
+                    obs.emit("frontend", "trace_hit", pc=trace_id.start_pc,
+                             len=n, buffer=buffer_hit)
+                else:
+                    obs.emit("frontend", "trace_miss",
+                             pc=trace_id.start_pc, len=n)
+                obs.metrics.on_trace(obs.now, n, present, buffer_hit)
+
+            stats.cycles += cycles
+            if mechanism is not None:
+                stats.idle_cycles += idle_cycles
+                mechanism.observe_dispatch(trace)
+                if idle_cycles:
+                    if obs:
+                        # The idle span is the tail of this trace's
+                        # cycles: stamp engine work at the burst start so
+                        # region / construction events land inside the
+                        # burst slice.
+                        obs.now = stats.cycles - idle_cycles
+                        obs.emit("frontend", "idle_burst_start",
+                                 len=idle_cycles)
+                        obs.metrics.on_idle_burst(obs.now, idle_cycles)
+                    mechanism.tick(idle_cycles)
+                    if obs:
+                        obs.now = stats.cycles
+                        obs.emit("frontend", "idle_burst_end",
+                                 len=idle_cycles)
+                if obs and point.precon is not None:
+                    bucket = stats.cycles // obs.metrics.bucket_cycles
+                    if bucket != point._obs_bucket:
+                        point._obs_bucket = bucket
+                        obs.metrics.on_buffer_occupancy(
+                            point.precon.buffers.occupancy())
+            if point.after_trace is not None:
+                point.after_trace()
+
+        # Occurrence t's training, once for the whole batch — after
+        # every point dispatched, so bias reads see the same table.
+        if train and n_branches[t]:
+            for pc, taken in all_pairs[t]:
+                bimodal_update(pc, taken)
+
+    for point in points:
+        point._finish(plan)
 
 
 def run_frontend(image: ProgramImage, config: FrontendConfig,
                  max_instructions: Optional[int] = None,
                  stream: Optional[list[StreamRecord]] = None,
                  traces: Optional[list[Trace]] = None,
-                 obs=None, *,
+                 obs: Optional["ObsBus"] = None, *,
                  mechanism: Optional[str] = None,
-                 partition: Optional["DynamicPartitionConfig"] = None
-                 ) -> FrontendResult:
+                 partition: Optional["DynamicPartitionConfig"] = None,
+                 plan: Optional[BatchPlan] = None) -> FrontendResult:
     """The one frontend entry point.
 
     Executes ``image`` functionally (or reuses a precomputed ``stream``
-    / its trace partition ``traces``) and replays it through the
-    frontend.  ``obs`` attaches an event bus (:class:`repro.obs.ObsBus`)
-    for cycle-domain tracing.
+    / its trace partition ``traces`` / that partition's shared ``plan``)
+    and replays it through the frontend.  ``obs`` attaches an event bus
+    (:class:`repro.obs.ObsBus`) for cycle-domain tracing.
 
     ``mechanism`` overrides ``config.mechanism`` at the same storage
     budget (see :meth:`FrontendConfig.with_mechanism`).  ``partition``
@@ -363,8 +374,8 @@ def run_frontend(image: ProgramImage, config: FrontendConfig,
             image, config, partition)
     else:
         simulation = FrontendSimulation(image, config, obs=obs)
-    if traces is not None:
-        return simulation.run((), traces=traces)
+    if plan is not None or traces is not None:
+        return simulation.run(traces=traces, plan=plan)
     if stream is None:
         if max_instructions is None:
             raise ValueError("need max_instructions when no stream/traces "

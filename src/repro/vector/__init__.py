@@ -1,48 +1,15 @@
-"""Batched struct-of-arrays simulation kernel (``simulator="vectorized"``).
+"""Shared trace-partition plans and batched frontend runs.
 
-The scalar frontend kernel (:mod:`repro.sim.frontend_runner`) advances
-one sweep point at a time, re-deriving per-occurrence trace features
-and predictor evolution at every point.  This package re-expresses the
-decoded program and the dynamic stream as parallel numpy arrays
-(:class:`DecodedImage`, :class:`StreamArrays`), delimits traces and
-accumulates Figure-5 counters as vectorized passes, and batches every
-point sharing a stream partition through one lockstep pass
-(:func:`run_frontend_batch` over a :class:`BatchPlan`).
-
-Selection is by the ``simulator`` field of
-:class:`~repro.runner.ExperimentSpec` (``"scalar"`` stays the default);
-equivalence is enforced by a differential test battery plus a fuzz
-oracle, and by structural cross-checks at plan build.
+Every frontend point runs on a :class:`BatchPlan` — the
+point-independent precomputation of one stream partition (next-trace
+and bimodal replays, per-occurrence trace features), built once by
+:func:`build_plan` and memoised per partition by
+:meth:`~repro.runner.StreamCache.plan`.  :func:`run_frontend_batch`
+runs many points sharing a plan in one lockstep pass;
+:meth:`~repro.sim.FrontendSimulation.run` is the same loop for one.
 """
 
-from repro.vector.decoded import DecodedImage
-from repro.vector.delimit import (
-    StreamArrays,
-    final_trace_is_partial,
-    occurrence_branch_counts,
-    occurrence_lengths,
-    stream_arrays,
-    trace_boundaries,
-)
 from repro.vector.frontend import run_frontend_batch
-from repro.vector.plan import (
-    BatchPlan,
-    PlanMismatchError,
-    build_plan,
-    plan_key,
-)
+from repro.vector.plan import BatchPlan, build_plan, plan_key
 
-__all__ = [
-    "BatchPlan",
-    "DecodedImage",
-    "PlanMismatchError",
-    "StreamArrays",
-    "build_plan",
-    "final_trace_is_partial",
-    "occurrence_branch_counts",
-    "occurrence_lengths",
-    "plan_key",
-    "run_frontend_batch",
-    "stream_arrays",
-    "trace_boundaries",
-]
+__all__ = ["BatchPlan", "build_plan", "plan_key", "run_frontend_batch"]

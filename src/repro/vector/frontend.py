@@ -1,31 +1,14 @@
-"""The batched frontend kernel: one array pass, many sweep points.
+"""Batched frontend runs: many sweep points, one trace-partition plan.
 
 :func:`run_frontend_batch` advances every sweep point sharing one
 stream partition through the same trace-occurrence sequence in
 lockstep, consuming a precomputed :class:`~repro.vector.plan.BatchPlan`
-instead of re-deriving point-independent work per point:
-
-* trace delimitation, per-occurrence lengths / branch counts — array
-  passes at plan build;
-* next-trace-predictor outcomes and bimodal slow-path misprediction
-  counts — replayed once per partition, not once per point;
-* branch (pc, taken) pairs and I-cache line runs — shared tuples.
-
-Per point, the kernel keeps the *real* stateful structures — trace
-cache, instruction cache, frontend mechanism (preconstruction engine,
-record-replay prefetcher, ...) — and mirrors the scalar
-:class:`~repro.sim.frontend_runner.FrontendSimulation` dispatch
-protocol operation for operation, so every counter in
-:class:`~repro.sim.stats.FrontendStats` and every cache/mechanism end
-state is bit-identical to a scalar run of the same config.  The
-differential test battery (``tests/test_vector_*.py``) and the fuzz
-harness's ``simulator`` oracle enforce that equivalence continuously.
-
-Lockstep ordering is what makes the shared bimodal table sound: at
-occurrence *t* every point first dispatches (mechanisms may read the
-table's bias), then the occurrence's training updates are applied once
-— exactly the state evolution each scalar point would see, because the
-scalar runner also trains after the mechanism tick.
+instead of re-deriving point-independent work per point.  It drives
+the one frontend dispatch loop — the same one
+:meth:`repro.sim.FrontendSimulation.run` drives for a single point —
+so a point's counters and cache/mechanism end states do not depend on
+which batch it ran in.  The fuzz harness's ``simulator`` oracle checks
+exactly that.
 """
 
 from __future__ import annotations
@@ -33,219 +16,37 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.branch import BimodalPredictor
-from repro.caches import InstructionCache
-from repro.frontends import MechanismContext, create_mechanism
-from repro.program import ProgramImage
-from repro.sim.config import FrontendConfig
-from repro.sim.frontend_runner import FrontendResult, retire_pace_table
-from repro.sim.stats import FrontendStats
-from repro.trace import TraceCache
-
-from repro.vector.plan import NTP_CORRECT, NTP_NONE, NTP_WRONG, BatchPlan
+from repro.vector.plan import BatchPlan
 
 if TYPE_CHECKING:
     from repro.obs.events import ObsBus
+    from repro.program import ProgramImage
+    from repro.sim.config import FrontendConfig
+    from repro.sim.frontend_runner import FrontendResult
 
 __all__ = ["run_frontend_batch"]
 
 
-class _PointState:
-    """One sweep point's live state inside a batch."""
-
-    __slots__ = ("config", "stats", "icache", "trace_cache", "mechanism",
-                 "precon", "pace", "base_fetch", "trace_penalty",
-                 "branch_penalty", "obs_bucket")
-
-    def __init__(self, image: ProgramImage, config: FrontendConfig,
-                 bimodal: BimodalPredictor, plan: BatchPlan,
-                 obs: Optional["ObsBus"]) -> None:
-        self.config = config
-        self.stats = FrontendStats()
-        self.icache = InstructionCache(config.icache)
-        self.trace_cache = TraceCache(config.trace_cache)
-        if obs is not None:
-            self.trace_cache.obs = obs
-        self.mechanism = create_mechanism(
-            config.mechanism,
-            MechanismContext(
-                image=image, icache=self.icache, bimodal=bimodal,
-                trace_cache=self.trace_cache, selection=config.selection,
-                budget_entries=config.mechanism_entries,
-                static_seed=config.static_seed,
-                preconstruction=config.preconstruction))
-        self.precon = getattr(self.mechanism, "engine", None)
-        if obs is not None and self.mechanism is not None:
-            self.mechanism.attach_obs(obs)
-        self.pace = retire_pace_table(config.retire_ipc,
-                                      config.selection.max_length)
-        # ceil(length / fetch_width) per occurrence — one vectorized
-        # divide per point instead of one ceil per dispatched trace.
-        width = config.fetch_width
-        self.base_fetch = ((plan.length_arr + (width - 1)) // width).tolist()
-        self.trace_penalty = config.trace_mispredict_penalty
-        self.branch_penalty = config.branch_mispredict_penalty
-        self.obs_bucket = -1
-
-    def result(self) -> FrontendResult:
-        return FrontendResult(config=self.config, stats=self.stats,
-                              trace_cache=self.trace_cache,
-                              preconstruction=self.precon,
-                              icache=self.icache,
-                              mechanism=self.mechanism,
-                              partition_events=None)
-
-
-def run_frontend_batch(image: ProgramImage,
-                       configs: Sequence[FrontendConfig],
+def run_frontend_batch(image: "ProgramImage",
+                       configs: Sequence["FrontendConfig"],
                        plan: BatchPlan,
                        obs: Optional["ObsBus"] = None
-                       ) -> list[FrontendResult]:
+                       ) -> list["FrontendResult"]:
     """Run every config of ``configs`` over ``plan``'s partition.
 
     Results come back in ``configs`` order and are point-for-point
-    equivalent to ``run_frontend(image, config, traces=plan.traces)``.
+    equal to ``run_frontend(image, config, traces=plan.traces)``.
     ``obs`` (an event bus) is only meaningful for a batch of one — the
     bus carries a single cycle domain, and points advance on distinct
     clocks.
     """
-    for config in configs:
-        why = plan.compatible_with(config)
-        if why is not None:
-            raise ValueError(
-                f"config cannot join this batch plan: {why}")
-    if obs is not None and len(configs) != 1:
-        raise ValueError("obs requires a batch of exactly one point")
+    # Imported here: the simulator imports this package's plan module.
+    from repro.sim.frontend_runner import FrontendSimulation, _dispatch
 
     # The one shared bimodal table: mechanisms read its bias, the
-    # per-occurrence training below is its only writer — so its state
-    # matches every scalar point's table at every occurrence.
+    # loop's per-occurrence training is its only writer.
     bimodal = BimodalPredictor(entries=plan.bimodal_entries)
-    points = [_PointState(image, config, bimodal, plan, obs)
+    points = [FrontendSimulation(image, config, obs, bimodal=bimodal)
               for config in configs]
-
-    traces = plan.traces
-    length = plan.length
-    ntp_code = plan.ntp_code
-    n_branches = plan.n_branches
-    n_mispredicts = plan.n_mispredicts
-    all_runs = plan.line_runs
-    all_pairs = plan.pairs
-    train = plan.train_bimodal
-    bimodal_update = bimodal.update
-
-    for t, trace in enumerate(traces):
-        trace_id = trace.trace_id
-        n = length[t]
-        code = ntp_code[t]
-        runs = all_runs[t]
-        branches = n_branches[t]
-        mispredicted = n_mispredicts[t]
-        partial = trace.partial
-        for point in points:
-            stats = point.stats
-            mechanism = point.mechanism
-            if obs:
-                obs.now = stats.cycles
-            stats.traces += 1
-            stats.instructions += n
-
-            present = point.trace_cache.lookup(trace_id) is not None
-            buffer_hit = False
-            if not present and mechanism is not None:
-                buffer_hit = mechanism.probe(trace_id)
-                if buffer_hit:
-                    present = True
-                    stats.buffer_hits += 1
-
-            idle_cycles = 0
-            cycles = 0
-            if code == NTP_WRONG:
-                cycles = point.trace_penalty
-                idle_cycles = point.trace_penalty
-
-            if present:
-                stats.trace_hits += 1
-                pace = point.pace[n]
-                cycles += pace
-                idle_cycles += pace
-            else:
-                stats.trace_misses += 1
-                if mechanism is not None:
-                    mechanism.on_slow_path(trace)
-                # Slow path, with the plan's precomputed per-occurrence
-                # features standing in for the scalar per-trace walks.
-                stats.slow_path_traces += 1
-                slow = point.base_fetch[t]
-                icache = point.icache
-                for run_line, run_count in runs:
-                    latency, missed = icache.fetch_line(
-                        run_line, "slow_path", instructions=run_count)
-                    stats.slow_line_accesses += 1
-                    if missed:
-                        stats.slow_line_misses += 1
-                        stats.slow_instructions_from_misses += run_count
-                        slow += latency
-                stats.slow_instructions += n
-                if branches:
-                    slow += mispredicted * point.branch_penalty
-                    stats.bimodal_predictions += branches
-                    stats.bimodal_mispredictions += mispredicted
-                if not partial:
-                    point.trace_cache.insert(trace)
-                cycles += slow
-
-            if obs:
-                if present:
-                    obs.emit("frontend", "trace_hit", pc=trace_id.start_pc,
-                             len=n, buffer=buffer_hit)
-                else:
-                    obs.emit("frontend", "trace_miss",
-                             pc=trace_id.start_pc, len=n)
-                obs.metrics.on_trace(obs.now, n, present, buffer_hit)
-
-            stats.cycles += cycles
-            if mechanism is not None:
-                stats.idle_cycles += idle_cycles
-                mechanism.observe_dispatch(trace)
-                if idle_cycles:
-                    if obs:
-                        obs.now = stats.cycles - idle_cycles
-                        obs.emit("frontend", "idle_burst_start",
-                                 len=idle_cycles)
-                        obs.metrics.on_idle_burst(obs.now, idle_cycles)
-                    mechanism.tick(idle_cycles)
-                    if obs:
-                        obs.now = stats.cycles
-                        obs.emit("frontend", "idle_burst_end",
-                                 len=idle_cycles)
-                if obs and point.precon is not None:
-                    bucket = stats.cycles // obs.metrics.bucket_cycles
-                    if bucket != point.obs_bucket:
-                        point.obs_bucket = bucket
-                        obs.metrics.on_buffer_occupancy(
-                            point.precon.buffers.occupancy())
-
-        # Occurrence t's training, once for the whole batch — after
-        # every point dispatched (the scalar runner also trains after
-        # the mechanism tick, so bias reads see the same table).
-        if train and branches:
-            for pc, taken in all_pairs[t]:
-                bimodal_update(pc, taken)
-
-    # Point-independent totals and end-of-run mirrors, applied once.
-    for point in points:
-        stats = point.stats
-        stats.ntp_none = plan.ntp_none
-        stats.ntp_correct = plan.ntp_correct
-        stats.ntp_wrong = plan.ntp_wrong
-        # Table 2's mechanism-side I-cache traffic mirror — the scalar
-        # runner reassigns it per trace; only the final value is
-        # observable, so once at the end is equivalent.
-        client = (point.mechanism.icache_client
-                  if point.mechanism is not None else "preconstruct")
-        traffic = point.icache.traffic.get(client)
-        if traffic is not None:
-            stats.precon_line_accesses = traffic.lines_accessed
-            stats.precon_line_misses = traffic.misses
-
+    _dispatch(points, plan, bimodal, obs)
     return [point.result() for point in points]

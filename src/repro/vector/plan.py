@@ -1,64 +1,47 @@
-"""Shared batch precomputation for the vectorized frontend kernel.
+"""Shared per-partition precomputation for the frontend dispatch loop.
 
-A sweep's points that share one stream partition (same benchmark,
-workload seed, instruction budget and selection rules — the PR 3
-grouping the runner already schedules by) redo a large amount of
-point-independent work in the scalar kernel: the next-trace predictor
-and the bimodal table evolve identically at every point, per-occurrence
-trace features are pure functions of the shared trace sequence, and the
-slow path's bimodal predictions at occurrence *t* read table state that
-is the same at every point.
+Every sweep point sharing one stream partition (same benchmark,
+workload seed, instruction budget and selection rules — the grouping
+the runner already schedules by) would otherwise redo a large amount of
+point-independent work: the next-trace predictor and the bimodal table
+are trained only by the committed path, so they evolve identically at
+every point; per-occurrence trace features are pure functions of the
+shared trace sequence; and the slow path's bimodal predictions at
+occurrence *t* read table state that is the same at every point.
 
-A :class:`BatchPlan` computes all of it **once per partition**:
+A :class:`BatchPlan` computes all of it **once per partition**, in
+plain Python, from the trace partition itself:
 
-* the struct-of-arrays decode and vectorized trace delimitation
-  (:mod:`repro.vector.decoded` / :mod:`repro.vector.delimit`), with a
-  structural cross-check against the scalar trace partition;
-* per-occurrence lengths / branch counts as array passes;
+* per-occurrence lengths and conditional-branch counts;
 * one next-trace-predictor replay — per-occurrence prediction outcome
   (none / correct / wrong);
-* one bimodal replay — per-occurrence prediction and misprediction
-  counts against the pre-update table state, exactly what the scalar
-  slow path would observe at that occurrence;
+* one bimodal replay — per-occurrence misprediction counts against the
+  pre-update table state, exactly what the slow path would observe at
+  that occurrence;
 * per-occurrence branch (pc, taken) pairs and I-cache line runs
   (shared tuples across repeated traces).
 
-What stays per point — and real — in the kernel: trace-cache and
-I-cache contents, the frontend mechanism (preconstruction engine
-state), and every stat derived from hit/miss outcomes.
+What stays per point — and real — in the dispatch loop
+(:mod:`repro.sim.frontend_runner`): trace-cache and I-cache contents,
+the frontend mechanism, and every stat derived from hit/miss outcomes.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.branch import BimodalPredictor, NextTracePredictor
 from repro.branch.nexttrace import NextTracePredictorConfig
-from repro.engine import StreamRecord
-from repro.program import ProgramImage
-from repro.sim.config import FrontendConfig
-from repro.trace import SelectionConfig, Trace
+from repro.trace import SelectionConfig, Trace, TraceID
 
-from repro.vector.decoded import DecodedImage
-from repro.vector.delimit import (
-    final_trace_is_partial,
-    occurrence_branch_counts,
-    occurrence_lengths,
-    stream_arrays,
-    trace_boundaries,
-)
+if TYPE_CHECKING:
+    from repro.sim.config import FrontendConfig
 
-__all__ = ["BatchPlan", "PlanMismatchError", "build_plan", "plan_key"]
+__all__ = ["BatchPlan", "build_plan", "plan_key"]
 
 #: Next-trace-prediction outcome codes (per occurrence).
 NTP_NONE, NTP_CORRECT, NTP_WRONG = 0, 1, 2
-
-
-class PlanMismatchError(ValueError):
-    """Vectorized delimitation disagreed with the scalar partition."""
 
 
 @dataclass(frozen=True)
@@ -66,24 +49,19 @@ class BatchPlan:
     """Point-independent precomputation for one stream partition."""
 
     traces: Sequence[Trace]
-    decoded: DecodedImage
     selection: SelectionConfig
     predictor: NextTracePredictorConfig
     bimodal_entries: int
     train_bimodal: bool
     line_bytes: int
 
-    # Per-occurrence features (Python lists for the dispatch loop,
-    # numpy arrays for the closing reductions).
+    # Per-occurrence features.
     length: list[int]
     n_branches: list[int]
     n_mispredicts: list[int]
     ntp_code: list[int]
     pairs: list[tuple[tuple[int, bool], ...]]
     line_runs: list[tuple[tuple[int, int], ...]]
-    length_arr: np.ndarray
-    n_branches_arr: np.ndarray
-    n_mispredicts_arr: np.ndarray
 
     # Point-independent NTP totals (identical at every point).
     ntp_none: int
@@ -93,7 +71,7 @@ class BatchPlan:
     def __len__(self) -> int:
         return len(self.traces)
 
-    def compatible_with(self, config: FrontendConfig) -> Optional[str]:
+    def compatible_with(self, config: "FrontendConfig") -> Optional[str]:
         """Why ``config`` cannot run under this plan (``None`` = fine).
 
         The plan hard-codes everything point-*independent*; a config is
@@ -113,7 +91,7 @@ class BatchPlan:
         return None
 
 
-def plan_key(config: FrontendConfig) -> tuple:
+def plan_key(config: "FrontendConfig") -> tuple[object, ...]:
     """The point-independent knobs a batch plan is keyed by.
 
     Config dataclasses are not frozen, so they are flattened with
@@ -125,100 +103,72 @@ def plan_key(config: FrontendConfig) -> tuple:
             config.icache.line_bytes)
 
 
-def build_plan(image: ProgramImage, stream: Sequence[StreamRecord],
-               traces: Sequence[Trace], *, selection: SelectionConfig,
-               predictor: NextTracePredictorConfig, bimodal_entries: int,
-               train_bimodal: bool, line_bytes: int) -> BatchPlan:
-    """Precompute one partition's :class:`BatchPlan`.
+def _branch_pairs(trace: Trace) -> tuple[tuple[int, bool], ...]:
+    """(pc, taken) per conditional branch of ``trace``."""
+    pcs = [pc for pc, inst in zip(trace.pcs, trace.instructions)
+           if inst.is_conditional_branch]
+    return tuple(zip(pcs, trace.trace_id.outcomes))
 
-    ``traces`` is the scalar partition (the runner's stream-cache
-    currency — its interned objects stay the identity the trace cache
-    and mechanisms key on); the vectorized delimitation is re-derived
-    from the decoded arrays and structurally cross-checked against it
-    on every build, so the two decode paths cannot drift silently.
+
+def build_plan(traces: Sequence[Trace],
+               config: "FrontendConfig") -> BatchPlan:
+    """Precompute ``traces``' :class:`BatchPlan` under ``config``'s
+    point-independent knobs.
+
+    ``traces`` is the stream's trace partition under
+    ``config.selection`` (the runner's stream-cache currency — its
+    interned objects stay the identity the trace cache and mechanisms
+    key on).
     """
-    decoded = DecodedImage.from_image(image)
-    arrays = stream_arrays(stream, decoded)
-    ends = trace_boundaries(arrays, decoded, selection)
-    length_arr = occurrence_lengths(ends)
-    branches_arr = occurrence_branch_counts(arrays, decoded, ends)
-
-    n = len(traces)
-    if len(ends) != n:
-        raise PlanMismatchError(
-            f"vectorized delimitation found {len(ends)} traces, "
-            f"scalar partition has {n}")
-    scalar_lengths = np.fromiter((len(t) for t in traces), dtype=np.int64,
-                                 count=n)
-    if not np.array_equal(length_arr, scalar_lengths):
-        first = int(np.nonzero(length_arr != scalar_lengths)[0][0])
-        raise PlanMismatchError(
-            f"vectorized delimitation diverged at occurrence {first}: "
-            f"length {int(length_arr[first])} != {int(scalar_lengths[first])}")
-    scalar_branches = np.fromiter(
-        (len(t.trace_id.outcomes) for t in traces), dtype=np.int64, count=n)
-    if not np.array_equal(branches_arr, scalar_branches):
-        raise PlanMismatchError(
-            "vectorized branch counts diverged from the scalar partition")
-    if n and final_trace_is_partial(arrays, decoded, selection,
-                                    ends) != traces[-1].partial:
-        raise PlanMismatchError(
-            "vectorized partial-tail flag diverged from the scalar partition")
-
+    line_bytes = config.icache.line_bytes
     # Per-occurrence branch pairs and line runs, shared across repeated
-    # (interned) trace objects.
-    pair_memo: dict[int, tuple[Trace, tuple[tuple[int, bool], ...]]] = {}
-    run_memo: dict[int, tuple[Trace, tuple[tuple[int, int], ...]]] = {}
+    # (interned) trace objects.  Keyed by id(); the stored trace pins it.
+    memo: dict[int, tuple[Trace, tuple[tuple[int, bool], ...],
+                          tuple[tuple[int, int], ...]]] = {}
     pairs: list[tuple[tuple[int, bool], ...]] = []
     runs: list[tuple[tuple[int, int], ...]] = []
     for trace in traces:
-        key = id(trace)
-        memo = pair_memo.get(key)
-        if memo is None or memo[0] is not trace:
-            trace_pairs = tuple(
-                (pc, taken) for pc, taken in
-                zip((pc for pc, inst in zip(trace.pcs, trace.instructions)
-                     if inst.is_conditional_branch),
-                    trace.trace_id.outcomes))
-            memo = (trace, trace_pairs)
-            pair_memo[key] = memo
-        pairs.append(memo[1])
-        rmemo = run_memo.get(key)
-        if rmemo is None or rmemo[0] is not trace:
-            rmemo = (trace, trace.line_runs(line_bytes))
-            run_memo[key] = rmemo
-        runs.append(rmemo[1])
+        entry = memo.get(id(trace))
+        if entry is None or entry[0] is not trace:
+            entry = (trace, _branch_pairs(trace),
+                     trace.line_runs(line_bytes))
+            memo[id(trace)] = entry
+        pairs.append(entry[1])
+        runs.append(entry[2])
 
     # One next-trace-predictor replay: its state is a pure function of
     # the dispatched trace sequence (predict reads, update runs
     # unconditionally per trace), so the per-occurrence outcome is
     # point-independent.
-    ntp = NextTracePredictor(predictor)
+    ntp: NextTracePredictor[TraceID] = NextTracePredictor(config.predictor)
+    predict = ntp.predict
+    update_ntp = ntp.update
     ntp_code: list[int] = []
     counts = [0, 0, 0]
     for trace in traces:
-        predicted = ntp.predict()
+        trace_id = trace.trace_id
+        predicted = predict()
         if predicted is None:
             code = NTP_NONE
-        elif predicted == trace.trace_id:
+        elif predicted == trace_id:
             code = NTP_CORRECT
         else:
             code = NTP_WRONG
         ntp_code.append(code)
         counts[code] += 1
-        ntp.update(trace.trace_id, predicted,
-                   ends_in_call=trace.ends_in_call,
+        update_ntp(trace_id, predicted, ends_in_call=trace.ends_in_call,
                    ends_in_return=trace.ends_in_return)
 
     # One bimodal replay: the table is trained identically at every
     # point (updates are unconditional under the training flag, and the
-    # slow path's predict() reads without writing), so the prediction /
-    # misprediction counts a miss at occurrence t would record are
+    # slow path's prediction reads without writing), so the
+    # misprediction count a miss at occurrence t would record is
     # point-independent.  Reads happen against the pre-update state —
-    # the scalar slow path predicts before the same trace trains.
-    bimodal = BimodalPredictor(entries=bimodal_entries)
+    # the slow path predicts before the same trace trains.
+    train_bimodal = config.train_bimodal_on_all_branches
+    bimodal = BimodalPredictor(entries=config.bimodal_entries)
     peek = bimodal.peek
-    update = bimodal.update
+    update_bimodal = bimodal.update
     n_mispredicts: list[int] = []
     for trace_pairs in pairs:
         mispredicted = 0
@@ -228,16 +178,15 @@ def build_plan(image: ProgramImage, stream: Sequence[StreamRecord],
         n_mispredicts.append(mispredicted)
         if train_bimodal:
             for pc, taken in trace_pairs:
-                update(pc, taken)
+                update_bimodal(pc, taken)
 
     return BatchPlan(
-        traces=traces, decoded=decoded, selection=selection,
-        predictor=predictor, bimodal_entries=bimodal_entries,
+        traces=traces, selection=config.selection,
+        predictor=config.predictor,
+        bimodal_entries=config.bimodal_entries,
         train_bimodal=train_bimodal, line_bytes=line_bytes,
-        length=length_arr.tolist(), n_branches=branches_arr.tolist(),
+        length=[len(trace) for trace in traces],
+        n_branches=[len(trace_pairs) for trace_pairs in pairs],
         n_mispredicts=n_mispredicts, ntp_code=ntp_code, pairs=pairs,
-        line_runs=runs, length_arr=length_arr,
-        n_branches_arr=branches_arr,
-        n_mispredicts_arr=np.asarray(n_mispredicts, dtype=np.int64),
-        ntp_none=counts[NTP_NONE], ntp_correct=counts[NTP_CORRECT],
-        ntp_wrong=counts[NTP_WRONG])
+        line_runs=runs, ntp_none=counts[NTP_NONE],
+        ntp_correct=counts[NTP_CORRECT], ntp_wrong=counts[NTP_WRONG])

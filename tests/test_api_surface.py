@@ -50,15 +50,14 @@ class TestSurface:
             assert name in api.__all__, name
 
     def test_vector_names_exported(self):
-        for name in ("SIMULATOR_KINDS", "DecodedImage", "BatchPlan",
-                     "PlanMismatchError", "build_plan",
+        for name in ("SIMULATOR_KINDS", "BatchPlan", "build_plan",
                      "run_frontend_batch"):
             assert name in api.__all__, name
 
 
 class TestSimulatorDocs:
     """DESIGN.md §17 and the README kernel section stay in lockstep
-    with the shipped `SIMULATOR_KINDS`."""
+    with the shipped `SIMULATOR_KINDS`: one kernel, an inert field."""
 
     DESIGN = Path(__file__).parent.parent / "DESIGN.md"
 
@@ -68,9 +67,11 @@ class TestSimulatorDocs:
         for kind in api.SIMULATOR_KINDS:
             assert f"`{kind}`" in text, kind
         assert "tests/test_vector.py" in text
+        assert "inert" in text
 
     def test_design_documents_the_kernel(self):
         text = self.DESIGN.read_text()
-        assert "## 17. The batched struct-of-arrays kernel" in text
+        assert "## 17. One frontend kernel" in text
         assert '("scalar", "vectorized")' in text
         assert "excluded from the spec digest" in text
+        assert "inert" in text

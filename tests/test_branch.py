@@ -1,6 +1,8 @@
 """Unit tests for the branch-prediction substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch import (
     Bias,
@@ -168,3 +170,78 @@ class TestNextTracePredictor:
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
             NextTracePredictorConfig(primary_entries=1000)
+
+
+class _ReferenceNextTracePredictor:
+    """The predictor as one object per table entry, each holding a
+    prediction and a 2-bit hysteresis counter — the model the flat
+    tables must reproduce."""
+
+    class Entry:
+        def __init__(self):
+            self.prediction = None
+            self.confidence = 0
+
+    def __init__(self, config):
+        self.config = config
+        self.primary = [self.Entry() for _ in range(config.primary_entries)]
+        self.secondary = [self.Entry()
+                          for _ in range(config.secondary_entries)]
+        self.history = PathHistory(depth=config.history_depth)
+        self.rhs = []
+
+    def _entries(self):
+        return (self.primary[self.history.hash()
+                             % self.config.primary_entries],
+                self.secondary[self.history.hash(length=1)
+                               % self.config.secondary_entries])
+
+    def predict(self):
+        for entry in self._entries():
+            if entry.prediction is not None:
+                return entry.prediction
+        return None
+
+    def update(self, actual, ends_in_call, ends_in_return):
+        for entry in self._entries():
+            if entry.prediction == actual:
+                entry.confidence = min(3, entry.confidence + 1)
+            elif entry.confidence > 0:
+                entry.confidence -= 1
+            else:
+                entry.prediction = actual
+                entry.confidence = 1
+        self.history.append(actual)
+        if ends_in_call:
+            if len(self.rhs) >= self.config.rhs_depth:
+                self.rhs.pop(0)
+            self.rhs.append(self.history.snapshot())
+        if ends_in_return and self.rhs:
+            self.history.restore(self.rhs.pop())
+            self.history.append(actual)
+
+
+class TestFlatNextTraceTables:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 11), st.booleans(),
+                              st.booleans()), max_size=300),
+           st.sampled_from([(16, 4, 2, 3), (64, 16, 4, 8), (4, 1, 1, 1)]))
+    def test_matches_per_entry_model(self, sequence, geometry):
+        primary, secondary, depth, rhs = geometry
+        config = NextTracePredictorConfig(
+            primary_entries=primary, secondary_entries=secondary,
+            history_depth=depth, rhs_depth=rhs)
+        flat = NextTracePredictor(config)
+        model = _ReferenceNextTracePredictor(config)
+        for trace_id, call, ret in sequence:
+            predicted = flat.predict()
+            assert predicted == model.predict()
+            flat.update(trace_id, predicted, ends_in_call=call,
+                        ends_in_return=ret)
+            model.update(trace_id, call, ret)
+        assert flat._primary == [e.prediction for e in model.primary]
+        assert list(flat._primary_confidence) == [
+            e.confidence for e in model.primary]
+        assert flat._secondary == [e.prediction for e in model.secondary]
+        assert list(flat._secondary_confidence) == [
+            e.confidence for e in model.secondary]

@@ -399,15 +399,14 @@ class TestFuzzCommand:
                                           tmp_path):
         from repro.sim.frontend_runner import FrontendSimulation
 
-        original = FrontendSimulation._slow_path_fetch
+        original = FrontendSimulation._slow_path
 
-        def corrupted(self, actual):
-            cycles = original(self, actual)
+        def corrupted(self, *args):
+            cycles = original(self, *args)
             self.stats.slow_path_traces -= 1
             return cycles
 
-        monkeypatch.setattr(FrontendSimulation, "_slow_path_fetch",
-                            corrupted)
+        monkeypatch.setattr(FrontendSimulation, "_slow_path", corrupted)
         failures = tmp_path / "failures"
         assert main(["--no-cache", "fuzz", "--seeds", "1",
                      "--budget", "3000",

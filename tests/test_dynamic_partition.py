@@ -60,10 +60,7 @@ class TestDynamicPartition:
         sim = DynamicPartitionFrontend(image, build_frontend_config(384, 128),
                                        DynamicPartitionConfig())
         # Warm up, then force a repartition and compare occupancy.
-        for record in stream[:8000]:
-            trace = sim.selector.feed(record)
-            if trace is not None:
-                sim._process_trace(trace)
+        sim.run(stream[:8000])
         before = sim.trace_cache.occupancy()
         sim._apply_partition(sim.pb_entries + 32)
         after = sim.trace_cache.occupancy()

@@ -172,3 +172,40 @@ class TestStaticSeeding:
         _image, _labels, _traces, engine, *_ = setup
         assert engine.stats.static_seeds_offered == 0
         assert len(engine.stack) == 0
+
+
+class TestNoReferenceCycles:
+    """A finished point's state is freed by reference counting alone.
+
+    The buffers' replacement policy reads region state through a
+    function over the engine's region map; a bound engine method there
+    made every preconstruction point's engine cyclic garbage, left for
+    the generational collector."""
+
+    def test_points_leave_no_cyclic_garbage(self):
+        import gc
+
+        from repro.frontends import mechanism_names
+        from repro.runner import ExperimentSpec
+        from repro.runner.pool import StreamCache, execute_spec
+
+        specs = [ExperimentSpec(benchmark="gcc", tc_entries=64,
+                                pb_entries=64, mechanism=mechanism,
+                                instructions=3_000)
+                 for mechanism in mechanism_names()]
+        specs.append(ExperimentSpec(benchmark="go", tc_entries=128,
+                                    pb_entries=128, kind="processor",
+                                    instructions=3_000))
+        streams = StreamCache(3_000)
+        for spec in specs:  # build images, streams and plans first
+            execute_spec(spec, streams)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for spec in specs:
+                execute_spec(spec, streams)
+                gc.collect()
+                assert len(gc.garbage) == 0, spec.label
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()

@@ -1,10 +1,11 @@
-"""Differential test battery for the batched struct-of-arrays kernel.
+"""Differential test battery for batched frontend runs.
 
-``simulator="vectorized"`` is an *execution strategy*, never a result
-change: the spec digest excludes the field, so both kernels share one
-cache entry and their outputs must be interchangeable.  This battery
-is the proof obligation behind that contract — it pins equivalence at
-every observable surface:
+Every frontend point runs on one dispatch loop over a shared
+trace-partition plan; a point may run alone or inside a batch, and the
+``simulator`` spec field no longer changes execution (the spec digest
+excludes it, so both values share one cache entry).  This battery pins
+that a point's results never depend on how it was run, at every
+observable surface:
 
 * **stats counters** — every :class:`FrontendStats` field, per
   mechanism, per sizing, batched-many-at-once and one-at-a-time;
@@ -16,23 +17,21 @@ every observable surface:
 * **manifests & caching** — kernel-blind provenance, cross-kernel
   cache hits in both directions;
 
-plus hypothesis property tests for the struct-of-arrays decode itself
-(:class:`DecodedImage` round-trip, including jump-table and
-function-pointer/reloc edges) and for the vectorized trace
-delimitation against the scalar :func:`traces_of_stream` partition.
+plus the plan's per-occurrence features against the partition, and a
+check that the default pipeline never imports numpy.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.engine import FunctionalEngine
 from repro.obs import build_manifest, run_observed
 from repro.runner import (
     SIMULATOR_KINDS,
@@ -43,20 +42,7 @@ from repro.runner import (
 )
 from repro.runner.pool import StreamCache
 from repro.sim import run_frontend
-from repro.trace import SelectionConfig, traces_of_stream
-from repro.vector import (
-    DecodedImage,
-    PlanMismatchError,
-    build_plan,
-    final_trace_is_partial,
-    occurrence_branch_counts,
-    occurrence_lengths,
-    plan_key,
-    run_frontend_batch,
-    stream_arrays,
-    trace_boundaries,
-)
-from repro.workloads import WorkloadProfile, generate
+from repro.vector import build_plan, plan_key, run_frontend_batch
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 BUDGET = 6_000
@@ -67,7 +53,8 @@ SPEC = ExperimentSpec(benchmark="compress", tc_entries=256, pb_entries=256,
 
 
 def _legs(spec):
-    """Scalar and batched runs of ``spec`` from one shared stream."""
+    """A lone run of ``spec`` (building its own plan) and a batch of
+    one on the stream cache's shared plan."""
     stream_cache = StreamCache(spec.instructions)
     image = stream_cache.image(spec.benchmark, spec.workload_seed)
     config = spec.frontend_config()
@@ -134,108 +121,6 @@ class TestSimulatorSpecSurface:
 
 
 # ----------------------------------------------------------------------
-# DecodedImage: struct-of-arrays decode round-trip (property-tested)
-# ----------------------------------------------------------------------
-
-#: Derived classification flags the decode must preserve bit-for-bit.
-FLAGS = ("is_control", "is_conditional_branch", "is_call", "is_return",
-         "is_indirect", "is_backward")
-
-profile_strategy = st.builds(
-    WorkloadProfile,
-    name=st.just("vecprop"),
-    seed=st.integers(0, 2**16),
-    procedures=st.integers(2, 8),
-    constructs_min=st.just(2),
-    constructs_max=st.integers(3, 5),
-    loop_weight=st.floats(0.1, 0.4),
-    diamond_weight=st.floats(0.1, 0.4),
-    switch_weight=st.sampled_from([0.0, 0.1, 0.3]),
-    call_weight=st.floats(0.05, 0.3),
-    biased_fraction=st.floats(0.0, 1.0),
-    call_guard_prob=st.floats(0.0, 0.8),
-    fptr_call_prob=st.sampled_from([0.0, 0.5]),
-    fanout=st.integers(1, 3),
-)
-
-#: Dispatch-heavy edge profiles: dense jump tables (switch relocation
-#: targets) and function-pointer calls (reloc-loaded targets) stress
-#: the successor-resolution arrays hardest.
-EDGE_PROFILES = [
-    WorkloadProfile(name="jumptables", seed=11, switch_weight=0.6,
-                    switch_arms=8, procedures=6),
-    WorkloadProfile(name="fptrs", seed=12, fptr_call_prob=1.0,
-                    call_weight=0.6, procedures=10),
-]
-
-
-class TestDecodedImage:
-    @settings(max_examples=15, deadline=None)
-    @given(profile_strategy)
-    def test_decode_round_trips_every_instruction(self, profile):
-        image = generate(profile).image
-        decoded = DecodedImage.from_image(image)
-        assert len(decoded) == len(image.instructions)
-        for i, inst in enumerate(image.instructions):
-            assert decoded.instruction(i) == inst
-            for flag in FLAGS:
-                assert bool(getattr(decoded, flag)[i]) == getattr(inst, flag)
-
-    @settings(max_examples=15, deadline=None)
-    @given(profile_strategy)
-    def test_pc_index_bijection(self, profile):
-        image = generate(profile).image
-        decoded = DecodedImage.from_image(image)
-        for i in range(len(decoded)):
-            assert decoded.index_of(decoded.pc_of(i)) == i
-
-    @pytest.mark.parametrize("profile", EDGE_PROFILES,
-                             ids=lambda p: p.name)
-    def test_dispatch_heavy_edges_round_trip(self, profile):
-        image = generate(profile).image
-        decoded = DecodedImage.from_image(image)
-        # The edge shapes must actually be present, or the test is vacuous.
-        assert decoded.is_indirect.any()
-        for i, inst in enumerate(image.instructions):
-            assert decoded.instruction(i) == inst
-
-
-# ----------------------------------------------------------------------
-# Vectorized trace delimitation vs the scalar partition
-# ----------------------------------------------------------------------
-class TestVectorizedDelimitation:
-    @settings(max_examples=10, deadline=None)
-    @given(profile_strategy, st.integers(0, 3), st.booleans(), st.booleans())
-    def test_matches_scalar_partition(self, profile, align_choice,
-                                      end_at_returns, end_at_indirect):
-        selection = SelectionConfig(align_multiple=(0, 2, 4, 8)[align_choice],
-                                    end_at_returns=end_at_returns,
-                                    end_at_indirect=end_at_indirect)
-        image = generate(profile).image
-        stream = FunctionalEngine(image).run(3_000)
-        traces = traces_of_stream(stream, selection)
-        decoded = DecodedImage.from_image(image)
-        arrays = stream_arrays(stream, decoded)
-        ends = trace_boundaries(arrays, decoded, selection)
-        assert occurrence_lengths(ends).tolist() == [
-            len(trace) for trace in traces]
-        assert occurrence_branch_counts(arrays, decoded, ends).tolist() == [
-            len(trace.trace_id.outcomes) for trace in traces]
-        if traces:
-            assert final_trace_is_partial(
-                arrays, decoded, selection, ends) == traces[-1].partial
-
-    def test_boundaries_tile_the_stream(self):
-        image = generate(WorkloadProfile(name="tile", seed=5)).image
-        stream = FunctionalEngine(image).run(4_000)
-        decoded = DecodedImage.from_image(image)
-        arrays = stream_arrays(stream, decoded)
-        ends = trace_boundaries(arrays, decoded, SelectionConfig())
-        assert int(ends[-1]) == len(stream)
-        assert (occurrence_lengths(ends) > 0).all()
-
-
-# ----------------------------------------------------------------------
 # Batch plan: keying, cross-checks, compatibility gating
 # ----------------------------------------------------------------------
 class TestBatchPlan:
@@ -243,18 +128,9 @@ class TestBatchPlan:
         stream_cache = StreamCache(spec.instructions)
         image = stream_cache.image(spec.benchmark, spec.workload_seed)
         config = spec.frontend_config()
-        stream = FunctionalEngine(image).run(spec.instructions)
         traces = stream_cache.traces(spec.benchmark, spec.instructions,
                                      config.selection, spec.workload_seed)
-        return image, stream, traces, config
-
-    def _build(self, image, stream, traces, config):
-        return build_plan(
-            image, stream, traces, selection=config.selection,
-            predictor=config.predictor,
-            bimodal_entries=config.bimodal_entries,
-            train_bimodal=config.train_bimodal_on_all_branches,
-            line_bytes=config.icache.line_bytes)
+        return image, traces, config
 
     def test_plan_key_is_hashable_and_stable(self):
         config = SPEC.frontend_config()
@@ -265,14 +141,29 @@ class TestBatchPlan:
         assert plan_key(SPEC.replace(tc_entries=32).frontend_config()) \
             == plan_key(config)
 
-    def test_build_cross_checks_against_scalar_partition(self):
-        image, stream, traces, config = self._materials()
-        with pytest.raises(PlanMismatchError, match="traces"):
-            self._build(image, stream, traces[:-1], config)
+    def test_plan_features_follow_the_partition(self):
+        _, traces, config = self._materials()
+        plan = build_plan(traces, config)
+        assert len(plan) == len(traces)
+        assert plan.length == [len(trace) for trace in traces]
+        assert plan.n_branches == [len(trace.trace_id.outcomes)
+                                   for trace in traces]
+        assert plan.ntp_none + plan.ntp_correct + plan.ntp_wrong \
+            == len(traces)
+        assert all(mispredicted <= branches for mispredicted, branches
+                   in zip(plan.n_mispredicts, plan.n_branches))
+
+    def test_stream_cache_memoises_one_plan_per_partition(self):
+        stream_cache = StreamCache(BUDGET)
+        config = SPEC.frontend_config()
+        plan = stream_cache.plan("compress", BUDGET, config, None)
+        other = SPEC.replace(tc_entries=32, pb_entries=0,
+                             mechanism="mana").frontend_config()
+        assert stream_cache.plan("compress", BUDGET, other, None) is plan
 
     def test_incompatible_config_rejected_by_kernel(self):
-        image, stream, traces, config = self._materials()
-        plan = self._build(image, stream, traces, config)
+        image, traces, config = self._materials()
+        plan = build_plan(traces, config)
         other = dataclasses.replace(
             SPEC.frontend_config(),
             bimodal_entries=config.bimodal_entries * 2)
@@ -282,8 +173,8 @@ class TestBatchPlan:
     def test_obs_requires_a_batch_of_one(self):
         from repro.obs import IntervalMetrics, ObsBus, RingBufferSink
 
-        image, stream, traces, config = self._materials()
-        plan = self._build(image, stream, traces, config)
+        image, traces, config = self._materials()
+        plan = build_plan(traces, config)
         bus = ObsBus(RingBufferSink(), IntervalMetrics())
         with pytest.raises(ValueError, match="batch of exactly one"):
             run_frontend_batch(image, [config, config], plan, obs=bus)
@@ -314,7 +205,7 @@ class TestKernelEquivalence:
 
     def test_batch_of_many_equals_scalar_one_by_one(self):
         # The actual batching win: many points, one plan, one pass —
-        # each point still bit-identical to its lone scalar run.
+        # each point still bit-identical to its lone run.
         stream_cache = StreamCache(BUDGET)
         image = stream_cache.image("compress", None)
         specs = [ExperimentSpec(benchmark="compress", tc_entries=tc,
@@ -387,7 +278,7 @@ class TestObservedDifferential:
         assert scalar.stats.summary() == vector.stats.summary()
 
     def test_vectorized_metrics_match_golden_file(self, tmp_path):
-        # The same pinned golden the scalar kernel is held to
+        # The same pinned golden the default spec is held to
         # (tests/test_obs.py) — byte-for-byte.
         golden = GOLDEN_DIR / "metrics_compress_tc256_pb256_i6000.jsonl"
         observed = run_observed(SPEC.replace(simulator="vectorized"))
@@ -439,3 +330,21 @@ class TestCLIDifferential:
         scalar = self._stdout(capsys, base)
         vector = self._stdout(capsys, base + ["--simulator", "vectorized"])
         assert scalar == vector
+
+
+# ----------------------------------------------------------------------
+# Dependencies: the default pipeline is numpy-free
+# ----------------------------------------------------------------------
+def test_figure5_point_leaves_numpy_unimported():
+    source = (
+        "import sys\n"
+        "import repro.api\n"
+        "from repro.api import ExperimentSpec, run_point\n"
+        "run_point(ExperimentSpec(benchmark='compress', tc_entries=64,\n"
+        "                         pb_entries=64, instructions=2000))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", source], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
