@@ -8,7 +8,8 @@ the run, and the complete observability event stream.  The points are
 * the Figure 5 grid on gcc, go and vortex under two workload seeds;
 * every frontend mechanism on compress and gcc;
 * one dynamic-partition run (stats, residents and epoch decisions);
-* the Figure 6 and Figure 8 processor points on go and perl.
+* the Figure 6 and Figure 8 processor points on go and perl (stats,
+  buffer residents, result-bus conflicts and data-cache counters).
 
 Regenerate with ``PYTHONPATH=src python tests/test_frontend_identity.py
 --record`` only when a change is meant to move simulated results.
@@ -98,8 +99,11 @@ def _point_payload(spec, streams: StreamCache) -> dict:
     if spec.kind == "processor":
         result = run_processor(image, spec.processor_config(),
                                spec.instructions, stream=stream)
+        backend = result.backend
         return {"stats": dataclasses.asdict(result.stats),
-                "buffers": _buffer_residents(result.preconstruction)}
+                "buffers": _buffer_residents(result.preconstruction),
+                "bus_conflicts": backend.bus_conflicts,
+                "dcache": dataclasses.asdict(backend.dcache.stats)}
     config = spec.frontend_config()
     if spec.kind == "dynamic":
         result = run_frontend(image, config, spec.instructions,
