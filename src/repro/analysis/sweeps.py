@@ -77,11 +77,15 @@ def run_processor_point(cache: StreamCache, spec: ExperimentSpec,
             "run_processor_point(cache, benchmark, tc_entries, ...) was "
             "removed; build a repro.api.ExperimentSpec and pass it "
             "instead (see README 'The repro.api surface')")
+    config = spec.processor_config()
+    budget = min(spec.instructions, cache.instructions)
     result = run_processor(cache.image(spec.benchmark, spec.workload_seed),
-                           spec.processor_config(),
-                           min(spec.instructions, cache.instructions),
+                           config, budget,
                            stream=cache.stream(spec.benchmark,
-                                               spec.workload_seed))
+                                               spec.workload_seed),
+                           plan=cache.plan(spec.benchmark, budget,
+                                           config.frontend,
+                                           spec.workload_seed))
     return result.stats
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from repro.caches.dcache import DataCache, DCacheConfig
 from repro.isa import Instruction, Kind
@@ -72,6 +73,55 @@ class TraceTiming:
     issue_stalls: int = 0  # instruction-cycles spent waiting to issue
 
 
+class _Template:
+    """Per-instruction-tuple facts :meth:`BackendModel.execute_trace`
+    needs, computed once per distinct tuple."""
+
+    __slots__ = ("instructions", "preds", "external", "memory",
+                 "latency", "last_writers", "controls")
+
+    def __init__(self, instructions: tuple[Instruction, ...]) -> None:
+        #: Pins the tuple so its id() cannot be reused while memoised.
+        self.instructions = instructions
+        graph = build_dependence_graph(instructions)
+        #: Intra-trace ordering predecessors of each instruction.
+        self.preds = tuple(tuple(preds) for preds in graph.preds)
+        #: ``(index, register)`` for each source with no earlier in-trace
+        #: producer, in program order — the order result-bus slots are
+        #: allocated in.
+        external: list[tuple[int, int]] = []
+        #: ``(memory ordinal, is_store)`` per instruction, ``None`` for
+        #: non-memory instructions.
+        self.memory: list[Optional[tuple[int, bool]]] = []
+        ordinal = 0
+        last_writers: dict[int, int] = {}
+        for i, inst in enumerate(instructions):
+            for reg in inst.source_registers():
+                if reg not in last_writers:
+                    external.append((i, reg))
+            dest = inst.destination_register()
+            if dest is not None:
+                last_writers[dest] = i
+            if inst.kind is Kind.LOAD or inst.kind is Kind.STORE:
+                self.memory.append((ordinal, inst.kind is Kind.STORE))
+                ordinal += 1
+            else:
+                self.memory.append(None)
+        self.external = tuple(external)
+        self.latency = tuple(instruction_latency(inst)
+                             for inst in instructions)
+        #: ``(register, index of its last writer)``, in first-write order.
+        self.last_writers = tuple(last_writers.items())
+        self.controls = tuple(
+            i for i, inst in enumerate(instructions)
+            if inst.is_control or inst.is_conditional_branch)
+
+
+#: Completion time of an instruction that has not issued: later than any
+#: cycle, so "issued and complete by ``cycle``" is ``complete <= cycle``.
+_NOT_ISSUED = 1 << 62
+
+
 class BackendModel:
     """Shared backend state across the whole run."""
 
@@ -82,7 +132,8 @@ class BackendModel:
             DCacheConfig())
         self._regs: dict[int, _RegValue] = {}
         self._bus_load: Counter = Counter()
-        self._graph_cache: dict = {}
+        #: Per-tuple templates, keyed by id(); the template pins the tuple.
+        self._templates: dict[int, _Template] = {}
         self.pe_free: list[int] = [0] * self.config.num_pes
         self.bus_conflicts = 0
 
@@ -108,96 +159,90 @@ class BackendModel:
     # ------------------------------------------------------------------
     def execute_trace(self, instructions: tuple[Instruction, ...],
                       dispatch: int, pe: int,
-                      mem_addrs: tuple[int, ...] = ()) -> TraceTiming:
+                      mem_addrs: Sequence[int] = ()) -> TraceTiming:
         """Timestamp one trace's execution on ``pe`` starting at
         ``dispatch``; updates shared register/bus state.
 
-        ``mem_addrs`` holds the effective addresses of the trace's
-        memory instructions in program order (preprocessing preserves
+        ``mem_addrs`` is indexed by each memory instruction's position
+        among the trace's memory instructions (preprocessing preserves
         relative memory order, so the mapping survives scheduling).
         Loads complete through the data-cache timing model; stores
         retire into the write buffer after their port access.
+
+        Each cycle a PE issues up to ``issue_per_pe`` ready instructions
+        from the oldest ``issue_lookahead`` unissued ones.  A cycle that
+        issues nothing changes no state, so the loop jumps straight to
+        the next cycle in which some window entry becomes ready,
+        charging the skipped cycles' stalls in one step.
         """
-        config = self.config
-        n = len(instructions)
-        graph = self._graph_cache.get(instructions)
-        if graph is None:
-            graph = build_dependence_graph(instructions)
-            self._graph_cache[instructions] = graph
+        template = self._templates.get(id(instructions))
+        if template is None or template.instructions is not instructions:
+            template = _Template(instructions)
+            self._templates[id(instructions)] = template
 
         # External operand availability per instruction: sources with no
         # in-trace producer read backend register state.
-        produced_in_trace: dict[int, int] = {}
-        external_ready = [dispatch] * n
-        for i, inst in enumerate(instructions):
-            for reg in inst.source_registers():
-                if reg not in produced_in_trace:
-                    ready = self._operand_ready(reg, pe, dispatch)
-                    if ready > external_ready[i]:
-                        external_ready[i] = ready
-            dest = inst.destination_register()
-            if dest is not None:
-                produced_in_trace.setdefault(dest, i)
+        external_ready = [dispatch] * len(instructions)
+        operand_ready = self._operand_ready
+        for index, reg in template.external:
+            ready = operand_ready(reg, pe, dispatch)
+            if ready > external_ready[index]:
+                external_ready[index] = ready
 
-        # Map each memory instruction (by its position among memory
-        # instructions) to its effective address.
-        mem_index = [0] * n
-        k = 0
-        for i, inst in enumerate(instructions):
-            if inst.kind in (Kind.LOAD, Kind.STORE):
-                mem_index[i] = k
-                k += 1
-
-        complete = [0] * n
-        issued = [False] * n
-        pending = list(range(n))
+        config = self.config
+        width = config.issue_per_pe
+        lookahead = config.issue_lookahead
+        preds = template.preds
+        memory = template.memory
+        latency = template.latency
+        access = self.dcache.access
+        complete = [_NOT_ISSUED] * len(instructions)
+        pending = list(range(len(instructions)))
         cycle = dispatch
         stalls = 0
-        guard = 0
         while pending:
-            guard += 1
-            if guard > 100_000:  # pragma: no cover - model bug backstop
-                raise RuntimeError("backend issue loop failed to converge")
-            slots = config.issue_per_pe
-            window = pending[:config.issue_lookahead]
+            window = pending[:lookahead]
+            issued = 0
+            next_ready = _NOT_ISSUED
             for index in window:
-                if slots == 0:
+                if issued == width:
                     break
-                if external_ready[index] > cycle:
+                ready = external_ready[index]
+                for pred in preds[index]:
+                    if complete[pred] > ready:
+                        ready = complete[pred]
+                if ready > cycle:
+                    if ready < next_ready:
+                        next_ready = ready
                     continue
-                deps = graph.preds[index]
-                if any(not issued[d] or complete[d] > cycle for d in deps):
-                    continue
-                issued[index] = True
-                inst = instructions[index]
-                if inst.kind in (Kind.LOAD, Kind.STORE) and mem_addrs:
-                    pos = mem_index[index]
-                    addr = (mem_addrs[pos] if pos < len(mem_addrs) else 0)
-                    latency = self.dcache.access(
-                        addr, inst.kind is Kind.STORE, cycle, pe)
-                    if inst.kind is Kind.STORE:
-                        latency = 1  # retires into the write buffer
-                    complete[index] = cycle + latency
+                mem = memory[index]
+                if mem is not None and mem_addrs:
+                    ordinal, is_store = mem
+                    addr = (mem_addrs[ordinal] if ordinal < len(mem_addrs)
+                            else 0)
+                    delay = access(addr, is_store, cycle, pe)
+                    complete[index] = cycle + (1 if is_store else delay)
                 else:
-                    complete[index] = cycle + instruction_latency(inst)
-                slots -= 1
-            newly = [i for i in pending if issued[i]]
-            if newly:
-                pending = [i for i in pending if not issued[i]]
-            stalls += min(len(window), config.issue_per_pe) - (
-                config.issue_per_pe - slots)
-            cycle += 1
+                    complete[index] = cycle + latency[index]
+                issued += 1
+            charged = min(len(window), width)
+            if issued:
+                pending = [i for i in pending if complete[i] == _NOT_ISSUED]
+                stalls += charged - issued
+                cycle += 1
+            else:
+                # Nothing can issue before next_ready (the window's
+                # oldest entry always has every predecessor issued).
+                stalls += (next_ready - cycle) * charged
+                cycle = next_ready
 
-        done = dispatch
+        regs = self._regs
+        for dest, index in template.last_writers:
+            regs[dest] = _RegValue(complete[index], pe)
+        done = max(dispatch, max(complete, default=dispatch))
         last_control = dispatch
-        for i, inst in enumerate(instructions):
-            if complete[i] > done:
-                done = complete[i]
-            dest = inst.destination_register()
-            if dest is not None:
-                self._regs[dest] = _RegValue(complete[i], pe)
-            if ((inst.is_control or inst.is_conditional_branch)
-                    and complete[i] > last_control):
-                last_control = complete[i]
+        for index in template.controls:
+            if complete[index] > last_control:
+                last_control = complete[index]
         return TraceTiming(dispatch=dispatch, done=done,
                            last_control=last_control, issue_stalls=stalls)

@@ -3,7 +3,10 @@
 This is the model behind the paper's Figure 6 (speedup from
 preconstruction) and Figure 8 (extended pipeline: preconstruction +
 preprocessing).  It replays the committed dynamic stream trace by
-trace, with:
+trace, over the stream partition's shared
+:class:`~repro.vector.BatchPlan` (the trace sequence, next-trace
+prediction outcomes, slow-path line runs and bimodal mispredictions are
+point-independent and computed once per partition), with:
 
 * next-trace prediction gating the fast (trace cache) fetch path;
 * slow-path fetch through the shared instruction cache when the
@@ -21,9 +24,9 @@ trace, with:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
-from repro.branch import BimodalPredictor, NextTracePredictor
+from repro.branch import BimodalPredictor
 from repro.caches import InstructionCache
 from repro.core import PreconstructionEngine
 from repro.engine import FunctionalEngine, StreamRecord
@@ -32,7 +35,8 @@ from repro.preprocess import PreprocessConfig, Preprocessor
 from repro.processor.backend import BackendConfig, BackendModel
 from repro.program import ProgramImage
 from repro.sim.config import FrontendConfig
-from repro.trace import Trace, TraceCache, TraceID, TraceSelector
+from repro.trace import Trace, TraceCache, TraceID, traces_of_stream
+from repro.vector.plan import NTP_NONE, NTP_WRONG, BatchPlan, build_plan
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,12 @@ class ProcessorResult:
 
 
 class ProcessorSimulation:
-    """Cycle-timestamped trace-processor model."""
+    """Cycle-timestamped trace-processor model.
+
+    Each point keeps its own trace cache, I-cache, bimodal table,
+    backend, preprocessed views and preconstruction engine; everything
+    point-independent comes from the plan :meth:`run` is given.
+    """
 
     def __init__(self, image: ProgramImage, config: ProcessorConfig) -> None:
         self.image = image
@@ -89,10 +98,9 @@ class ProcessorSimulation:
         self.stats = ProcessorStats()
         self.icache = InstructionCache(front.icache)
         self.trace_cache = TraceCache(front.trace_cache)
+        #: Read only by the preconstruction engine's bias checks; the
+        #: slow path's predictions come from the plan.
         self.bimodal = BimodalPredictor(entries=front.bimodal_entries)
-        self.predictor: NextTracePredictor = NextTracePredictor(
-            front.predictor)
-        self.selector = TraceSelector(front.selection)
         self.backend = BackendModel(config.backend)
         self.preprocessor: Optional[Preprocessor] = None
         if config.preprocess is not None and config.preprocess.any_enabled:
@@ -104,25 +112,32 @@ class ProcessorSimulation:
                 image=image, icache=self.icache, bimodal=self.bimodal,
                 trace_cache=self.trace_cache,
                 config=front.preconstruction, selection=front.selection)
-        # Timeline state
-        self._fetch_free = 0
-        self._prev_last_control = 0
-        self._prev_retire = 0
-        self._prev_dispatch = 0
-        self._next_pe = 0
 
     # ------------------------------------------------------------------
-    def run(self, stream: Iterable[StreamRecord]) -> ProcessorResult:
-        feed = self.selector.feed
-        step = self._process_trace
-        for record in stream:
-            trace = feed(record)
-            if trace is not None:
-                step(trace)
-        tail = self.selector.flush()
-        if tail is not None:
-            step(tail)
-        self.stats.cycles = self._prev_retire
+    def run(self, stream: Sequence[StreamRecord],
+            plan: Optional[BatchPlan] = None) -> ProcessorResult:
+        """Replay ``stream`` through this point.
+
+        ``plan`` is the stream partition's shared precomputation (see
+        :meth:`~repro.runner.StreamCache.plan`); without one it is built
+        from ``stream`` here.  A simulation replays one stream only.
+        """
+        if self.stats.traces:
+            raise RuntimeError("a ProcessorSimulation replays one stream; "
+                               "build a new one for the next")
+        front = self.config.frontend
+        if plan is None:
+            plan = build_plan(traces_of_stream(stream, front.selection),
+                              front)
+        else:
+            why = plan.compatible_with(front)
+            if why is not None:
+                raise ValueError(f"config cannot run on this plan: {why}")
+        if sum(plan.length) != len(stream):
+            raise ValueError(
+                f"plan partitions {sum(plan.length)} instructions but the "
+                f"stream has {len(stream)}")
+        self._dispatch(plan, [record.mem_addr for record in stream])
         return ProcessorResult(config=self.config, stats=self.stats,
                                preconstruction=self.precon,
                                backend=self.backend)
@@ -138,120 +153,121 @@ class ProcessorSimulation:
         return view
 
     # ------------------------------------------------------------------
-    def _process_trace(self, actual: Trace) -> None:
+    def _dispatch(self, plan: BatchPlan, addresses: list[int]) -> None:
+        """Fetch, dispatch and execute every occurrence of ``plan``."""
         stats = self.stats
         front = self.config.frontend
-        stats.traces += 1
-        stats.instructions += len(actual)
-
-        predicted = self.predictor.predict()
-        predicted_ok = predicted == actual.trace_id
-        present = self.trace_cache.lookup(actual.trace_id) is not None
-        if not present and self.precon is not None:
-            present = self.precon.probe_and_promote(
-                actual.trace_id) is not None
-            if present:
-                stats.buffer_hits += 1
-
-        start = self._fetch_free
-        if predicted is None:
-            stats.ntp_none += 1
-        elif predicted_ok:
-            stats.ntp_correct += 1
-        else:
-            stats.ntp_wrong += 1
-            # Wrong path fetched; redirect after the previous trace's
-            # control transfers resolve in the backend.
-            start = max(start, self._prev_last_control
-                        + self.config.backend.redirect_penalty)
-
-        slow_busy = 0
-        if present:
-            stats.trace_hits += 1
-        else:
-            stats.trace_misses += 1
-        if present and (predicted_ok or predicted is not None):
-            # Trace-cache supply (after redirect when mispredicted).
-            fetch_done = start + 1
-        else:
-            # Slow path: no usable prediction or trace absent.
-            stats.slow_path_traces += 1
-            slow_busy = self._slow_path_cycles(actual)
-            fetch_done = start + slow_busy
-            if not present and not actual.partial:
-                self.trace_cache.insert(actual)
-
-        self._fetch_free = fetch_done
-
-        pe = self._next_pe
-        self._next_pe = (pe + 1) % self.config.backend.num_pes
-        dispatch = max(fetch_done, self.backend.pe_free[pe])
-        timing = self.backend.execute_trace(
-            self._execution_view(actual), dispatch, pe,
-            mem_addrs=self.selector.last_addresses)
-        stats.issue_stalls += timing.issue_stalls
-        retire = max(timing.done, self._prev_retire)
-        self.backend.pe_free[pe] = retire
-        self._prev_retire = retire
-        self._prev_last_control = timing.last_control
-
-        if self.precon is not None:
-            # Slow-path hardware is idle for the remainder of the
-            # dispatch-to-dispatch span (including backend-drain time).
-            idle = max(0, (dispatch - self._prev_dispatch) - slow_busy)
-            stats.idle_cycles += idle
-            self.precon.observe_dispatch(actual)
-            if idle:
-                self.precon.tick(idle)
-        self._prev_dispatch = dispatch
-
-        self._train(actual, predicted)
-
-    # ------------------------------------------------------------------
-    def _slow_path_cycles(self, actual: Trace) -> int:
-        """Slow-path supply latency for one trace (icache + bimodal)."""
-        front = self.config.frontend
-        line_bytes = self.icache.config.line_bytes
-        cycles = -(-len(actual) // front.fetch_width)
+        backend_config = self.config.backend
+        backend = self.backend
+        pe_free = backend.pe_free
+        execute = backend.execute_trace
+        lookup = self.trace_cache.lookup
+        insert = self.trace_cache.insert
         fetch_line = self.icache.fetch_line
-        for line, _count in actual.line_runs(line_bytes):
-            latency, missed = fetch_line(line, "slow_path", instructions=0)
-            if missed:
-                cycles += latency
-        outcomes = actual.trace_id.outcomes
-        if outcomes:
-            outcome_index = 0
-            predict = self.bimodal.predict
-            penalty = front.branch_mispredict_penalty
-            for pc, inst in zip(actual.pcs, actual.instructions):
-                if inst.is_conditional_branch:
-                    taken = outcomes[outcome_index]
-                    outcome_index += 1
-                    if predict(pc) != taken:
-                        cycles += penalty
-        return cycles
+        precon = self.precon
+        fetch_width = front.fetch_width
+        mispredict_penalty = front.branch_mispredict_penalty
+        redirect_penalty = backend_config.redirect_penalty
+        num_pes = backend_config.num_pes
+        # The bimodal table's only reader is the preconstruction engine.
+        train = plan.train_bimodal and precon is not None
+        bimodal_update = self.bimodal.update
 
-    def _train(self, actual: Trace, predicted) -> None:
-        self.predictor.update(actual.trace_id, predicted,
-                              ends_in_call=actual.ends_in_call,
-                              ends_in_return=actual.ends_in_return)
-        outcomes = actual.trace_id.outcomes
-        if outcomes and self.config.frontend.train_bimodal_on_all_branches:
-            outcome_index = 0
-            update = self.bimodal.update
-            for pc, inst in zip(actual.pcs, actual.instructions):
-                if inst.is_conditional_branch:
-                    update(pc, outcomes[outcome_index])
-                    outcome_index += 1
+        fetch_free = prev_last_control = prev_retire = prev_dispatch = 0
+        pe = 0
+        offset = 0
+        for t, trace in enumerate(plan.traces):
+            trace_id = trace.trace_id
+            n = plan.length[t]
+            code = plan.ntp_code[t]
+            stats.traces += 1
+            stats.instructions += n
+
+            present = lookup(trace_id) is not None
+            if not present and precon is not None:
+                present = precon.probe_and_promote(trace_id) is not None
+                if present:
+                    stats.buffer_hits += 1
+
+            start = fetch_free
+            if code == NTP_WRONG:
+                # Wrong path fetched; redirect after the previous trace's
+                # control transfers resolve in the backend.
+                start = max(start, prev_last_control + redirect_penalty)
+
+            slow_busy = 0
+            if present:
+                stats.trace_hits += 1
+            else:
+                stats.trace_misses += 1
+            if present and code != NTP_NONE:
+                # Trace-cache supply (after redirect when mispredicted).
+                fetch_done = start + 1
+            else:
+                # Slow path: no prediction or trace absent.  Lines are
+                # fetched for timing only (``instructions=0``); the
+                # bimodal predictions were replayed by the plan.
+                stats.slow_path_traces += 1
+                slow_busy = (-(-n // fetch_width)
+                             + plan.n_mispredicts[t] * mispredict_penalty)
+                for line, _count in plan.line_runs[t]:
+                    latency, missed = fetch_line(line, "slow_path",
+                                                 instructions=0)
+                    if missed:
+                        slow_busy += latency
+                fetch_done = start + slow_busy
+                if not present and not trace.partial:
+                    insert(trace)
+            fetch_free = fetch_done
+
+            dispatch = max(fetch_done, pe_free[pe])
+            # Known defect, kept for result compatibility: the backend
+            # indexes this slice by memory ordinal, but it holds one slot
+            # per instruction (0 for non-memory ones), so most memory
+            # operations read another instruction's address.
+            timing = execute(self._execution_view(trace), dispatch, pe,
+                             addresses[offset:offset + n])
+            offset += n
+            stats.issue_stalls += timing.issue_stalls
+            retire = max(timing.done, prev_retire)
+            pe_free[pe] = retire
+            pe = (pe + 1) % num_pes
+            prev_retire = retire
+            prev_last_control = timing.last_control
+
+            if precon is not None:
+                # Slow-path hardware is idle for the remainder of the
+                # dispatch-to-dispatch span (including backend-drain time).
+                idle = max(0, (dispatch - prev_dispatch) - slow_busy)
+                stats.idle_cycles += idle
+                precon.observe_dispatch(trace)
+                if idle:
+                    precon.tick(idle)
+            prev_dispatch = dispatch
+
+            # Train after the tick, as the engine saw the pre-update table.
+            if train:
+                for branch_pc, taken in plan.pairs[t]:
+                    bimodal_update(branch_pc, taken)
+
+        stats.cycles = prev_retire
+        stats.ntp_none = plan.ntp_none
+        stats.ntp_correct = plan.ntp_correct
+        stats.ntp_wrong = plan.ntp_wrong
 
 
 def run_processor(image: ProgramImage, config: ProcessorConfig,
                   max_instructions: int,
-                  stream: Optional[list[StreamRecord]] = None
-                  ) -> ProcessorResult:
-    """Convenience wrapper mirroring :func:`repro.sim.run_frontend`."""
+                  stream: Optional[list[StreamRecord]] = None,
+                  plan: Optional[BatchPlan] = None) -> ProcessorResult:
+    """Convenience wrapper mirroring :func:`repro.sim.run_frontend`.
+
+    ``plan`` is the partition of the stream's first ``max_instructions``
+    records (:meth:`~repro.runner.StreamCache.plan`); it is validated
+    against ``config`` and the stream.
+    """
     if stream is None:
         stream = FunctionalEngine(image).run(max_instructions)
     else:
         stream = stream[:max_instructions]
-    return ProcessorSimulation(image, config).run(stream)
+    return ProcessorSimulation(image, config).run(stream, plan)

@@ -189,8 +189,12 @@ def _execute_spec(spec: ExperimentSpec,
         result = run_frontend_batch(image, [config], plan)[0]
         metrics = _frontend_metrics(result.stats)
     elif spec.kind == "processor":
-        result = run_processor(image, spec.processor_config(),
-                               spec.instructions, stream=stream)
+        processor_config = spec.processor_config()
+        plan = stream_cache.plan(spec.benchmark, spec.instructions,
+                                 processor_config.frontend,
+                                 spec.workload_seed)
+        result = run_processor(image, processor_config, spec.instructions,
+                               stream=stream, plan=plan)
         metrics = _processor_metrics(result.stats)
     else:  # dynamic
         result = run_frontend(image, spec.frontend_config(),

@@ -59,14 +59,10 @@ class TraceBuilder:
 
     def __init__(self, config: SelectionConfig | None = None) -> None:
         self.config = config or SelectionConfig()
-        self._entries: list[tuple[int, Instruction, bool, int, int]] = []
+        self._entries: list[tuple[int, Instruction, bool, int]] = []
         #: Branch outcomes of the buffered entries, maintained
         #: incrementally so :meth:`_emit` need not re-scan the entries.
         self._outcomes: list[bool] = []
-        #: Effective addresses (0 for non-memory) of the entries of the
-        #: most recently emitted trace — a side channel because traces
-        #: are cached/shared objects while addresses are per-instance.
-        self.last_addresses: tuple[int, ...] = ()
         #: Interning table for emitted trace identities: the same
         #: dynamic path re-emits the same (start_pc, outcomes) many
         #: times, and an interned TraceID makes every downstream
@@ -96,10 +92,10 @@ class TraceBuilder:
 
     # ------------------------------------------------------------------
     def add(self, pc: int, inst: Instruction, taken: bool,
-            next_pc: int, mem_addr: int = 0) -> Optional[Trace]:
+            next_pc: int) -> Optional[Trace]:
         """Append one dynamic instruction; return a trace if one completed."""
         entries = self._entries
-        entries.append((pc, inst, taken, next_pc, mem_addr))
+        entries.append((pc, inst, taken, next_pc))
         if inst.is_conditional_branch:
             self._outcomes.append(taken)
         if inst.is_return and self._end_at_returns:
@@ -126,18 +122,17 @@ class TraceBuilder:
         self._entries.clear()
         self._outcomes.clear()
 
-    def snapshot_entries(self
-                         ) -> list[tuple[int, Instruction, bool, int, int]]:
+    def snapshot_entries(self) -> list[tuple[int, Instruction, bool, int]]:
         """Copy of the buffered entries (for constructor backtracking)."""
         return list(self._entries)
 
     def restore_entries(
             self,
-            entries: list[tuple[int, Instruction, bool, int, int]]
+            entries: list[tuple[int, Instruction, bool, int]]
     ) -> None:
         """Replace the buffer (constructor decision-point resumption)."""
         self._entries = list(entries)
-        self._outcomes = [taken for _, inst, taken, _, _ in entries
+        self._outcomes = [taken for _, inst, taken, _ in entries
                           if inst.is_conditional_branch]
 
     # ------------------------------------------------------------------
@@ -189,7 +184,6 @@ class TraceBuilder:
             outcomes = tuple(outcome_list)
             self._outcomes = []
 
-        self.last_addresses = tuple(e[4] for e in entries)
         last = entries[-1]
         last_next = last[3]
         key = (entries[0][0], outcomes)
@@ -238,15 +232,10 @@ class TraceSelector:
     def feed(self, record: StreamRecord) -> Optional[Trace]:
         """Feed one committed instruction; returns a trace when complete."""
         return self._builder.add(record.pc, record.inst, record.taken,
-                                 record.next_pc, record.mem_addr)
+                                 record.next_pc)
 
     def flush(self) -> Optional[Trace]:
         return self._builder.flush()
-
-    @property
-    def last_addresses(self) -> tuple[int, ...]:
-        """Effective addresses of the most recently emitted trace."""
-        return self._builder.last_addresses
 
 
 def traces_of_stream(stream, config: SelectionConfig | None = None

@@ -12,7 +12,8 @@ from repro.processor import (
     run_processor,
 )
 from repro.sim import FrontendConfig
-from repro.trace import TraceCacheConfig
+from repro.trace import TraceCacheConfig, traces_of_stream
+from repro.vector import build_plan
 from repro.workloads import build_workload
 
 INSTRUCTIONS = 25_000
@@ -102,3 +103,49 @@ class TestProcessorTiming:
         result = ProcessorSimulation(image, _config()).run([])
         assert result.stats.cycles == 0
         assert result.stats.ipc == 0.0
+
+
+def _plan(stream, frontend):
+    return build_plan(traces_of_stream(stream, frontend.selection), frontend)
+
+
+class TestProcessorPlan:
+    def test_shared_plan_matches_own_plan(self, vortex):
+        """A plan built for a frontend point with other cache sizes drives
+        a processor point to the same result as the point's own plan."""
+        image, stream = vortex
+        config = _config(tc=128, pb=128, preprocess=True)
+        shared = _plan(stream, FrontendConfig(
+            trace_cache=TraceCacheConfig(entries=1024)))
+        own = run_processor(image, config, INSTRUCTIONS, stream=stream)
+        on_shared = run_processor(image, config, INSTRUCTIONS,
+                                  stream=stream, plan=shared)
+        assert on_shared.stats == own.stats
+        assert (on_shared.backend.bus_conflicts
+                == own.backend.bus_conflicts)
+        assert on_shared.backend.dcache.stats == own.backend.dcache.stats
+
+    def test_rejects_incompatible_plan(self, vortex):
+        image, stream = vortex
+        plan = _plan(stream, FrontendConfig(bimodal_entries=1024))
+        with pytest.raises(ValueError, match="bimodal_entries differs"):
+            run_processor(image, _config(), INSTRUCTIONS, stream=stream,
+                          plan=plan)
+
+    def test_rejects_plan_of_another_stream(self, vortex):
+        image, stream = vortex
+        config = _config()
+        plan = _plan(stream[:1_000], config.frontend)
+        with pytest.raises(ValueError, match="plan partitions 1000 "
+                           "instructions but the stream has 25000"):
+            ProcessorSimulation(image, config).run(stream, plan)
+        with pytest.raises(ValueError, match="plan partitions"):
+            run_processor(image, config, INSTRUCTIONS, stream=stream,
+                          plan=plan)
+
+    def test_second_run_raises(self, vortex):
+        image, stream = vortex
+        simulation = ProcessorSimulation(image, _config())
+        simulation.run(stream[:2_000])
+        with pytest.raises(RuntimeError, match="replays one stream"):
+            simulation.run(stream[:2_000])
