@@ -124,10 +124,9 @@ class PreconstructionEngine:
         self._free_prefetch: list[PrefetchCache] = [
             PrefetchCache(cfg.prefetch_cache_instructions)
             for _ in range(cfg.num_prefetch_caches)]
-        decode_cache: dict = {}
         self.constructors = [
             TraceConstructor(image, icache, bimodal, self.selection,
-                             cfg.constructor, decode_cache=decode_cache)
+                             cfg.constructor)
             for _ in range(cfg.num_constructors)]
         for cid, constructor in enumerate(self.constructors):
             constructor.cid = cid
@@ -294,16 +293,14 @@ class PreconstructionEngine:
                 region = constructor.region
                 if region is None:
                     continue  # released mid-round (its region finished)
-                # needs_line_fetch() inlined (one call per walked
-                # instruction): the region is known non-None here.
+                # Will the step consume the shared I-cache port?
                 pc = constructor._pc
                 needs_fetch = (pc is not None and
                                not region.prefetch_cache.contains(pc))
                 if needs_fetch and port_budget <= 0:
                     continue  # stalled on the I-cache port
                 result = constructor.step(needs_fetch)
-                # Every step costs exactly one decode slot
-                # (StepResult.decode_cost is invariantly 1); only fetch
+                # Every step costs exactly one decode slot; only fetch
                 # steps touch the port, so skip the arithmetic otherwise.
                 decode_budget -= 1
                 decode_steps += 1

@@ -17,8 +17,18 @@ trace start point from a region's worklist and then:
   processor, so preconstructed traces align with demand traces.
 
 The constructor is incremental: :meth:`step` performs one instruction's
-worth of work and reports its decode/port cost, so the engine can meter
+worth of work and reports its port cost, so the engine can meter
 progress against the processor's idle slow-path cycles.
+
+A walk is a pure function of the image, the two configs, the start
+point and the sequence of biases it reads; the prefetch cache, the
+I-cache and the port budget only decide where a point's walk stops.
+So each walk is recorded once per image as a *walk script* — a tree of
+:class:`_ScriptNode` stretches that branches at every bias read — and
+replayed at every later point: a replayed step does the live fetch on
+the recorded pc and returns the recorded trace and start point.  A
+bias no recorded child matches sends the constructor back to the live
+walk, which records the new child.
 
 A correctness invariant enforced here: the constructor never emits a
 *partial* trace.  A trace identity is (start PC, branch outcomes), so a
@@ -30,7 +40,7 @@ always discarded instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Iterator, Optional
 
 from repro.branch import Bias, BimodalPredictor
 from repro.caches import InstructionCache
@@ -70,9 +80,7 @@ class ConstructorConfig:
 class StepResult:
     """Outcome of one constructor step."""
 
-    decode_cost: int = 1
     port_cost: int = 0
-    icache_missed: bool = False
     completed: Optional[Trace] = None
     new_start_point: Optional[StartPoint] = None
     finished: bool = False            # start point fully explored
@@ -99,6 +107,52 @@ class _DecisionPoint:
 #: ``None`` in the shared decode cache.
 _UNDECODED = object()
 
+# How a script node ends: still being recorded, at a bias read, at a
+# cut (the constructor was released or hit the fetch bound mid-walk),
+# or at the end of the walk.
+_OPEN, _BRANCH, _CUT, _END = range(4)
+
+#: Event of a plain step that must not fetch: the walk-length bound.
+_UNFETCHED = (False, None, None, False, False)
+
+#: Child slot of a branch ending per bias read; a cut's continuation
+#: sits in slot 0 of a one-slot list.
+_SLOT = {Bias.STRONG_TAKEN: 0, Bias.STRONG_NOT_TAKEN: 1, Bias.WEAK: 2}
+
+
+class _ScriptNode:
+    """One recorded stretch of a walk, up to its next bias read.
+
+    ``pcs`` is the constructor's pc before each step plus one trailing
+    entry, the pc before the step after the node (the branch pc, the pc
+    after a cut, or ``None`` at the end).  ``events`` is, per step,
+    ``None`` for a plain step or ``(fetch allowed, completed trace, new
+    start point, finished, notable)``.  ``children`` holds the node
+    that continues the walk: one per :class:`Bias` read at a branch
+    ending (see ``_SLOT``), or the one continuation of a cut.
+    """
+
+    __slots__ = ("pcs", "events", "kind", "children")
+
+    def __init__(self) -> None:
+        self.pcs: Any = []
+        self.events: Any = []
+        self.kind = _OPEN
+        self.children: Optional[list[Optional[_ScriptNode]]] = None
+
+
+class WalkScripts:
+    """The walks recorded on one image under one pair of configs."""
+
+    __slots__ = ("roots", "decode", "pcs")
+
+    def __init__(self) -> None:
+        self.roots: dict[StartPoint, _ScriptNode] = {}
+        #: PC -> decoded instruction (``None`` out of bounds).
+        self.decode: dict[int, Optional[Instruction]] = {}
+        #: Interned pc objects, so recorded pcs share one int each.
+        self.pcs: dict[int, int] = {}
+
 
 class TraceConstructor:
     """One of the (four) parallel trace construction units."""
@@ -106,8 +160,7 @@ class TraceConstructor:
     def __init__(self, image: ProgramImage, icache: InstructionCache,
                  bimodal: BimodalPredictor,
                  selection: SelectionConfig | None = None,
-                 config: ConstructorConfig | None = None,
-                 decode_cache: Optional[dict] = None) -> None:
+                 config: ConstructorConfig | None = None) -> None:
         self.image = image
         self.icache = icache
         self.bimodal = bimodal
@@ -115,12 +168,15 @@ class TraceConstructor:
         self.config = config or ConstructorConfig()
         self.region: Optional[Region] = None
         self._builder = TraceBuilder(self.selection)
-        # PC -> decoded instruction (or None when out of bounds).  The
-        # image never changes during a run, and the engine shares one
-        # cache across its constructors so each static instruction is
-        # index-translated once rather than once per walk step.
-        self._decode: dict = decode_cache if decode_cache is not None else {}
+        key = (self.selection, self.config)
+        scripts = image.walk_scripts.get(key)
+        if scripts is None:
+            scripts = image.walk_scripts[key] = WalkScripts()
+        self._roots = scripts.roots
+        self._decode = scripts.decode
+        self._intern = scripts.pcs.setdefault
         self._branch_policy = self.config.branch_policy
+        self._max_walk = self.config.max_walk_instructions
         # One StepResult reused across steps: the engine consumes each
         # result before the next step, and allocating ~1 per walked
         # instruction showed up in profiles.
@@ -129,14 +185,37 @@ class TraceConstructor:
         # nothing completed) — the overwhelmingly common case, returned
         # without touching any field.  Never mutated.
         self._plain = StepResult()
-        # Call-stack state *after* each buffered entry, aligned with the
-        # builder's buffer; needed to restart correctly after truncation.
+        # Live walk state.  Call-stack state *after* each buffered
+        # entry, aligned with the builder's buffer; needed to restart
+        # correctly after truncation.
         self._entry_stacks: list[tuple[int, ...]] = []
         self._pc: Optional[int] = None
         self._call_stack: tuple[int, ...] = ()
         self._decisions: list[_DecisionPoint] = []
         self._traces_emitted = 0
         self._walked = 0
+        self._start: Optional[StartPoint] = None
+        # Replay cursor: the nodes followed from the root (the last one
+        # replaying, its pcs and events cached), the index of its next
+        # step, and the biases followed at branch endings.  ``_pcs`` is
+        # None while the walk runs live.
+        self._path: list[_ScriptNode] = []
+        self._pcs: Optional[tuple] = None
+        self._events: tuple = ()
+        self._n = 0
+        self._i = 0
+        self._biases: list[Bias] = []
+        # Recording: the open node, and the children list and slot it
+        # is linked into when it closes (no list: a root, keyed by its
+        # start point).  ``_rec`` is None when not recording.
+        self._rec: Optional[_ScriptNode] = None
+        self._rec_parent: Optional[list[Optional[_ScriptNode]]] = None
+        self._rec_key: Any = None
+        #: The biases a recovery re-walk reads instead of the table.
+        self._bias_feed: Optional[Iterator[Bias]] = None
+        #: A replayed step hit the fetch bound: the live walk state must
+        #: be rebuilt before any further step.
+        self._stale = False
 
     # ------------------------------------------------------------------
     @property
@@ -148,32 +227,29 @@ class TraceConstructor:
         if self.busy:
             raise RuntimeError("constructor already assigned")
         self.region = region
+        self._start = start
+        self._stale = False
+        root = self._roots.get(start)
+        if root is None:
+            self._pcs = None
+            self._start_walk(start)
+            self._record(_ScriptNode(), None, start)
+            return
+        self._path = []
+        self._biases = []
+        self._enter(root)
         self._pc = start.pc
-        self._call_stack = start.call_stack
-        self._reset_buffer()
-        self._decisions.clear()
-        self._traces_emitted = 0
-        self._walked = 0
 
     def release(self) -> None:
+        if self._rec is not None:
+            self._stop_recording(_CUT, self._pc)
         self.region = None
         self._pc = None
-        self._reset_buffer()
-        self._decisions.clear()
-
-    def needs_line_fetch(self) -> bool:
-        """Will the next step consume the shared I-cache port?"""
-        region = self.region
-        pc = self._pc
-        return (region is not None and pc is not None
-                and not region.prefetch_cache.contains(pc))
 
     def _fresh_result(self) -> StepResult:
         """Reset and return the reused per-constructor StepResult."""
         result = self._result
-        result.decode_cost = 1
         result.port_cost = 0
-        result.icache_missed = False
         result.completed = None
         result.new_start_point = None
         result.finished = False
@@ -181,42 +257,216 @@ class TraceConstructor:
         result.notable = False
         return result
 
+    @staticmethod
+    def _fetch_bound(result: StepResult) -> StepResult:
+        result.finished = True
+        result.region_fetch_bound = True
+        result.notable = True
+        return result
+
     # ------------------------------------------------------------------
     def step(self, needs_fetch: Optional[bool] = None) -> StepResult:
         """Perform one instruction's worth of construction work.
 
-        ``needs_fetch`` lets the engine pass the result of its own
-        :meth:`needs_line_fetch` gate so the prefetch cache is not
+        ``needs_fetch`` lets the engine pass its own "is the pc missing
+        from the region's prefetch cache" probe so the cache is not
         probed twice per step; ``None`` probes here.
+
+        A recorded step replays: it does the live fetch on the recorded
+        pc, then returns the recorded trace and start point.
         """
         region = self.region
         if region is None:
             raise RuntimeError("step on idle constructor")
+        pcs = self._pcs
+        if pcs is None:
+            return self._live_step(region, needs_fetch)
+        i = self._i
+        if i == self._n:
+            return self._node_end(region, needs_fetch)
+        event = self._events[i]
+        pc = pcs[i]
+        if needs_fetch is None:
+            needs_fetch = (pc is not None
+                           and not region.prefetch_cache.contains(pc))
+        result: Optional[StepResult] = None
+        if needs_fetch and (event is None or event[0]):
+            result = self._fresh_result()
+            if not region.prefetch_cache.add_line(pc):
+                self._pc = None
+                self._pcs = None
+                self._stale = True
+                return self._fetch_bound(result)
+            result.port_cost = self.icache.fetch_line(pc, "preconstruct")[0]
+        self._i = i + 1
+        self._pc = pcs[i + 1]
+        if event is None:
+            return result if result is not None else self._plain
+        if result is None:
+            result = self._fresh_result()
+        (_, result.completed, result.new_start_point, result.finished,
+         result.notable) = event
+        return result
+
+    def _node_end(self, region: Region,
+                  needs_fetch: Optional[bool]) -> StepResult:
+        """Step past the end of the replayed node: follow the child for
+        the bias read now (or the cut's continuation), or resume the
+        live walk and record the missing child."""
+        node = self._path[-1]
+        kind = node.kind
+        bias = self.bimodal.bias(node.pcs[-1]) if kind == _BRANCH else None
+        children = node.children
+        child = None
+        if children is not None:
+            child = children[0 if bias is None else _SLOT[bias]]
+        if child is None:
+            self._recover()
+            if kind == _BRANCH:
+                # The branch step's bias read opens the new child.
+                self._rec = node
+            elif kind == _CUT:
+                self._record(_ScriptNode(), children, 0)
+            return self._live_step(region, needs_fetch)
+        if bias is not None:
+            self._biases.append(bias)
+        self._enter(child)
+        return self.step(needs_fetch)
+
+    def _enter(self, node: _ScriptNode) -> None:
+        self._path.append(node)
+        self._pcs = node.pcs
+        self._events = node.events
+        self._n = len(node.events)
+        self._i = 0
+
+    def _recover(self) -> None:
+        """Rebuild the live walk state at the replay cursor by walking
+        the replayed prefix again, fed the biases the replay followed.
+        The re-walk fetches nothing and records nothing."""
+        assert self._start is not None
+        steps = self._i + sum(len(n.events) for n in self._path[:-1])
+        self._bias_feed = iter(self._biases)
+        self._start_walk(self._start)
+        for _ in range(steps):
+            self._walk(self._pc, None)
+        assert self._pc == self._path[-1].pcs[self._i]
+        self._bias_feed = None
+        self._pcs = None
+
+    # ------------------------------------------------------------------
+    def _live_step(self, region: Region,
+                   needs_fetch: Optional[bool]) -> StepResult:
+        """One step of the live walk, recorded when a script is open."""
+        if self._stale:
+            # Redo what the live walk does at a fetch-bound step.
+            self._recover()
+            self._stale = False
+            self._reset_buffer()
+            self._pc = None
         pc = self._pc
+        fetch_allowed = pc is not None and self._walked < self._max_walk
+        result: Optional[StepResult] = None
+        if fetch_allowed and (needs_fetch if needs_fetch is not None
+                              else not region.prefetch_cache.contains(pc)):
+            result = self._fresh_result()
+            if not region.prefetch_cache.add_line(pc):
+                # The rest of this walk depends on the point: stop
+                # recording here.
+                if self._rec is not None:
+                    self._stop_recording(_CUT, pc)
+                self._reset_buffer()
+                self._pc = None
+                return self._fetch_bound(result)
+            result.port_cost = self.icache.fetch_line(pc, "preconstruct")[0]
+        result = self._walk(pc, result)
+        rec = self._rec
+        if rec is not None:
+            rec.pcs.append(pc)
+            if result.notable:
+                rec.events.append((fetch_allowed, result.completed,
+                                   result.new_start_point, result.finished,
+                                   True))
+                if result.finished:
+                    self._stop_recording(_END, None)
+            else:
+                rec.events.append(None if fetch_allowed or pc is None
+                                  else _UNFETCHED)
+        return result
+
+    def _record(self, node: _ScriptNode,
+                parent: Optional[list[Optional[_ScriptNode]]],
+                key: Any) -> None:
+        """Record the live walk into ``node``, linked into
+        ``parent[key]`` (the roots under ``key`` when ``parent`` is
+        None) once it closes."""
+        self._rec = node
+        self._rec_parent = parent
+        self._rec_key = key
+
+    def _stop_recording(self, kind: int, next_pc: Optional[int]) -> None:
+        self._close(kind, next_pc)
+        self._rec = None
+
+    def _read_bias(self, pc: int) -> Bias:
+        """The bias the walk follows at the branch at ``pc``.  While
+        recording, the node so far ends at this branch and the step goes
+        on in the child for the bias read."""
+        if self._bias_feed is not None:
+            return next(self._bias_feed)
+        bias = self.bimodal.bias(pc)
+        if self._rec is not None:
+            node = self._close(_BRANCH, pc)
+            assert node.children is not None
+            self._record(_ScriptNode(), node.children, _SLOT[bias])
+        return bias
+
+    def _close(self, kind: int, next_pc: Optional[int]) -> _ScriptNode:
+        """End the recorded node and link it into the tree; the first
+        writer of a link wins.  Returns the node a branch's children
+        hang from."""
+        node = self._rec
+        assert node is not None
+        if node.kind != _OPEN:
+            return node  # the replayed node a miss resumed from
+        node.pcs.append(next_pc)
+        node.pcs = tuple(node.pcs)
+        node.events = tuple(node.events)
+        node.kind = kind
+        if kind == _BRANCH:
+            node.children = [None, None, None]
+        elif kind == _CUT:
+            node.children = [None]
+            if not node.events:
+                return node  # nothing to replay
+        parent = self._rec_parent
+        if parent is None:
+            winner = self._roots.setdefault(self._rec_key, node)
+        else:
+            winner = parent[self._rec_key]
+            if winner is None:
+                winner = parent[self._rec_key] = node
+        return winner if winner.kind == kind else node
+
+    # ------------------------------------------------------------------
+    def _start_walk(self, start: StartPoint) -> None:
+        self._pc = self._intern(start.pc, start.pc)
+        self._call_stack = start.call_stack
+        self._reset_buffer()
+        self._decisions.clear()
+        self._traces_emitted = 0
+        self._walked = 0
+
+    def _walk(self, pc: Optional[int],
+              result: Optional[StepResult]) -> StepResult:
+        """The walk part of one live step, after any fetch: a pure
+        function of the walk state and the bias it reads."""
         if pc is None:
             return self._backtrack_or_finish()
-        if self._walked >= self.config.max_walk_instructions:
+        if self._walked >= self._max_walk:
             self._reset_buffer()  # never emit a partial trace
             self._pc = None
             return self._backtrack_or_finish()
-
-        result: Optional[StepResult] = None
-
-        # Fetch through the prefetch cache; a fresh line uses the port.
-        if (needs_fetch if needs_fetch is not None
-                else not region.prefetch_cache.contains(pc)):
-            result = self._fresh_result()
-            if not region.prefetch_cache.add_line(pc):
-                self._reset_buffer()
-                self._pc = None
-                result.finished = True
-                result.region_fetch_bound = True
-                result.notable = True
-                return result
-            latency, missed = self.icache.fetch_line(pc, "preconstruct")
-            result.port_cost = latency
-            result.icache_missed = missed
-
         inst = self._decode.get(pc, _UNDECODED)
         if inst is _UNDECODED:
             inst = self.image.try_fetch(pc)
@@ -227,6 +477,10 @@ class TraceConstructor:
             return result if result is not None else self._plain
 
         taken, next_pc, path_ends = self._advance(pc, inst)
+        if next_pc is not None:
+            # Interned, so the pcs of recorded scripts and traces share
+            # one int object per address.
+            next_pc = self._intern(next_pc, next_pc)
         self._walked += 1
         completed = self._builder.add(pc, inst, taken,
                                       next_pc if next_pc is not None else 0)
@@ -311,7 +565,7 @@ class TraceConstructor:
             if policy == "not_taken":
                 return False, fall, False
             if policy == "biased":
-                bias = self.bimodal.bias(pc)
+                bias = self._read_bias(pc)
                 if bias is Bias.STRONG_TAKEN:
                     return True, pc + inst.imm, False
                 if bias is Bias.STRONG_NOT_TAKEN:
@@ -323,7 +577,8 @@ class TraceConstructor:
                     entries=self._builder.snapshot_entries(),
                     entry_stacks=list(self._entry_stacks),
                     pc=pc,
-                    taken_target=pc + inst.imm,
+                    taken_target=self._intern(pc + inst.imm,
+                                              pc + inst.imm),
                     call_stack=self._call_stack,
                     walked=self._walked,
                 ))
@@ -333,7 +588,7 @@ class TraceConstructor:
         if kind is Kind.CALL:
             if len(self._call_stack) >= self.config.max_call_depth:
                 return False, None, True  # too deep; end the path
-            self._call_stack = self._call_stack + (fall,)
+            self._call_stack = self._call_stack + (self._intern(fall, fall),)
             return False, inst.imm, False
         if kind is Kind.JUMP_INDIRECT:
             if inst.is_return and self._call_stack:

@@ -47,6 +47,13 @@ class ProgramImage:
     labels: dict[str, int] = field(default_factory=dict)
     data: dict[int, int] = field(default_factory=dict)
     relocs: dict[int, int] = field(default_factory=dict)
+    #: Trace-constructor walk scripts recorded on this image, keyed by
+    #: (selection, constructor config); see
+    #: :mod:`repro.core.preconstructor`.  A memo of pure functions of
+    #: the image, so an image must not change once preconstruction has
+    #: run on it.
+    walk_scripts: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.code_base % INSTRUCTION_BYTES:
