@@ -173,20 +173,13 @@ def compare_sweep(benchmarks: Sequence[str],
                   jobs: int = 1,
                   result_cache: Optional[ResultCache] = None,
                   stream_cache: Optional[StreamCache] = None,
-                  progress: Any = None,
-                  simulator: str = "scalar") -> list[CompareRow]:
-    """Run the full head-to-head comparison across ``benchmarks``.
-
-    ``simulator`` sets every point's (inert) ``simulator`` field; the
-    rows do not depend on it.
-    """
+                  progress: Any = None) -> list[CompareRow]:
+    """Run the full head-to-head comparison across ``benchmarks``."""
     pb_sizes = tuple(pb_sizes)
     specs: list[ExperimentSpec] = []
     for benchmark in benchmarks:
         specs.extend(compare_specs(benchmark, mechanisms, tc_entries,
                                    pb_sizes, instructions))
-    if simulator != "scalar":
-        specs = [spec.replace(simulator=simulator) for spec in specs]
     results = sweep(specs, jobs=jobs, cache=result_cache,
                     stream_cache=stream_cache, progress=progress)
     return compare_from_results(results)

@@ -29,13 +29,11 @@ The surface, by layer:
 * **Simulators** (for bespoke studies) — :func:`run_frontend` (the
   unified entry point: ``mechanism=`` selects the frontend mechanism,
   ``partition=`` enables the dynamic TC/PB partition) and
-  :func:`run_processor` with their configuration types
-  (:func:`run_dynamic_frontend` remains as a deprecated shim); the
-  shared trace-partition plan every frontend point runs on —
+  :func:`run_processor` with their configuration types; the shared
+  trace-partition plan every frontend point runs on —
   :class:`BatchPlan` / :func:`build_plan` — and
-  :func:`run_frontend_batch`, which runs many points over one plan;
-  :data:`SIMULATOR_KINDS` lists the values of the inert ``simulator``
-  spec field;
+  :func:`run_frontend_batch`, which runs several points over one plan,
+  one after another;
 * **Frontend-mechanism zoo** — :class:`FrontendMechanism` (the seam
   every competing frontend implements), :class:`MechanismContext`,
   :func:`register_mechanism` / :func:`mechanism_names` /
@@ -126,7 +124,6 @@ from repro.program import ProgramImage
 from repro.processor import ProcessorConfig, run_processor
 from repro.runner import (
     DEFAULT_INSTRUCTIONS,
-    SIMULATOR_KINDS,
     ExperimentRunner,
     ExperimentSpec,
     ResultCache,
@@ -145,7 +142,6 @@ from repro.runner import (
 from repro.sim import (
     DynamicPartitionConfig,
     FrontendConfig,
-    run_dynamic_frontend,
     run_frontend,
 )
 from repro.static import (
@@ -258,7 +254,6 @@ __all__ = [
     "RingBufferSink",
     "RunCapture",
     "RunResult",
-    "SIMULATOR_KINDS",
     "SPEC95_NAMES",
     "SpanTracer",
     "StaticAnalysisReport",
@@ -318,7 +313,6 @@ __all__ = [
     "render_report",
     "resolve_instructions",
     "rows_to_dicts",
-    "run_dynamic_frontend",
     "run_frontend",
     "run_frontend_batch",
     "run_fuzz",

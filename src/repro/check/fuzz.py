@@ -43,26 +43,21 @@ STATIC_SEED_PROB = 0.25
 
 
 def fuzz_case_spec(case_seed: int,
-                   instructions: int = DEFAULT_CHECK_INSTRUCTIONS,
-                   simulator: Optional[str] = None) -> ExperimentSpec:
+                   instructions: int = DEFAULT_CHECK_INSTRUCTIONS
+                   ) -> ExperimentSpec:
     """The deterministic check spec for fuzz case ``case_seed``.
 
-    The frontend mechanism and the (inert) ``simulator`` value are drawn
-    from the seed like every other sizing knob, so a fuzz sweep
-    exercises the whole competing-frontend zoo through the same oracle
-    catalogue.  Each draw comes *after* the pre-existing ones so the
-    knobs sampled for a given seed are unchanged across schema bumps.
-    ``simulator`` forces one value instead of drawing (``repro fuzz
-    --simulator``).
+    The frontend mechanism is drawn from the seed like every other
+    sizing knob, so a fuzz sweep exercises the whole competing-frontend
+    zoo through the same oracle catalogue.  Each draw comes *after* the
+    pre-existing ones so the knobs sampled for a given seed are
+    unchanged across schema bumps.
     """
-    from repro.runner.spec import SIMULATOR_KINDS
-
     rng = random.Random((case_seed << 1) ^ _CONFIG_SALT)
     tc_entries = rng.choice(TC_CHOICES)
     pb_entries = rng.choice(PB_CHOICES)
     static_seed = rng.random() < STATIC_SEED_PROB
     mechanism = rng.choice(mechanism_names())
-    drawn_simulator = rng.choice(SIMULATOR_KINDS)
     return ExperimentSpec(
         benchmark=f"{FUZZ_PREFIX}{case_seed}",
         tc_entries=tc_entries,
@@ -70,8 +65,7 @@ def fuzz_case_spec(case_seed: int,
         static_seed=static_seed,
         mechanism=mechanism,
         kind="check",
-        instructions=instructions,
-        simulator=simulator if simulator is not None else drawn_simulator)
+        instructions=instructions)
 
 
 @dataclass
@@ -178,8 +172,7 @@ def run_fuzz(seeds: int,
              cache: Optional[ResultCache] = None,
              progress=None,
              minimize: bool = True,
-             failures_dir: Optional[str | Path] = None,
-             simulator: Optional[str] = None) -> FuzzReport:
+             failures_dir: Optional[str | Path] = None) -> FuzzReport:
     """Fuzz ``seeds`` cases starting at ``seed_base``.
 
     Verdicts flow through the parallel :class:`ExperimentRunner` and,
@@ -187,8 +180,6 @@ def run_fuzz(seeds: int,
     Failing cases are minimized (unless ``minimize=False``) against the
     requested oracle subset; with ``failures_dir`` each minimized case
     also writes a self-contained ``repro_fuzz_<seed>.py`` script.
-    ``simulator`` forces every case's (inert) ``simulator`` value; by
-    default each case draws one from its seed.
     """
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
@@ -196,7 +187,7 @@ def run_fuzz(seeds: int,
     report = FuzzReport(seeds=seeds, seed_base=seed_base,
                         instructions=instructions, oracles=selected)
 
-    specs = [fuzz_case_spec(seed_base + i, instructions, simulator)
+    specs = [fuzz_case_spec(seed_base + i, instructions)
              for i in range(seeds)]
     runner = ExperimentRunner(jobs=jobs, cache=cache, progress=progress)
     results = runner.run(specs)
@@ -222,7 +213,7 @@ def run_fuzz(seeds: int,
                 fuzz_profile(case_seed), spec.instructions,
                 tc_entries=spec.tc_entries, pb_entries=spec.pb_entries,
                 static_seed=spec.static_seed, mechanism=spec.mechanism,
-                simulator=spec.simulator, oracles=selected)
+                oracles=selected)
             if failure.minimized is not None and out_dir is not None:
                 out_dir.mkdir(parents=True, exist_ok=True)
                 script = out_dir / f"repro_fuzz_{case_seed}.py"

@@ -51,7 +51,6 @@ class CheckReport:
     static_seed: bool
     oracles: tuple[str, ...]
     mechanism: str = "preconstruction"
-    simulator: str = "scalar"
     violations: list[Violation] = field(default_factory=list)
     summary: dict[str, Any] = field(default_factory=dict)
 
@@ -102,15 +101,12 @@ def check_profile(profile: WorkloadProfile,
                   tc_entries: int = 128, pb_entries: int = 64,
                   static_seed: bool = False,
                   mechanism: str = "preconstruction",
-                  simulator: str = "scalar",
                   oracles: Optional[Sequence[str]] = None) -> CheckReport:
     """Run ``profile`` through the full stack and evaluate ``oracles``.
 
     ``mechanism`` selects the frontend fill/prefetch mechanism the
     timing legs run under (:mod:`repro.frontends`), so every mechanism
-    in the zoo inherits the cross-model invariants.  ``simulator`` is
-    recorded on the report only: every point runs on the one dispatch
-    loop.
+    in the zoo inherits the cross-model invariants.
 
     A workload that fails the generator's verifier gate is itself a
     finding (pseudo-oracle ``"generate"``) — the remaining oracles are
@@ -120,7 +116,7 @@ def check_profile(profile: WorkloadProfile,
     report = CheckReport(profile=profile, instructions=instructions,
                          tc_entries=tc_entries, pb_entries=pb_entries,
                          static_seed=static_seed, oracles=selected,
-                         mechanism=mechanism, simulator=simulator)
+                         mechanism=mechanism)
     bundle = CheckBundle(profile, instructions, tc_entries=tc_entries,
                          pb_entries=pb_entries, static_seed=static_seed,
                          mechanism=mechanism)
@@ -154,7 +150,5 @@ def execute_check(spec) -> dict[str, Any]:
                                tc_entries=spec.tc_entries,
                                pb_entries=spec.pb_entries,
                                static_seed=spec.static_seed,
-                               mechanism=spec.mechanism,
-                               simulator=getattr(spec, "simulator",
-                                                 "scalar"))
+                               mechanism=spec.mechanism)
         return report.to_metrics()

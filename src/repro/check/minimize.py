@@ -69,7 +69,6 @@ class MinimizedCase:
     pb_entries: int
     static_seed: bool
     mechanism: str
-    simulator: str
     failing_oracles: tuple[str, ...]
     report: CheckReport
     probes: int
@@ -117,8 +116,7 @@ class MinimizedCase:
             f"    tc_entries={self.tc_entries}, "
             f"pb_entries={self.pb_entries}, "
             f"static_seed={self.static_seed},\n"
-            f"    mechanism={self.mechanism!r}, "
-            f"simulator={self.simulator!r},\n"
+            f"    mechanism={self.mechanism!r},\n"
             f"    oracles=[{oracles}],\n"
             ")\n"
             "for violation in report.violations:\n"
@@ -141,7 +139,6 @@ def minimize_case(profile: WorkloadProfile, instructions: int, *,
                   tc_entries: int = 128, pb_entries: int = 64,
                   static_seed: bool = False,
                   mechanism: str = "preconstruction",
-                  simulator: str = "scalar",
                   oracles: Optional[Sequence[str]] = None,
                   ) -> Optional[MinimizedCase]:
     """Shrink a failing case; ``None`` if it doesn't fail to begin with.
@@ -159,8 +156,7 @@ def minimize_case(profile: WorkloadProfile, instructions: int, *,
         probes += 1
         return check_profile(candidate, budget, tc_entries=tc_entries,
                              pb_entries=pb_entries, static_seed=static_seed,
-                             mechanism=mechanism, simulator=simulator,
-                             oracles=selected)
+                             mechanism=mechanism, oracles=selected)
 
     initial = probe(profile, instructions, oracles)
     if initial.ok:
@@ -204,6 +200,6 @@ def minimize_case(profile: WorkloadProfile, instructions: int, *,
     return MinimizedCase(
         profile=best_profile, instructions=best_budget,
         tc_entries=tc_entries, pb_entries=pb_entries,
-        static_seed=static_seed, mechanism=mechanism, simulator=simulator,
+        static_seed=static_seed, mechanism=mechanism,
         failing_oracles=failing, report=best_report, probes=probes,
         original_instructions=instructions, original_knobs=original_knobs)

@@ -180,15 +180,6 @@ def _parser() -> argparse.ArgumentParser:
     trace.add_argument("--metrics", default=None, metavar="PATH",
                        help="also write interval metrics as JSONL")
 
-    from repro.runner import SIMULATOR_KINDS
-
-    def simulator_arg(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument("--simulator", choices=SIMULATOR_KINDS,
-                         default="scalar",
-                         help="inert, kept for compatibility: every "
-                              "value runs the one frontend kernel "
-                              "(default: scalar)")
-
     for name, helptext in (
             ("figure5", "miss rate vs combined TC+PB size"),
             ("tables", "Tables 1-3: I-cache traffic"),
@@ -205,7 +196,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--stats-json", default=None, metavar="PATH",
                          help="dump every point's raw counter summary "
                               "as JSON")
-        simulator_arg(cmd)
 
     from repro.frontends import mechanism_names
 
@@ -229,7 +219,6 @@ def _parser() -> argparse.ArgumentParser:
                          help="worker processes (grouped by benchmark)")
     compare.add_argument("--json", action="store_true",
                          help="emit the comparison rows as JSON")
-    simulator_arg(compare)
 
     allcmd = sub.add_parser(
         "all", help="regenerate every paper exhibit in one scheduler pass")
@@ -244,7 +233,6 @@ def _parser() -> argparse.ArgumentParser:
     allcmd.add_argument("--stats-json", default=None, metavar="PATH",
                         help="dump every point's raw counter summary "
                              "as JSON")
-    simulator_arg(allcmd)
 
     def telemetry_arg(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument("--telemetry-json", default=None, metavar="PATH",
@@ -286,7 +274,6 @@ def _parser() -> argparse.ArgumentParser:
     bench.add_argument("--perfetto", default=None, metavar="PATH",
                        help="write a merged host+sim Perfetto trace "
                             "(implies telemetry)")
-    simulator_arg(bench)
     telemetry_arg(bench)
 
     from repro.check.oracles import oracle_names
@@ -317,11 +304,6 @@ def _parser() -> argparse.ArgumentParser:
                            "the directory is only created on failure)")
     fuzz.add_argument("--json", action="store_true",
                       help="emit the fuzz report as JSON")
-    fuzz.add_argument("--simulator", choices=SIMULATOR_KINDS, default=None,
-                      help="inert, kept for compatibility: every "
-                           "value runs the one frontend kernel "
-                           "(default: each case draws a value from "
-                           "its seed)")
     telemetry_arg(fuzz)
 
     diff = sub.add_parser(
@@ -498,22 +480,6 @@ def _plan(command: str, instructions: int,
     return [builders[command]()]
 
 
-def _apply_simulator(specs: Sequence[ExperimentSpec],
-                     simulator: str) -> list[ExperimentSpec]:
-    """``specs`` with ``simulator`` applied where the kind supports it.
-
-    The field is inert, but spec validation accepts a non-default value
-    only on frontend and check points, so it is applied to those alone
-    and a mixed exhibit set stays valid under ``--simulator
-    vectorized``.
-    """
-    if simulator == "scalar":
-        return list(specs)
-    return [spec.replace(simulator=simulator)
-            if spec.kind in ("frontend", "check") else spec
-            for spec in specs]
-
-
 def _run_exhibits(args, instructions: int) -> int:
     result_cache = (None if args.no_cache
                     else ResultCache(args.cache_dir))
@@ -526,11 +492,7 @@ def _run_exhibits(args, instructions: int) -> int:
     runner = ExperimentRunner(jobs=args.jobs, cache=result_cache,
                               progress=progress,
                               profile_dir=_profile_dir(args))
-    # Results are keyed by the exhibit's own (scalar) specs so the
-    # render closures' lookups match; the simulator is an execution
-    # strategy, so the results are interchangeable by construction.
-    run_specs = _apply_simulator(specs, getattr(args, "simulator", "scalar"))
-    lookup: Lookup = dict(zip(specs, runner.run(run_specs)))
+    lookup: Lookup = dict(zip(specs, runner.run(specs)))
     for index, (_, _, render) in enumerate(exhibits):
         if index:
             print()
@@ -832,8 +794,7 @@ def _dispatch(args) -> int:
 
         payload = run_bench(quick=args.quick, jobs=args.jobs,
                             progress=stderr_progress,
-                            profile_dir=_profile_dir(args),
-                            simulator=args.simulator)
+                            profile_dir=_profile_dir(args))
         path = write_bench_report(payload, args.output)
         print(format_bench(payload))
         print(f"report written to {path}", file=sys.stderr)
@@ -893,7 +854,7 @@ def _dispatch(args) -> int:
             args.seeds, budget, seed_base=args.seed_base,
             oracles=args.oracles, jobs=args.jobs, cache=cache,
             progress=progress, minimize=not args.no_minimize,
-            failures_dir=args.failures_dir, simulator=args.simulator)
+            failures_dir=args.failures_dir)
         if args.json:
             print(json.dumps(fuzz_report.to_dict(), indent=2,
                              sort_keys=True))
@@ -951,8 +912,7 @@ def _dispatch(args) -> int:
             rows = compare_sweep(args.benchmarks, mechanisms,
                                  tc_entries=args.tc, pb_sizes=pb_sizes,
                                  instructions=instructions, jobs=args.jobs,
-                                 result_cache=cache, progress=progress,
-                                 simulator=args.simulator)
+                                 result_cache=cache, progress=progress)
         except ValueError as error:
             print(f"compare: {error}", file=sys.stderr)
             return 2

@@ -45,7 +45,6 @@ from repro.runner.pool import (
 from repro.runner.spec import (
     DEFAULT_INSTRUCTIONS,
     KINDS,
-    SIMULATOR_KINDS,
     SPEC_SCHEMA_VERSION,
     ExperimentSpec,
     RunResult,
@@ -62,8 +61,7 @@ __all__ = [
     "CACHE_DIR_ENV", "LAST_RUN_FILE", "ResultCache", "default_cache_dir",
     "ExperimentRunner", "StreamCache", "TimingReport", "execute_spec",
     "run_point", "stderr_progress", "sweep",
-    "DEFAULT_INSTRUCTIONS", "KINDS", "SIMULATOR_KINDS",
-    "SPEC_SCHEMA_VERSION",
+    "DEFAULT_INSTRUCTIONS", "KINDS", "SPEC_SCHEMA_VERSION",
     "ExperimentSpec", "RunResult", "build_frontend_config",
     "build_processor_config", "resolve_instructions",
 ]

@@ -73,8 +73,7 @@ def bench_sections(quick: bool = False
 
 def run_bench(quick: bool = False, jobs: int = 1,
               progress: Optional[Callable[[str], None]] = None,
-              profile_dir: Optional[str | Path] = None,
-              simulator: str = "scalar") -> dict[str, Any]:
+              profile_dir: Optional[str | Path] = None) -> dict[str, Any]:
     """Run one bench mode cold and return the report payload.
 
     Each section gets its own runner (no result cache, no shared
@@ -82,24 +81,13 @@ def run_bench(quick: bool = False, jobs: int = 1,
     Speedups are only meaningful at ``jobs=1`` — the baselines are
     single-job — but parallel runs still record their wall time.
     ``profile_dir`` forwards to the runner's per-point ``cProfile``
-    capture (expect skewed wall times under it).  ``simulator`` sets
-    every point's (inert) ``simulator`` field
-    (:data:`~repro.runner.spec.SIMULATOR_KINDS`); the payload records
-    it and ``bench --check`` refuses to compare wall times across
-    values.
+    capture (expect skewed wall times under it).
     """
-    from repro.runner.spec import SIMULATOR_KINDS
-
-    if simulator not in SIMULATOR_KINDS:
-        raise ValueError(f"unknown simulator {simulator!r}; "
-                         f"choose from {SIMULATOR_KINDS}")
     tele = current_telemetry()
     mode = "quick" if quick else "full"
     sections: dict[str, Any] = {}
     reports = []
     for name, specs in bench_sections(quick):
-        if simulator != "scalar":
-            specs = [spec.replace(simulator=simulator) for spec in specs]
         runner = ExperimentRunner(jobs=jobs, cache=None, progress=progress,
                                   profile_dir=profile_dir)
         started = time.perf_counter()
@@ -125,7 +113,6 @@ def run_bench(quick: bool = False, jobs: int = 1,
         "schema": 1,
         "mode": mode,
         "jobs": jobs,
-        "simulator": simulator,
         "baseline_commit": BASELINE_COMMIT,
         "instructions": (QUICK_INSTRUCTIONS if quick
                          else FULL_INSTRUCTIONS),
@@ -172,9 +159,6 @@ def trajectory_row(payload: dict[str, Any],
         "commit": commit if commit is not None else _git_commit(),
         "mode": payload.get("mode"),
         "jobs": payload.get("jobs"),
-        # Payloads from before the simulator field existed are scalar
-        # by construction.
-        "simulator": payload.get("simulator", "scalar"),
         "sections": {
             name: {"specs": section.get("specs"),
                    "current_seconds": section.get("current_seconds")}
@@ -230,7 +214,6 @@ def trajectory_reference(path: str | Path, mode: str
         if row.get("mode") != mode:
             continue
         return {"mode": row.get("mode"),
-                "simulator": row.get("simulator", "scalar"),
                 "sections": row.get("sections", {})}
     return None
 
@@ -251,18 +234,6 @@ def check_bench(payload: dict[str, Any], reference: dict[str, Any],
     if payload.get("mode") != reference.get("mode"):
         problems.append(f"mode mismatch: ran {payload.get('mode')!r}, "
                         f"reference is {reference.get('mode')!r}")
-        return problems
-    # Wall times measure a specific kernel: comparing a vectorized run
-    # against a scalar reference (or vice versa) would score the kernel
-    # swap as a speedup/regression.  Rows and reports from before the
-    # field existed are scalar by construction.
-    ran = payload.get("simulator", "scalar")
-    expected = reference.get("simulator", "scalar")
-    if ran != expected:
-        problems.append(f"simulator mismatch: ran {ran!r}, reference is "
-                        f"{expected!r} — cross-kernel wall times are not "
-                        f"comparable (re-record the reference with "
-                        f"--simulator {ran})")
         return problems
     # A hand-edited or truncated report may lack "sections" entirely;
     # that is a reportable problem, not a KeyError.
@@ -299,8 +270,6 @@ def regressed_sections(payload: dict[str, Any], reference: dict[str, Any],
     regressed: dict[str, float] = {}
     sections = payload.get("sections")
     if payload.get("mode") != reference.get("mode") \
-            or (payload.get("simulator", "scalar")
-                != reference.get("simulator", "scalar")) \
             or not isinstance(sections, dict):
         return regressed
     for name, ref in reference.get("sections", {}).items():
@@ -327,7 +296,6 @@ def bench_repro_script(payload: dict[str, Any], reference: dict[str, Any],
     if not regressed:
         raise ValueError("no regressed sections to reproduce")
     mode = payload.get("mode", "quick")
-    simulator = payload.get("simulator", "scalar")
     limits = "".join(
         f"    {name!r}: {limit},\n" for name, limit in sorted(regressed.items()))
     observed = "".join(
@@ -349,7 +317,6 @@ def bench_repro_script(payload: dict[str, Any], reference: dict[str, Any],
         "from repro.runner.pool import ExperimentRunner\n"
         "\n"
         f"MODE = {mode!r}\n"
-        f"SIMULATOR = {simulator!r}\n"
         "LIMIT_SECONDS = {\n"
         f"{limits}"
         "}\n"
@@ -358,7 +325,6 @@ def bench_repro_script(payload: dict[str, Any], reference: dict[str, Any],
         "for name, specs in bench_sections(quick=MODE == 'quick'):\n"
         "    if name not in LIMIT_SECONDS:\n"
         "        continue\n"
-        "    specs = [s.replace(simulator=SIMULATOR) for s in specs]\n"
         "    runner = ExperimentRunner(jobs=1, cache=None)\n"
         "    started = time.perf_counter()\n"
         "    runner.run(specs)\n"

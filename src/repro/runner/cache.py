@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -120,14 +119,8 @@ class ResultCache:
             if payload.get("digest") != digest:
                 raise ValueError("digest mismatch")
             result = RunResult.from_dict(payload, cached=True)
-            # The inert simulator field is excluded from the digest: a
-            # "scalar" spec may legitimately hit an entry a "vectorized"
-            # one stored (and vice versa).  Anything else differing
-            # under the same digest is corruption.
-            if result.spec.replace(simulator=spec.simulator) != spec:
+            if result.spec != spec:
                 raise ValueError("spec mismatch")
-            if result.spec.simulator != spec.simulator:
-                result = replace(result, spec=spec)
         except (ValueError, KeyError, TypeError) as error:
             quarantined = self._quarantine(path)
             log.warning("corrupted result-cache entry %s (%s); "

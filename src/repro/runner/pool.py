@@ -41,7 +41,7 @@ from repro.runner.spec import ExperimentSpec, RunResult, resolve_instructions
 from repro.sim import DynamicPartitionConfig, run_frontend
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.session import activate_worker, current_telemetry
-from repro.vector import BatchPlan, build_plan, plan_key, run_frontend_batch
+from repro.vector import BatchPlan, build_plan, plan_key
 from repro.workloads import build_workload
 
 Progress = Callable[[str], None]
@@ -186,7 +186,7 @@ def _execute_spec(spec: ExperimentSpec,
         config = spec.frontend_config()
         plan = stream_cache.plan(spec.benchmark, spec.instructions, config,
                                  spec.workload_seed)
-        result = run_frontend_batch(image, [config], plan)[0]
+        result = run_frontend(image, config, plan=plan)
         metrics = _frontend_metrics(result.stats)
     elif spec.kind == "processor":
         processor_config = spec.processor_config()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Mapping, Optional
 
 from repro.core import PreconstructionConfig
@@ -51,13 +51,12 @@ from repro.trace import TraceCacheConfig
 #: v4: specs gain the ``mechanism`` field (the competing-frontend zoo)
 #: and ``kind="check"`` verdicts validate the spec's mechanism; the
 #: field participates in the digest, so every spec re-keys.
-#: v5: specs gain the ``simulator`` execution-strategy field (scalar
-#: vs. the batched struct-of-arrays kernel).  The field is *excluded*
-#: from the digest — the two kernels are proven result-identical by
-#: the differential battery, so their results are interchangeable —
-#: but the version bump re-keys every entry so caches written before
-#: the battery existed are never trusted to honour that contract.
-SPEC_SCHEMA_VERSION = 5
+#: v5: specs gained an inert ``simulator`` execution-strategy field,
+#: excluded from the digest.
+#: v6: the ``simulator`` field is gone (every point runs the one
+#: dispatch loop); entries whose spec still carries it become clean
+#: misses instead of unknown-field errors.
+SPEC_SCHEMA_VERSION = 6
 
 #: Built-in per-run instruction budget (the harness scale documented in
 #: EXPERIMENTS.md: the paper's 200M-instruction runs scaled down
@@ -66,12 +65,6 @@ DEFAULT_INSTRUCTIONS = 60_000
 
 #: Simulation kinds a spec can describe.
 KINDS = ("frontend", "processor", "dynamic", "check")
-
-#: Values of the ``simulator`` field.  They once selected one of two
-#: frontend kernels; every point now runs the one dispatch loop over a
-#: shared trace-partition plan (:mod:`repro.vector`), so the field is
-#: inert and kept only for compatibility.
-SIMULATOR_KINDS = ("scalar", "vectorized")
 
 
 def resolve_instructions(explicit: Optional[int] = None) -> int:
@@ -151,10 +144,6 @@ class ExperimentSpec:
     #: registry name); ``pb_entries`` is its storage budget whatever
     #: the mechanism.
     mechanism: str = "preconstruction"
-    #: Inert (:data:`SIMULATOR_KINDS`): every value runs the same
-    #: kernel.  Excluded from the digest, so every value's run hits
-    #: the others' cache entry.
-    simulator: str = "scalar"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -176,15 +165,17 @@ class ExperimentSpec:
                 and self.kind in ("dynamic", "processor"):
             raise ValueError(f"kind={self.kind!r} supports only the "
                              "preconstruction mechanism")
-        if self.simulator not in SIMULATOR_KINDS:
-            raise ValueError(f"unknown simulator {self.simulator!r}; "
-                             f"choose from {SIMULATOR_KINDS}")
-        if self.simulator != "scalar" \
-                and self.kind in ("dynamic", "processor"):
-            raise ValueError(f"kind={self.kind!r} supports only the "
-                             "scalar simulator")
         object.__setattr__(self, "instructions",
                            resolve_instructions(self.instructions))
+
+    @property
+    def simulator(self) -> str:
+        """Always ``"scalar"``: every point runs the one dispatch loop.
+
+        Not a field (never set, never serialised).  Its one reader is
+        the ``kernel`` tally in ``perfbench/run.py``.
+        """
+        return "scalar"
 
     # ------------------------------------------------------------------
     # Derived configurations
@@ -212,19 +203,21 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExperimentSpec":
+        """The spec ``payload`` describes; ``ValueError`` names any
+        key that is not a field (e.g. the pre-v6 ``simulator``)."""
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError("unknown ExperimentSpec field(s): "
+                             + ", ".join(unknown))
         return cls(**dict(payload))
 
     def digest(self, schema_version: int = SPEC_SCHEMA_VERSION) -> str:
         """Content address of this spec under ``schema_version``.
 
         Any field change — and any schema-version bump — yields a new
-        digest, which is what invalidates stale cache entries.  The
-        ``simulator`` field is excluded: it selects *how* the point is
-        computed, never *what* it computes, so both kernels share one
-        content address (and one cache entry).
+        digest, which is what invalidates stale cache entries.
         """
         payload = {"schema": schema_version, **self.to_dict()}
-        payload.pop("simulator", None)
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -242,8 +235,6 @@ class ExperimentSpec:
             parts.append("preprocess")
         if self.kind != "frontend":
             parts.append(self.kind)
-        if self.simulator != "scalar":
-            parts.append(self.simulator)
         return " ".join(parts)
 
 

@@ -4,7 +4,6 @@ The frontend entry point is the unified :func:`run_frontend`; the
 mechanism occupying the fill/prefetch seam comes from
 :mod:`repro.frontends` (``FrontendConfig.mechanism``), and adaptive
 trace-storage partitioning is the ``partition=`` keyword.
-:func:`run_dynamic_frontend` survives as a deprecated shim.
 """
 
 from repro.sim.config import FrontendConfig
@@ -12,7 +11,6 @@ from repro.sim.dynamic_partition import (
     DynamicPartitionConfig,
     DynamicPartitionFrontend,
     PartitionEvent,
-    run_dynamic_frontend,
 )
 from repro.sim.frontend_runner import (
     FrontendResult,
@@ -24,5 +22,5 @@ from repro.sim.stats import FrontendStats
 __all__ = [
     "FrontendConfig", "FrontendResult", "FrontendSimulation", "run_frontend",
     "FrontendStats", "DynamicPartitionConfig", "DynamicPartitionFrontend",
-    "PartitionEvent", "run_dynamic_frontend",
+    "PartitionEvent",
 ]

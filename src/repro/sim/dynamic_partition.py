@@ -26,13 +26,11 @@ climbing controller re-evaluates the split every epoch:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.core.precon_buffers import PreconstructionBuffers
-from repro.engine.stream import StreamRecord
 from repro.sim.config import FrontendConfig
-from repro.sim.frontend_runner import FrontendResult, FrontendSimulation
+from repro.sim.frontend_runner import FrontendSimulation
 from repro.program import ProgramImage
 from repro.trace import TraceCache, TraceCacheConfig
 
@@ -149,22 +147,3 @@ class DynamicPartitionFrontend(FrontendSimulation):
         self._epoch_traces = 0
         self._epoch_start_misses = misses
 
-
-def run_dynamic_frontend(image: ProgramImage, config: FrontendConfig,
-                         stream: list[StreamRecord],
-                         partition: DynamicPartitionConfig | None = None
-                         ) -> tuple[FrontendResult, list[PartitionEvent]]:
-    """Deprecated shim over the unified :func:`repro.sim.run_frontend`.
-
-    Call ``run_frontend(image, config, stream=stream,
-    partition=DynamicPartitionConfig(...))`` instead; the epoch
-    decisions ride on ``result.partition_events``.
-    """
-    warnings.warn(
-        "run_dynamic_frontend() is deprecated; call run_frontend(..., "
-        "partition=DynamicPartitionConfig(...)) and read "
-        "result.partition_events", DeprecationWarning, stacklevel=2)
-    from repro.sim.frontend_runner import run_frontend
-    result = run_frontend(image, config, stream=stream,
-                          partition=partition or DynamicPartitionConfig())
-    return result, result.partition_events or []

@@ -18,8 +18,8 @@ The next-trace predictor and the bimodal table are trained only by the
 committed path, so their evolution, and every per-occurrence trace
 feature, is the same at every point over one stream partition: it is
 computed once per partition as a :class:`~repro.vector.BatchPlan`, and
-:func:`_dispatch`, the one dispatch loop, keeps only the point's own
-caches, mechanism and counters.
+:meth:`FrontendSimulation._dispatch`, the one dispatch loop, keeps only
+the point's own caches, mechanism and counters.
 
 The fill/prefetch mechanism occupying the seam is pluggable
 (:mod:`repro.frontends`): trace preconstruction, MANA-style
@@ -98,10 +98,8 @@ class FrontendResult:
 class FrontendSimulation:
     """One frontend point: its caches, mechanism and counters.
 
-    :meth:`run` replays one stream through the point; several points
-    sharing a stream partition advance in lockstep under
-    :func:`repro.vector.run_frontend_batch`.  Both drive the same
-    dispatch loop, :func:`_dispatch`.
+    :meth:`run` replays one stream through the point with
+    :meth:`_dispatch`, the one frontend dispatch loop.
     """
 
     #: Per-occurrence hook, called after each dispatched trace (the
@@ -111,8 +109,7 @@ class FrontendSimulation:
     after_trace: Optional[Callable[[], None]] = None
 
     def __init__(self, image: ProgramImage, config: FrontendConfig,
-                 obs: Optional["ObsBus"] = None, *,
-                 bimodal: Optional[BimodalPredictor] = None) -> None:
+                 obs: Optional["ObsBus"] = None) -> None:
         self.image = image
         self.config = config
         self.stats = FrontendStats()
@@ -122,19 +119,13 @@ class FrontendSimulation:
         #: domain.  ``None`` (the default) keeps every site a single
         #: dead branch on the hot path.
         self.obs = obs
-        self._obs_bucket = -1
         self.icache = InstructionCache(config.icache)
         self.trace_cache = TraceCache(config.trace_cache)
         if obs is not None:
             self.trace_cache.obs = obs
         #: The slow-path bimodal table mechanisms read bias from.  Its
-        #: only writer is the dispatch loop's per-occurrence training, so
-        #: points of one batch share a single table.
-        self.bimodal = bimodal if bimodal is not None else \
-            BimodalPredictor(entries=config.bimodal_entries)
-        # Pace of backend-paced consumption, precomputed per length.
-        self._pace = retire_pace_table(config.retire_ipc,
-                                       config.selection.max_length)
+        #: only writer is the dispatch loop's per-occurrence training.
+        self.bimodal = BimodalPredictor(entries=config.bimodal_entries)
         self.mechanism: Optional[FrontendMechanism] = create_mechanism(
             config.mechanism,
             MechanismContext(
@@ -170,7 +161,7 @@ class FrontendSimulation:
             if traces is None:
                 traces = traces_of_stream(stream, self.config.selection)
             plan = build_plan(traces, self.config)
-        _dispatch([self], plan, self.bimodal, self.obs)
+        self._dispatch(plan)
         return self.result()
 
     def result(self) -> FrontendResult:
@@ -228,46 +219,44 @@ class FrontendSimulation:
             stats.precon_line_accesses = traffic.lines_accessed
             stats.precon_line_misses = traffic.misses
 
+    def _dispatch(self, plan: BatchPlan) -> None:
+        """Dispatch every occurrence of ``plan`` through this point.
 
-def _dispatch(points: Sequence[FrontendSimulation], plan: BatchPlan,
-              bimodal: BimodalPredictor, obs: Optional["ObsBus"]) -> None:
-    """The frontend dispatch loop: every point of ``points`` over
-    ``plan``'s trace sequence, in lockstep.
-
-    Lockstep ordering is what makes the shared ``bimodal`` table sound:
-    at occurrence *t* every point first dispatches (mechanisms may read
-    the table's bias), then the occurrence's training updates are
-    applied once — the state evolution each point would see alone.
-    ``obs`` (an event bus) carries one cycle domain, so it needs a
-    batch of one.
-    """
-    for point in points:
-        why = plan.compatible_with(point.config)
+        At occurrence *t* the point first dispatches (mechanisms may
+        read the bimodal table's bias), then the occurrence's training
+        updates are applied.  ``after_trace`` may rebuild the trace
+        cache, so ``self.trace_cache`` is read per occurrence.
+        """
+        why = plan.compatible_with(self.config)
         if why is not None:
-            raise ValueError(f"config cannot join this batch plan: {why}")
-    if obs is not None and len(points) != 1:
-        raise ValueError("obs requires a batch of exactly one point")
+            raise ValueError(f"config cannot run on this plan: {why}")
+        stats = self.stats
+        mechanism = self.mechanism
+        precon = self.precon
+        obs = self.obs
+        obs_bucket = -1
+        after_trace = self.after_trace
+        slow_path = self._slow_path
+        mispredict_penalty = self.config.trace_mispredict_penalty
+        # Pace of backend-paced consumption, precomputed per length.
+        pace_of = retire_pace_table(self.config.retire_ipc,
+                                    self.config.selection.max_length)
+        length = plan.length
+        ntp_code = plan.ntp_code
+        n_branches = plan.n_branches
+        all_pairs = plan.pairs
+        train = plan.train_bimodal
+        bimodal_update = self.bimodal.update
 
-    length = plan.length
-    ntp_code = plan.ntp_code
-    n_branches = plan.n_branches
-    all_pairs = plan.pairs
-    train = plan.train_bimodal
-    bimodal_update = bimodal.update
-
-    for t, trace in enumerate(plan.traces):
-        trace_id = trace.trace_id
-        n = length[t]
-        wrong = ntp_code[t] == NTP_WRONG
-        for point in points:
-            stats = point.stats
-            mechanism = point.mechanism
+        for t, trace in enumerate(plan.traces):
+            trace_id = trace.trace_id
+            n = length[t]
             if obs:
                 obs.now = stats.cycles
             stats.traces += 1
             stats.instructions += n
 
-            present = point.trace_cache.lookup(trace_id) is not None
+            present = self.trace_cache.lookup(trace_id) is not None
             buffer_hit = False
             if not present and mechanism is not None:
                 buffer_hit = mechanism.probe(trace_id)
@@ -277,24 +266,24 @@ def _dispatch(points: Sequence[FrontendSimulation], plan: BatchPlan,
 
             idle_cycles = 0
             cycles = 0
-            if wrong:
+            if ntp_code[t] == NTP_WRONG:
                 # Wrong next-trace prediction: resolution penalty during
                 # which the slow-path fetch hardware sits idle.
-                cycles = idle_cycles = point.config.trace_mispredict_penalty
+                cycles = idle_cycles = mispredict_penalty
 
             if present:
                 stats.trace_hits += 1
                 # Backend-paced consumption: the window drains at
                 # retire_ipc, so the slow path idles while the trace
                 # cache supplies.
-                pace = point._pace[n]
+                pace = pace_of[n]
                 cycles += pace
                 idle_cycles += pace
             else:
                 stats.trace_misses += 1
                 if mechanism is not None:
                     mechanism.on_slow_path(trace)
-                cycles += point._slow_path(trace, plan, t)
+                cycles += slow_path(trace, plan, t)
 
             if obs:
                 if present:
@@ -324,23 +313,21 @@ def _dispatch(points: Sequence[FrontendSimulation], plan: BatchPlan,
                         obs.now = stats.cycles
                         obs.emit("frontend", "idle_burst_end",
                                  len=idle_cycles)
-                if obs and point.precon is not None:
+                if obs and precon is not None:
                     bucket = stats.cycles // obs.metrics.bucket_cycles
-                    if bucket != point._obs_bucket:
-                        point._obs_bucket = bucket
+                    if bucket != obs_bucket:
+                        obs_bucket = bucket
                         obs.metrics.on_buffer_occupancy(
-                            point.precon.buffers.occupancy())
-            if point.after_trace is not None:
-                point.after_trace()
+                            precon.buffers.occupancy())
+            if after_trace is not None:
+                after_trace()
 
-        # Occurrence t's training, once for the whole batch — after
-        # every point dispatched, so bias reads see the same table.
-        if train and n_branches[t]:
-            for pc, taken in all_pairs[t]:
-                bimodal_update(pc, taken)
+            # Occurrence t's training, after the point dispatched it.
+            if train and n_branches[t]:
+                for pc, taken in all_pairs[t]:
+                    bimodal_update(pc, taken)
 
-    for point in points:
-        point._finish(plan)
+        self._finish(plan)
 
 
 def run_frontend(image: ProgramImage, config: FrontendConfig,

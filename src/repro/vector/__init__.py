@@ -5,8 +5,11 @@ point-independent precomputation of one stream partition (next-trace
 and bimodal replays, per-occurrence trace features), built once by
 :func:`build_plan` and memoised per partition by
 :meth:`~repro.runner.StreamCache.plan`.  :func:`run_frontend_batch`
-runs many points sharing a plan in one lockstep pass;
-:meth:`~repro.sim.FrontendSimulation.run` is the same loop for one.
+runs several points on one plan, one after another.
+
+The package stays separate from :mod:`repro.sim`, and keeps
+:func:`run_frontend_batch`, because ``perfbench/layers.py`` imports
+and times these four names.
 """
 
 from repro.vector.frontend import run_frontend_batch

@@ -1,21 +1,16 @@
-"""Batched frontend runs: many sweep points, one trace-partition plan.
+"""Several frontend points over one trace-partition plan.
 
-:func:`run_frontend_batch` advances every sweep point sharing one
-stream partition through the same trace-occurrence sequence in
-lockstep, consuming a precomputed :class:`~repro.vector.plan.BatchPlan`
-instead of re-deriving point-independent work per point.  It drives
-the one frontend dispatch loop — the same one
-:meth:`repro.sim.FrontendSimulation.run` drives for a single point —
-so a point's counters and cache/mechanism end states do not depend on
-which batch it ran in.  The fuzz harness's ``simulator`` oracle checks
-exactly that.
+:func:`run_frontend_batch` runs each config on a shared
+:class:`~repro.vector.plan.BatchPlan`, one point after another, each
+through :meth:`repro.sim.FrontendSimulation.run`.  The runner does the
+same one point at a time, sharing plans through
+:meth:`~repro.runner.StreamCache.plan`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.branch import BimodalPredictor
 from repro.vector.plan import BatchPlan
 
 if TYPE_CHECKING:
@@ -34,19 +29,13 @@ def run_frontend_batch(image: "ProgramImage",
                        ) -> list["FrontendResult"]:
     """Run every config of ``configs`` over ``plan``'s partition.
 
-    Results come back in ``configs`` order and are point-for-point
-    equal to ``run_frontend(image, config, traces=plan.traces)``.
-    ``obs`` (an event bus) is only meaningful for a batch of one — the
-    bus carries a single cycle domain, and points advance on distinct
-    clocks.
+    Results come back in ``configs`` order and equal
+    ``run_frontend(image, config, traces=plan.traces)`` point for
+    point.  ``obs`` (an event bus) is attached to every point; each
+    point restarts its clock, so pass one only with one config.
     """
     # Imported here: the simulator imports this package's plan module.
-    from repro.sim.frontend_runner import FrontendSimulation, _dispatch
+    from repro.sim.frontend_runner import FrontendSimulation
 
-    # The one shared bimodal table: mechanisms read its bias, the
-    # loop's per-occurrence training is its only writer.
-    bimodal = BimodalPredictor(entries=plan.bimodal_entries)
-    points = [FrontendSimulation(image, config, obs, bimodal=bimodal)
-              for config in configs]
-    _dispatch(points, plan, bimodal, obs)
-    return [point.result() for point in points]
+    return [FrontendSimulation(image, config, obs).run(plan=plan)
+            for config in configs]

@@ -12,8 +12,7 @@ class TestSurface:
             assert hasattr(api, name), name
 
     def test_simulation_names(self):
-        for name in ("run_frontend", "run_processor", "run_dynamic_frontend",
-                     "FrontendConfig", "ProcessorConfig",
+        for name in ("run_frontend", "run_processor", "FrontendConfig", "ProcessorConfig",
                      "DynamicPartitionConfig", "build_workload", "generate",
                      "SPEC95_NAMES", "assemble", "ProgramImage",
                      "analyze_image"):

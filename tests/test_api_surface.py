@@ -50,28 +50,28 @@ class TestSurface:
             assert name in api.__all__, name
 
     def test_vector_names_exported(self):
-        for name in ("SIMULATOR_KINDS", "BatchPlan", "build_plan",
-                     "run_frontend_batch"):
+        for name in ("BatchPlan", "build_plan", "run_frontend_batch"):
             assert name in api.__all__, name
+        for name in ("SIMULATOR_KINDS", "run_dynamic_frontend"):
+            assert name not in api.__all__, name
 
 
 class TestSimulatorDocs:
     """DESIGN.md §17 and the README kernel section stay in lockstep
-    with the shipped `SIMULATOR_KINDS`: one kernel, an inert field."""
+    with the code: one dispatch loop, no ``simulator`` knob."""
 
     DESIGN = Path(__file__).parent.parent / "DESIGN.md"
 
     def test_readme_documents_kernel_choice(self):
         text = README.read_text()
-        assert "### Choosing a simulator kernel" in text
-        for kind in api.SIMULATOR_KINDS:
-            assert f"`{kind}`" in text, kind
-        assert "tests/test_vector.py" in text
-        assert "inert" in text
+        assert "### One frontend kernel" in text
+        assert "Choosing a simulator kernel" not in text
+        assert "--simulator" not in text
+        assert "run_frontend_batch" in text
 
     def test_design_documents_the_kernel(self):
         text = self.DESIGN.read_text()
         assert "## 17. One frontend kernel" in text
-        assert '("scalar", "vectorized")' in text
-        assert "excluded from the spec digest" in text
-        assert "inert" in text
+        assert "FrontendSimulation._dispatch" in text
+        assert "perfbench" in text
+        assert '("scalar", "vectorized")' not in text

@@ -135,9 +135,9 @@ class TestMutationCheck:
         assert minimized is not None
         assert minimized.instructions < BUDGET
         assert minimized.instructions >= MIN_INSTRUCTIONS
-        # The corruption breaks conservation directly; a point alone and
-        # inside a batch run the same corrupted step, so the simulator
-        # oracle still agrees with itself.
+        # The corruption breaks conservation directly; the rerun repeats
+        # the same corrupted step, so the simulator oracle still agrees
+        # with itself.
         assert minimized.failing_oracles == ("conservation",)
         assert len(minimized.knobs) <= minimized.original_knobs
         assert minimized.probes > 1
@@ -176,10 +176,6 @@ class TestGoldenCorpus:
         names = [case["name"] for case in cases]
         assert len(names) == len(set(names))
 
-    def test_corpus_exercises_both_kernels(self):
-        drawn = {case.get("simulator", "scalar") for case in self._cases()}
-        assert drawn == {"scalar", "vectorized"}
-
     @pytest.mark.parametrize("case", json.loads(
         GOLDEN.read_text())["cases"], ids=lambda case: case["name"])
     def test_pinned_case_passes_every_oracle(self, case):
@@ -190,8 +186,7 @@ class TestGoldenCorpus:
             tc_entries=case["tc_entries"],
             pb_entries=case["pb_entries"],
             static_seed=case["static_seed"],
-            mechanism=case.get("mechanism", "preconstruction"),
-            simulator=case.get("simulator", "scalar"))
+            mechanism=case.get("mechanism", "preconstruction"))
         assert report.ok, [str(v) for v in report.violations]
 
 

@@ -30,6 +30,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["figure5", "all", "bench", "fuzz"])
+    def test_simulator_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--simulator", "scalar"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --simulator" \
+            in capsys.readouterr().err
+
     def test_dynamic_smoke(self, capsys):
         assert main(["--instructions", "6000", "dynamic",
                      "--benchmarks", "compress"]) == 0
@@ -268,75 +276,6 @@ class TestBenchCheck:
                    "sections": {"figure5": {"current_seconds": 16.0}}}
         problems = check_bench(payload, reference, tolerance=0.5)
         assert problems and "figure5" in problems[0]
-
-    def test_check_bench_refuses_cross_simulator_comparison(self):
-        # Regression guard: a vectorized run must never be scored
-        # against a scalar reference (or vice versa) — the wall-clock
-        # numbers measure different kernels.
-        from repro.runner import check_bench
-
-        reference = {"mode": "quick", "simulator": "scalar",
-                     "sections": {"figure5": {"current_seconds": 10.0}}}
-        payload = {"mode": "quick", "simulator": "vectorized",
-                   "sections": {"figure5": {"current_seconds": 2.0}}}
-        problems = check_bench(payload, reference, tolerance=0.5)
-        assert len(problems) == 1
-        assert "simulator mismatch" in problems[0]
-        assert "vectorized" in problems[0] and "scalar" in problems[0]
-
-    def test_check_bench_rows_without_simulator_default_to_scalar(self):
-        # Trajectory rows written before the simulator field existed
-        # must keep comparing cleanly against scalar runs.
-        from repro.runner import check_bench
-
-        reference = {"mode": "quick",
-                     "sections": {"figure5": {"current_seconds": 10.0}}}
-        payload = {"mode": "quick", "simulator": "scalar",
-                   "sections": {"figure5": {"current_seconds": 10.0}}}
-        assert check_bench(payload, reference, tolerance=0.5) == []
-        vec = dict(payload, simulator="vectorized")
-        assert any("simulator mismatch" in p
-                   for p in check_bench(vec, reference))
-
-    def test_trajectory_row_records_simulator(self):
-        from repro.runner.bench import trajectory_row
-
-        payload = {"mode": "quick", "jobs": 1, "simulator": "vectorized",
-                   "sections": {"figure5": {"specs": 4,
-                                            "current_seconds": 1.0}},
-                   "total": {"current_seconds": 1.0}}
-        row = trajectory_row(payload, commit="abc1234")
-        assert row["simulator"] == "vectorized"
-        legacy = trajectory_row({"mode": "quick", "sections": {},
-                                 "total": {}}, commit="abc1234")
-        assert legacy["simulator"] == "scalar"
-
-    def test_trajectory_reference_carries_simulator(self, tmp_path):
-        import json
-
-        from repro.runner.bench import trajectory_reference
-
-        path = tmp_path / "trajectory.jsonl"
-        rows = [
-            {"mode": "quick", "simulator": "scalar",
-             "sections": {"figure5": {"current_seconds": 9.0}}},
-            {"mode": "quick", "simulator": "vectorized",
-             "sections": {"figure5": {"current_seconds": 3.0}}},
-        ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
-        reference = trajectory_reference(path, "quick")
-        assert reference["simulator"] == "vectorized"
-
-    def test_regressed_sections_empty_on_simulator_mismatch(self):
-        # A simulator mismatch is not re-timeable as a section
-        # slowdown, so no repro script should be generated for it.
-        from repro.runner import regressed_sections
-
-        reference = {"mode": "quick", "simulator": "scalar",
-                     "sections": {"figure5": {"current_seconds": 1.0}}}
-        payload = {"mode": "quick", "simulator": "vectorized",
-                   "sections": {"figure5": {"current_seconds": 50.0}}}
-        assert regressed_sections(payload, reference) == {}
 
     def test_check_bench_mode_and_section_mismatches(self):
         from repro.runner import check_bench

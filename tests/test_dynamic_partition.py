@@ -7,7 +7,6 @@ from repro.engine import FunctionalEngine
 from repro.sim import (
     DynamicPartitionConfig,
     DynamicPartitionFrontend,
-    run_dynamic_frontend,
     run_frontend,
 )
 from repro.workloads import build_workload
@@ -86,14 +85,15 @@ class TestDynamicPartition:
         assert stats.instructions == len(stream)
         assert stats.trace_hits + stats.trace_misses == stats.traces
 
-    def test_run_dynamic_frontend_shim(self, gcc):
-        """The old entry point still works but warns."""
+    def test_run_frontend_partition_matches_direct_simulation(self, gcc):
+        """``run_frontend(partition=)`` drives the partitioned frontend
+        and carries its epoch decisions on the result."""
         image, stream = gcc
         partition = DynamicPartitionConfig(epoch_traces=300)
-        with pytest.warns(DeprecationWarning, match="run_frontend"):
-            result, events = run_dynamic_frontend(
-                image, build_frontend_config(384, 128), stream, partition)
+        direct = DynamicPartitionFrontend(
+            image, build_frontend_config(384, 128), partition).run(stream)
         fresh = run_frontend(image, build_frontend_config(384, 128),
                              stream=stream, partition=partition)
-        assert events == fresh.partition_events
-        assert result.stats.summary() == fresh.stats.summary()
+        assert fresh.partition_events == direct.partition_events
+        assert len(fresh.partition_events) > 1
+        assert fresh.stats.summary() == direct.stats.summary()

@@ -74,6 +74,14 @@ class TestExperimentSpec:
         spec = spec_for(kind="processor", preprocess=True)
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
 
+    def test_from_dict_names_unknown_fields(self):
+        payload = dict(spec_for().to_dict(), simulator="vectorized",
+                       turbo=True)
+        with pytest.raises(ValueError,
+                           match="unknown ExperimentSpec field.*"
+                                 "simulator, turbo"):
+            ExperimentSpec.from_dict(payload)
+
     def test_configs_match_spec(self):
         spec = spec_for(static_seed=True)
         config = spec.frontend_config()
@@ -148,6 +156,22 @@ class TestResultCache:
         payload["spec"]["tc_entries"] = 999
         cache.path_for(spec).write_text(json.dumps(payload))
         assert cache.get(spec) is None
+
+    def test_entry_with_unknown_spec_field_is_quarantined(self, tmp_path):
+        # A pre-v6 entry's spec carries the removed "simulator" field.
+        cache = ResultCache(tmp_path)
+        spec = spec_for()
+        fresh = run_point(spec, cache=cache)
+        path = cache.path_for(spec)
+        payload = json.loads(path.read_text())
+        payload["spec"]["simulator"] = "vectorized"
+        path.write_text(json.dumps(payload))
+        recomputed = run_point(spec, cache=cache)
+        assert not recomputed.cached
+        assert recomputed.metrics == fresh.metrics
+        assert [p.name for p in cache.quarantined()] \
+            == [path.name + ".corrupt"]
+        assert run_point(spec, cache=cache).cached
 
     def test_default_dir_honours_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))

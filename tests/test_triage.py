@@ -321,6 +321,17 @@ class TestGoldenPair:
         assert main(["diff", str(missing), str(self.A)]) == 2
         assert "diff:" in capsys.readouterr().err
 
+    def test_cli_diff_unknown_spec_field_exits_two(self, tmp_path, capsys):
+        # A pre-v6 result document: its spec carries "simulator".
+        path = tmp_path / "old.json"
+        spec = dict(spec_for().to_dict(), simulator="vectorized")
+        path.write_text(json.dumps({"spec": spec, "metrics": {},
+                                    "wall_seconds": 0.0}))
+        assert main(["diff", str(path), str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("diff:") and "simulator" in err[0]
+
     def test_cli_diff_on_spec_manifests_short_circuits(self, tmp_path,
                                                        capsys):
         path = tmp_path / "spec.json"
