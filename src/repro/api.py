@@ -57,7 +57,8 @@ The surface, by layer:
   captures; bench trajectories persist via :func:`append_trajectory` /
   :func:`read_trajectory` / :func:`trajectory_reference`;
 * **Building blocks** (for custom workload scripts) —
-  :func:`assemble`, :class:`ProgramImage`, :class:`FunctionalEngine`,
+  :func:`assemble`, :class:`ProgramImage`, :class:`FunctionalEngine`
+  (whose ``run`` returns a struct-of-arrays :class:`Stream`),
   :class:`TraceCache`, :class:`PreconstructionEngine`, ...
 
 Names exported here are covered by the deprecation policy: removals go
@@ -96,7 +97,7 @@ from repro.check import (
     run_fuzz,
 )
 from repro.core import PreconstructionConfig, PreconstructionEngine
-from repro.engine import FunctionalEngine
+from repro.engine import FunctionalEngine, Stream
 from repro.frontends import (
     FrontendMechanism,
     MechanismContext,
@@ -258,6 +259,7 @@ __all__ = [
     "SpanTracer",
     "StaticAnalysisReport",
     "StaticFacts",
+    "Stream",
     "StreamCache",
     "Telemetry",
     "TimingReport",

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Any, Callable
 
 from repro.engine import FunctionalEngine
@@ -219,9 +220,9 @@ class CheckBundle:
 
     @cached_property
     def stream_fed_run(self):
-        """Frontend replay fed record-by-record through the selector."""
+        """Frontend replay partitioned afresh from the stream."""
         return run_frontend(self.image, self.config, self.instructions,
-                            stream=list(self.stream))
+                            stream=self.stream)
 
     @cached_property
     def flipped_run(self):
@@ -254,11 +255,12 @@ def check_determinism(bundle: CheckBundle) -> list[Violation]:
                  bundle.image.digest(), bundle.second_workload.image.digest())
     stream_a, stream_b = bundle.stream, bundle.second_stream
     claims.equal("stream length", len(stream_a), len(stream_b))
-    for i, (a, b) in enumerate(zip(stream_a, stream_b)):
-        if a != b:
-            claims.violate("stream records diverge",
-                           index=i, pc_a=a.pc, pc_b=b.pc,
-                           next_a=a.next_pc, next_b=b.next_pc)
+    if stream_a != stream_b:
+        for i, (a, b) in enumerate(zip(stream_a, stream_b)):
+            if a != b:
+                claims.violate("stream records diverge",
+                               index=i, pc_a=a.pc, pc_b=b.pc,
+                               next_a=a.next_pc, next_b=b.next_pc)
     return claims.done()
 
 
@@ -357,9 +359,9 @@ def check_cfg(bundle: CheckBundle) -> list[Violation]:
     cfg = bundle.cfg
     entries = {proc.start for proc in cfg.procedures}
     shadow_stack: list[int] = []
-    for index, record in enumerate(bundle.stream):
-        inst = record.inst
-        pc, next_pc = record.pc, record.next_pc
+    stream = bundle.stream
+    for index, (pc, inst, next_pc) in enumerate(
+            zip(stream.pcs, stream.insts, stream.next_pcs)):
         block = cfg.block_at(pc)
         if block is None:
             claims.violate("executed pc not covered by any recovered block",
@@ -487,7 +489,8 @@ def check_coverage(bundle: CheckBundle) -> list[Violation]:
             claims.violate("dynamic trace start not statically predicted",
                            index=index, start_pc=start)
 
-    executed = {record.pc for record in bundle.stream}
+    stream = bundle.stream
+    executed = set(islice(stream.pcs, len(stream)))
     for pc in sorted(executed):
         if not prediction.covers(pc):
             claims.violate("executed pc outside predicted coverage",

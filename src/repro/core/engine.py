@@ -82,6 +82,40 @@ class PreconstructionStats:
     static_seeds_offered: int = 0
 
 
+#: One dispatch-cue segment: its pcs, their set, the start point pushed
+#: after it (``None`` for a trace's trailing segment).
+_Segment = tuple[tuple[int, ...], frozenset, Optional[int]]
+
+
+def _cue_segments(trace: Trace) -> tuple[_Segment, ...]:
+    """``trace``'s pcs split after each start-point cue.
+
+    Each segment is ``(pcs, frozenset(pcs), push)``: ``push`` is the
+    start point its last instruction pushes (the instruction after a
+    call or a taken backward branch), ``None`` for the trailing
+    segment.  The stack only shrinks inside a segment, so a segment
+    whose pcs miss the stack on entry reaches none of its points.
+    """
+    segments: list[_Segment] = []
+    pcs: list[int] = []
+    outcomes = iter(trace.trace_id.outcomes)
+    for pc, inst in zip(trace.pcs, trace.instructions):
+        pcs.append(pc)
+        if inst.is_call:
+            push = True
+        elif inst.is_conditional_branch:
+            push = next(outcomes) and inst.is_backward
+        else:
+            continue
+        if push:
+            segments.append((tuple(pcs), frozenset(pcs),
+                             pc + INSTRUCTION_BYTES))
+            pcs = []
+    if pcs:
+        segments.append((tuple(pcs), frozenset(pcs), None))
+    return tuple(segments)
+
+
 def region_priority(regions_by_seq: dict[int, Region]
                     ) -> Callable[[int], tuple[int, int]]:
     """The region priority the buffer replacement policy sees: active
@@ -202,26 +236,18 @@ class PreconstructionEngine:
         """Scan one dispatched trace for start-point cues and catch-up."""
         memo = self._cue_memo.get(id(trace))
         if memo is None or memo[0] is not trace:
-            outcome_index = 0
-            outcomes = trace.trace_id.outcomes
-            steps: list[tuple[int, Optional[int]]] = []
-            for pc, inst in zip(trace.pcs, trace.instructions):
-                push: Optional[int] = None
-                if inst.is_call:
-                    push = pc + INSTRUCTION_BYTES
-                elif inst.is_conditional_branch:
-                    taken = outcomes[outcome_index]
-                    outcome_index += 1
-                    if taken and inst.is_backward:
-                        push = pc + INSTRUCTION_BYTES
-                steps.append((pc, push))
-            memo = (trace, tuple(steps), frozenset(trace.pcs))
+            memo = (trace, _cue_segments(trace), frozenset(trace.pcs))
             self._cue_memo[id(trace)] = memo
         stack = self.stack
-        for pc, push in memo[1]:
-            # Processor reached a pending start point: drop it.
-            if pc in stack:
-                stack.remove_reached(pc)
+        # The stack's membership table; only pushes add to it, and they
+        # fall between segments.
+        pending = stack._counts
+        for pcs, pc_set, push in memo[1]:
+            if not pc_set.isdisjoint(pending):
+                for pc in pcs:
+                    # Processor reached a pending start point: drop it.
+                    if pc in pending:
+                        stack.remove_reached(pc)
             if push is not None:
                 stack.push(push)
         self._check_catch_up(trace, memo[2])

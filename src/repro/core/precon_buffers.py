@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.trace import Trace, TraceID
-from repro.trace.trace_cache import BYTES_PER_ENTRY, _index_trace_id
+from repro.trace.trace_cache import BYTES_PER_ENTRY
 
 
 @dataclass
@@ -69,7 +69,7 @@ class PreconstructionBuffers:
         return self.entries * BYTES_PER_ENTRY
 
     def _set_for(self, trace_id: TraceID) -> dict[TraceID, _BufferLine]:
-        return self._sets[_index_trace_id(trace_id) % self.num_sets]
+        return self._sets[trace_id._index % self.num_sets]
 
     # ------------------------------------------------------------------
     def probe(self, trace_id: TraceID) -> Optional[Trace]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.engine.state import ArchState, to_signed, to_unsigned
-from repro.engine.stream import StreamRecord
+from repro.engine.stream import Stream, StreamRecord, new_arrays
 from repro.isa import INSTRUCTION_BYTES, Instruction, Kind, Opcode, RA
 from repro.program import ProgramImage
 
@@ -24,9 +24,10 @@ class ExecutionError(RuntimeError):
 class FunctionalEngine:
     """Architectural interpreter.
 
-    Use :meth:`run` to obtain a bounded stream, or iterate :meth:`steps`
-    for lazy generation.  The engine stops at ``HALT`` or when the
-    instruction budget is exhausted, whichever comes first.
+    Use :meth:`run` to obtain a bounded :class:`Stream`, or iterate
+    :meth:`steps` for lazy generation, one record at a time.  The
+    engine stops at ``HALT`` or when the instruction budget is
+    exhausted, whichever comes first.
     """
 
     def __init__(self, image: ProgramImage) -> None:
@@ -38,14 +39,27 @@ class FunctionalEngine:
         self._mem_addr = 0
 
     # ------------------------------------------------------------------
-    def run(self, max_instructions: int) -> list[StreamRecord]:
-        """Execute up to ``max_instructions``, returning the stream."""
-        out = []
-        for record in self.steps():
-            out.append(record)
-            if len(out) >= max_instructions:
-                break
-        return out
+    def run(self, max_instructions: int) -> Stream:
+        """Execute up to ``max_instructions``, returning the stream.
+
+        Appends straight to the stream's arrays: no record is built per
+        instruction.  A later call resumes where this one stopped.
+        """
+        pcs, taken_bits, mem_addrs, insts = new_arrays()
+        advance = self._advance
+        try:
+            while len(insts) < max_instructions and not self.halted:
+                pc = self.pc
+                inst, taken = advance()
+                pcs.append(pc)
+                insts.append(inst)
+                taken_bits.append(taken)
+                mem_addrs.append(self._mem_addr)
+            pcs.append(self.pc)
+        except OverflowError:
+            raise ExecutionError(
+                f"pc {self.pc:#x} outside the 32-bit address space") from None
+        return Stream(pcs, taken_bits, mem_addrs, insts)
 
     def steps(self) -> Iterator[StreamRecord]:
         """Lazily execute until ``HALT``."""
@@ -58,16 +72,22 @@ class FunctionalEngine:
         if self.halted:
             raise ExecutionError("engine is halted")
         pc = self.pc
+        inst, taken = self._advance()
+        return StreamRecord(pc=pc, inst=inst, taken=taken, next_pc=self.pc,
+                            mem_addr=self._mem_addr)
+
+    def _advance(self) -> tuple[Instruction, bool]:
+        """Execute the instruction at ``self.pc``; returns it and whether
+        it was a taken branch (its memory address is ``_mem_addr``)."""
+        pc = self.pc
         try:
             inst = self.image.fetch(pc)
         except IndexError as exc:
             raise ExecutionError(str(exc)) from None
         self._mem_addr = 0
-        taken, next_pc = self._execute(pc, inst)
-        self.pc = next_pc
+        taken, self.pc = self._execute(pc, inst)
         self.instructions_executed += 1
-        return StreamRecord(pc=pc, inst=inst, taken=taken, next_pc=next_pc,
-                            mem_addr=self._mem_addr)
+        return inst, taken
 
     # ------------------------------------------------------------------
     def _execute(self, pc: int, inst: Instruction) -> tuple[bool, int]:

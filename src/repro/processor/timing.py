@@ -24,12 +24,12 @@ point-independent and computed once per partition), with:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.branch import BimodalPredictor
 from repro.caches import InstructionCache
 from repro.core import PreconstructionEngine
-from repro.engine import FunctionalEngine, StreamRecord
+from repro.engine import FunctionalEngine, Stream, StreamRecord, as_stream
 from repro.isa import Instruction
 from repro.preprocess import PreprocessConfig, Preprocessor
 from repro.processor.backend import BackendConfig, BackendModel
@@ -114,9 +114,10 @@ class ProcessorSimulation:
                 config=front.preconstruction, selection=front.selection)
 
     # ------------------------------------------------------------------
-    def run(self, stream: Sequence[StreamRecord],
+    def run(self, stream: Union[Stream, Sequence[StreamRecord]],
             plan: Optional[BatchPlan] = None) -> ProcessorResult:
-        """Replay ``stream`` through this point.
+        """Replay ``stream`` (a :class:`Stream`, or records packed into
+        one) through this point.
 
         ``plan`` is the stream partition's shared precomputation (see
         :meth:`~repro.runner.StreamCache.plan`); without one it is built
@@ -126,6 +127,7 @@ class ProcessorSimulation:
             raise RuntimeError("a ProcessorSimulation replays one stream; "
                                "build a new one for the next")
         front = self.config.frontend
+        stream = as_stream(stream)
         if plan is None:
             plan = build_plan(traces_of_stream(stream, front.selection),
                               front)
@@ -137,7 +139,7 @@ class ProcessorSimulation:
             raise ValueError(
                 f"plan partitions {sum(plan.length)} instructions but the "
                 f"stream has {len(stream)}")
-        self._dispatch(plan, [record.mem_addr for record in stream])
+        self._dispatch(plan, stream.mem_addrs)
         return ProcessorResult(config=self.config, stats=self.stats,
                                preconstruction=self.precon,
                                backend=self.backend)
@@ -153,7 +155,7 @@ class ProcessorSimulation:
         return view
 
     # ------------------------------------------------------------------
-    def _dispatch(self, plan: BatchPlan, addresses: list[int]) -> None:
+    def _dispatch(self, plan: BatchPlan, addresses: Sequence[int]) -> None:
         """Fetch, dispatch and execute every occurrence of ``plan``."""
         stats = self.stats
         front = self.config.frontend
@@ -258,7 +260,7 @@ class ProcessorSimulation:
 
 def run_processor(image: ProgramImage, config: ProcessorConfig,
                   max_instructions: int,
-                  stream: Optional[list[StreamRecord]] = None,
+                  stream: Union[Stream, Sequence[StreamRecord], None] = None,
                   plan: Optional[BatchPlan] = None) -> ProcessorResult:
     """Convenience wrapper mirroring :func:`repro.sim.run_frontend`.
 

@@ -33,7 +33,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
-from repro.engine import FunctionalEngine, StreamRecord
+from repro.engine import FunctionalEngine, Stream
 from repro.obs.manifest import build_manifest
 from repro.processor import run_processor
 from repro.runner.cache import ResultCache
@@ -57,8 +57,7 @@ class StreamCache:
     def __init__(self, instructions: Optional[int] = None) -> None:
         self.instructions = resolve_instructions(instructions)
         self.tele = current_telemetry()
-        self._streams: dict[tuple[str, Optional[int]],
-                            list[StreamRecord]] = {}
+        self._streams: dict[tuple[str, Optional[int]], Stream] = {}
         self._images: dict[tuple[str, Optional[int]], Any] = {}
         self._traces: dict[tuple, list] = {}
         self._plans: dict[tuple, BatchPlan] = {}
@@ -73,7 +72,7 @@ class StreamCache:
         return self._images[key]
 
     def stream(self, benchmark: str,
-               workload_seed: Optional[int] = None) -> list[StreamRecord]:
+               workload_seed: Optional[int] = None) -> Stream:
         key = (benchmark, workload_seed)
         if key not in self._streams:
             image = self.image(benchmark, workload_seed)
@@ -180,7 +179,6 @@ def _execute_spec(spec: ExperimentSpec,
     if stream_cache is None or stream_cache.instructions < spec.instructions:
         stream_cache = StreamCache(spec.instructions)
     image = stream_cache.image(spec.benchmark, spec.workload_seed)
-    stream = stream_cache.stream(spec.benchmark, spec.workload_seed)
 
     if spec.kind == "frontend":
         config = spec.frontend_config()
@@ -193,13 +191,16 @@ def _execute_spec(spec: ExperimentSpec,
         plan = stream_cache.plan(spec.benchmark, spec.instructions,
                                  processor_config.frontend,
                                  spec.workload_seed)
-        result = run_processor(image, processor_config, spec.instructions,
-                               stream=stream, plan=plan)
+        result = run_processor(
+            image, processor_config, spec.instructions,
+            stream=stream_cache.stream(spec.benchmark, spec.workload_seed),
+            plan=plan)
         metrics = _processor_metrics(result.stats)
     else:  # dynamic
-        result = run_frontend(image, spec.frontend_config(),
-                              spec.instructions, stream=stream,
-                              partition=DynamicPartitionConfig())
+        result = run_frontend(
+            image, spec.frontend_config(), spec.instructions,
+            stream=stream_cache.stream(spec.benchmark, spec.workload_seed),
+            partition=DynamicPartitionConfig())
         events = result.partition_events or []
         metrics = {
             "trace_misses_per_ki": result.stats.trace_miss_rate_per_ki,

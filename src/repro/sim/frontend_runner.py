@@ -36,12 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence,
+                    Union)
 
 from repro.branch import BimodalPredictor
 from repro.caches import InstructionCache
 from repro.core import PreconstructionEngine
-from repro.engine import FunctionalEngine, StreamRecord
+from repro.engine import FunctionalEngine, Stream, StreamRecord
 from repro.frontends import (
     FrontendMechanism,
     MechanismContext,
@@ -143,7 +144,7 @@ class FrontendSimulation:
             self.mechanism.attach_obs(obs)
 
     # ------------------------------------------------------------------
-    def run(self, stream: Iterable[StreamRecord] = (),
+    def run(self, stream: Union[Stream, Iterable[StreamRecord]] = (),
             traces: Optional[Sequence[Trace]] = None,
             plan: Optional[BatchPlan] = None) -> FrontendResult:
         """Replay one stream through this point.
@@ -151,8 +152,9 @@ class FrontendSimulation:
         ``plan`` is the stream partition's shared precomputation (see
         :meth:`~repro.runner.StreamCache.plan`); ``traces`` its trace
         partition (:meth:`~repro.runner.StreamCache.traces`), from
-        which a plan is built; with neither, ``stream`` is partitioned
-        here.  A simulation replays one stream only.
+        which a plan is built; with neither, ``stream`` (a
+        :class:`~repro.engine.Stream`, or records packed into one) is
+        partitioned here.  A simulation replays one stream only.
         """
         if self.stats.traces:
             raise RuntimeError("a FrontendSimulation replays one stream; "
@@ -332,7 +334,7 @@ class FrontendSimulation:
 
 def run_frontend(image: ProgramImage, config: FrontendConfig,
                  max_instructions: Optional[int] = None,
-                 stream: Optional[list[StreamRecord]] = None,
+                 stream: Union[Stream, Sequence[StreamRecord], None] = None,
                  traces: Optional[list[Trace]] = None,
                  obs: Optional["ObsBus"] = None, *,
                  mechanism: Optional[str] = None,

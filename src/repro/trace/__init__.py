@@ -3,7 +3,6 @@
 from repro.trace.selection import (
     SelectionConfig,
     TraceBuilder,
-    TraceSelector,
     traces_of_stream,
 )
 from repro.trace.trace import MAX_TRACE_LENGTH, Trace, TraceID
@@ -14,7 +13,7 @@ from repro.trace.trace_cache import (
 )
 
 __all__ = [
-    "SelectionConfig", "TraceBuilder", "TraceSelector", "traces_of_stream",
+    "SelectionConfig", "TraceBuilder", "traces_of_stream",
     "MAX_TRACE_LENGTH", "Trace", "TraceID", "BYTES_PER_ENTRY", "TraceCache",
     "TraceCacheConfig",
 ]

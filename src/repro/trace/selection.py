@@ -25,9 +25,9 @@ Stopping rules (paper §2.2, §4.1):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional, Union
 
-from repro.engine.stream import StreamRecord
+from repro.engine.stream import Stream, StreamRecord, as_stream
 from repro.isa import Instruction
 from repro.trace.trace import MAX_TRACE_LENGTH, Trace, TraceID
 
@@ -219,35 +219,24 @@ class TraceBuilder:
         return trace
 
 
-class TraceSelector:
-    """Stream-facing wrapper: partitions a dynamic stream into traces."""
+def traces_of_stream(stream: Union[Stream, Iterable[StreamRecord]],
+                     config: SelectionConfig | None = None) -> list[Trace]:
+    """Partition a full dynamic stream into its trace sequence.
 
-    def __init__(self, config: SelectionConfig | None = None) -> None:
-        self._builder = TraceBuilder(config)
-
-    @property
-    def config(self) -> SelectionConfig:
-        return self._builder.config
-
-    def feed(self, record: StreamRecord) -> Optional[Trace]:
-        """Feed one committed instruction; returns a trace when complete."""
-        return self._builder.add(record.pc, record.inst, record.taken,
-                                 record.next_pc)
-
-    def flush(self) -> Optional[Trace]:
-        return self._builder.flush()
-
-
-def traces_of_stream(stream, config: SelectionConfig | None = None
-                     ) -> list[Trace]:
-    """Partition a full dynamic stream into its trace sequence."""
-    selector = TraceSelector(config)
+    Feeds the builder straight from the :class:`Stream` arrays; a
+    sequence of records is packed into one first.
+    """
+    stream = as_stream(stream)
+    builder = TraceBuilder(config)
+    add = builder.add
     out = []
-    for record in stream:
-        trace = selector.feed(record)
+    for pc, inst, taken, next_pc in zip(stream.pcs, stream.insts,
+                                        map(bool, stream.taken),
+                                        stream.next_pcs):
+        trace = add(pc, inst, taken, next_pc)
         if trace is not None:
             out.append(trace)
-    tail = selector.flush()
+    tail = builder.flush()
     if tail is not None:
         out.append(tail)
     return out

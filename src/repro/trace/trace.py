@@ -26,7 +26,8 @@ class TraceID:
 
     Trace identities are hashed on every trace-cache and
     preconstruction-buffer probe — several times per dispatched trace —
-    so the hash is computed once at construction and cached.  Equality
+    so the hash and the set index are computed once at construction
+    and cached.  Equality
     short-circuits on identity first: the selector interns the IDs it
     emits, so repeated traces usually compare as the same object.
     """
@@ -35,11 +36,19 @@ class TraceID:
     outcomes: tuple[bool, ...]
     indirect_targets: tuple[int, ...] = ()
     _hash: int = field(init=False, compare=False, repr=False)
+    #: Trace-cache and preconstruction-buffer set index before the
+    #: modulo: the start address folded with the branch outcomes.
+    _index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self, "_hash",
             hash((self.start_pc, self.outcomes, self.indirect_targets)))
+        outcome_bits = 0
+        for outcome in self.outcomes:
+            outcome_bits = (outcome_bits << 1) | outcome
+        object.__setattr__(
+            self, "_index", (self.start_pc >> 2) ^ (outcome_bits * 0x9E37))
 
     def __hash__(self) -> int:
         return self._hash

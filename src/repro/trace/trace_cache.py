@@ -10,7 +10,8 @@ accounting used in the Figure 5 equal-area comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, Optional
 
 from repro.caches import LRU, SetAssociativeCache, make_policy
 from repro.trace.trace import MAX_TRACE_LENGTH, Trace, TraceID
@@ -19,12 +20,9 @@ BYTES_PER_ENTRY = MAX_TRACE_LENGTH * 4
 """Area accounting: one trace-cache entry is 64 bytes of storage."""
 
 
-def _index_trace_id(trace_id: TraceID) -> int:
-    """Set index: hash of start address folded with branch outcomes."""
-    outcome_bits = 0
-    for outcome in trace_id.outcomes:
-        outcome_bits = (outcome_bits << 1) | outcome
-    return (trace_id.start_pc >> 2) ^ (outcome_bits * 0x9E37)
+#: Set index: the start address folded with the branch outcomes,
+#: computed once per :class:`TraceID` (``TraceID._index``).
+_index_trace_id: Callable[[TraceID], int] = attrgetter("_index")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Tests for the cross-model oracle catalogue and check harness."""
 
 import dataclasses
+from array import array
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.check.oracles import (
     check_intervals,
     oracle_names,
 )
+from repro.engine import Stream
 from repro.runner import ExperimentSpec
 from repro.workloads import generate, profile_for
 
@@ -36,6 +38,14 @@ def compress_report():
 
 def _bundle(name="compress", budget=BUDGET, **kwargs) -> CheckBundle:
     return CheckBundle(profile_for(name), budget, **kwargs)
+
+
+def _moved_pc(stream: Stream, index: int, delta: int) -> Stream:
+    """A copy of ``stream`` whose pc slot ``index`` moved by ``delta``:
+    record ``index - 1``'s next_pc and record ``index``'s pc."""
+    pcs = array("I", stream.pcs)
+    pcs[index] += delta
+    return Stream(pcs, stream.taken, stream.mem_addrs, stream.insts)
 
 
 class TestViolation:
@@ -150,10 +160,8 @@ class TestOraclesCatchTampering:
 
     def test_determinism_sees_divergent_streams(self):
         bundle = _bundle()
-        tampered = list(bundle.stream)
-        tampered[5] = dataclasses.replace(tampered[5],
-                                          next_pc=tampered[5].next_pc + 4)
-        bundle.__dict__["second_stream"] = tampered
+        # Record 5 jumps 4 bytes further (and record 6 starts there).
+        bundle.__dict__["second_stream"] = _moved_pc(bundle.stream, 6, 4)
         assert any("diverge" in v.message
                    for v in check_determinism(bundle))
 
@@ -172,19 +180,20 @@ class TestOraclesCatchTampering:
 
     def test_cfg_sees_uncovered_pc(self):
         bundle = _bundle()
-        stream = list(bundle.stream)
-        stream.append(dataclasses.replace(stream[-1], pc=0x10))
-        bundle.__dict__["stream"] = stream
+        records = list(bundle.stream)
+        records[-1] = dataclasses.replace(records[-1], next_pc=0x10)
+        records.append(dataclasses.replace(records[-1], pc=0x10,
+                                           next_pc=0x14))
+        bundle.__dict__["stream"] = Stream.from_records(records)
         assert any("not covered" in v.message for v in check_cfg(bundle))
 
     def test_cfg_sees_missing_edge(self):
         bundle = _bundle()
-        stream = list(bundle.stream)
+        stream = bundle.stream
         index = next(i for i, r in enumerate(stream)
                      if r.inst.is_conditional_branch and r.taken)
-        stream[index] = dataclasses.replace(
-            stream[index], next_pc=stream[index].pc + 8)
-        bundle.__dict__["stream"] = stream
+        bundle.__dict__["stream"] = _moved_pc(
+            stream, index + 1, stream[index].pc + 8 - stream.pcs[index + 1])
         assert any(v.oracle == "cfg" for v in check_cfg(bundle))
 
 
