@@ -10,7 +10,7 @@ I-cache, I-cache misses, instructions supplied by misses).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.caches.setassoc import SetAssociativeCache
 from repro.isa import INSTRUCTION_BYTES

@@ -15,10 +15,10 @@ Usage::
     python -m repro dynamic --benchmarks gcc go
     python -m repro compare --benchmarks gcc --mechanisms preconstruction,mana
     python -m repro all --jobs 4 [--timing-report timing.json]
-    python -m repro bench [--quick] [--check BENCH_hotpath.json]
+    python -m repro bench [--quick] [--check BENCH_trajectory.jsonl]
     python -m repro fuzz --seeds 100 [--budget 8000] [--oracle NAME ...]
     python -m repro diff run_a.json run_b.json [--json]
-    python -m repro report --metrics m.jsonl --bench BENCH_quick.json -o out.html
+    python -m repro report --trajectory BENCH_trajectory.jsonl -o out.html
     python -m repro cache [--clear]
     python -m repro all --telemetry-json telemetry.json
     python -m repro telemetry [DUMP] [--openmetrics | --json]
@@ -243,29 +243,24 @@ def _parser() -> argparse.ArgumentParser:
     telemetry_arg(compare)
 
     bench = sub.add_parser(
-        "bench", help="time the hot path cold against the seeded baseline")
+        "bench", help="time the hot path cold, in seconds per section")
     bench.add_argument("--quick", action="store_true",
                        help="gcc+go Figure-5 panel at 20k instructions "
                             "(the CI configuration)")
     bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes (speedup vs baseline is "
-                            "only meaningful at jobs=1)")
+                       help="worker processes (the committed trajectory "
+                            "rows are jobs=1 runs)")
     bench.add_argument("--output", default="BENCH_hotpath.json",
                        metavar="PATH",
                        help="where to write the JSON report "
                             "(default: BENCH_hotpath.json)")
     bench.add_argument("--check", default=None, metavar="PATH",
-                       help="compare against a pinned bench report and "
-                            "fail if any section regresses past "
-                            "--tolerance")
+                       help="compare against the newest same-mode row of "
+                            "a bench trajectory JSONL and fail if any "
+                            "section regresses past --tolerance")
     bench.add_argument("--tolerance", type=float, default=0.5,
                        help="allowed fractional slowdown vs the --check "
                             "reference (default: 0.5 = +50%%)")
-    bench.add_argument("--repro-script", default="bench_regression_repro.py",
-                       metavar="PATH",
-                       help="where a failing --check writes its minimized "
-                            "standalone repro script "
-                            "(default: bench_regression_repro.py)")
     bench.add_argument("--trajectory", default=None, metavar="PATH",
                        help="append this run to a bench history JSONL "
                             "(default: BENCH_trajectory.jsonl)")
@@ -785,38 +780,32 @@ def _dispatch(args) -> int:
             append_trajectory,
             check_bench,
             format_bench,
-            regressed_sections,
             run_bench,
             trajectory_reference,
-            write_bench_repro,
             write_bench_report,
         )
 
+        # Resolve the --check reference before running, and so before
+        # this run is appended: the reference is the last recorded run
+        # of this mode, never the run that is about to finish.
+        reference = None
+        if args.check:
+            mode = "quick" if args.quick else "full"
+            if not Path(args.check).is_file():
+                print(f"bench --check: reference report not found: "
+                      f"{args.check}", file=sys.stderr)
+                return 1
+            reference = trajectory_reference(args.check, mode)
+            if reference is None:
+                print(f"bench --check: no {mode!r} rows in trajectory "
+                      f"{args.check}", file=sys.stderr)
+                return 1
         payload = run_bench(quick=args.quick, jobs=args.jobs,
                             progress=stderr_progress,
                             profile_dir=_profile_dir(args))
         path = write_bench_report(payload, args.output)
         print(format_bench(payload))
         print(f"report written to {path}", file=sys.stderr)
-        # Resolve the --check reference *before* appending to the
-        # trajectory — a .jsonl reference means "the last recorded run
-        # of this mode", never the run that just finished.
-        reference = None
-        if args.check:
-            check_path = Path(args.check)
-            if check_path.suffix == ".jsonl":
-                reference = trajectory_reference(check_path,
-                                                 payload["mode"])
-                if reference is None:
-                    print(f"bench --check: no {payload['mode']!r} rows "
-                          f"in trajectory {check_path}", file=sys.stderr)
-                    return 1
-            elif not check_path.is_file():
-                print(f"bench --check: reference report not found: "
-                      f"{check_path}", file=sys.stderr)
-                return 1
-            else:
-                reference = json.loads(check_path.read_text())
         if not args.no_trajectory:
             trajectory = append_trajectory(
                 payload, args.trajectory or TRAJECTORY_FILE)
@@ -832,12 +821,6 @@ def _dispatch(args) -> int:
             if problems:
                 for problem in problems:
                     print(f"bench regression: {problem}", file=sys.stderr)
-                if regressed_sections(payload, reference, args.tolerance):
-                    script = write_bench_repro(payload, reference,
-                                               args.tolerance,
-                                               args.repro_script)
-                    print(f"bench regression repro script: {script}",
-                          file=sys.stderr)
                 return 1
             print(f"bench check vs {args.check}: "
                   f"within +{args.tolerance:.0%}", file=sys.stderr)

@@ -30,6 +30,11 @@ from repro.branch import BimodalPredictor
 from repro.caches import InstructionCache
 from repro.core import PreconstructionEngine
 from repro.engine import FunctionalEngine, Stream, StreamRecord, as_stream
+from repro.frontends import (
+    FrontendMechanism,
+    MechanismContext,
+    create_mechanism,
+)
 from repro.isa import Instruction
 from repro.preprocess import PreprocessConfig, Preprocessor
 from repro.processor.backend import BackendConfig, BackendModel
@@ -87,7 +92,10 @@ class ProcessorSimulation:
     """Cycle-timestamped trace-processor model.
 
     Each point keeps its own trace cache, I-cache, bimodal table,
-    backend, preprocessed views and preconstruction engine; everything
+    backend, preprocessed views and frontend mechanism (built through
+    :func:`~repro.frontends.create_mechanism`, as the frontend
+    simulation builds its own, and driven through its ``probe``,
+    ``observe_dispatch`` and ``tick`` hooks); everything
     point-independent comes from the plan :meth:`run` is given.
     """
 
@@ -106,12 +114,18 @@ class ProcessorSimulation:
         if config.preprocess is not None and config.preprocess.any_enabled:
             self.preprocessor = Preprocessor(config.preprocess)
         self._views: dict[TraceID, tuple[Instruction, ...]] = {}
-        self.precon: Optional[PreconstructionEngine] = None
-        if front.preconstruction is not None:
-            self.precon = PreconstructionEngine(
+        self.mechanism: Optional[FrontendMechanism] = create_mechanism(
+            front.mechanism,
+            MechanismContext(
                 image=image, icache=self.icache, bimodal=self.bimodal,
-                trace_cache=self.trace_cache,
-                config=front.preconstruction, selection=front.selection)
+                trace_cache=self.trace_cache, selection=front.selection,
+                budget_entries=front.mechanism_entries,
+                static_seed=front.static_seed,
+                preconstruction=front.preconstruction))
+        #: The preconstruction engine, when that is the configured
+        #: mechanism (reported as ``ProcessorResult.preconstruction``).
+        self.precon: Optional[PreconstructionEngine] = getattr(
+            self.mechanism, "engine", None)
 
     # ------------------------------------------------------------------
     def run(self, stream: Union[Stream, Sequence[StreamRecord]],
@@ -166,13 +180,13 @@ class ProcessorSimulation:
         lookup = self.trace_cache.lookup
         insert = self.trace_cache.insert
         fetch_line = self.icache.fetch_line
-        precon = self.precon
+        mechanism = self.mechanism
         fetch_width = front.fetch_width
         mispredict_penalty = front.branch_mispredict_penalty
         redirect_penalty = backend_config.redirect_penalty
         num_pes = backend_config.num_pes
         # The bimodal table's only reader is the preconstruction engine.
-        train = plan.train_bimodal and precon is not None
+        train = self.precon is not None
         bimodal_update = self.bimodal.update
 
         fetch_free = prev_last_control = prev_retire = prev_dispatch = 0
@@ -186,8 +200,8 @@ class ProcessorSimulation:
             stats.instructions += n
 
             present = lookup(trace_id) is not None
-            if not present and precon is not None:
-                present = precon.probe_and_promote(trace_id) is not None
+            if not present and mechanism is not None:
+                present = mechanism.probe(trace_id)
                 if present:
                     stats.buffer_hits += 1
 
@@ -237,14 +251,14 @@ class ProcessorSimulation:
             prev_retire = retire
             prev_last_control = timing.last_control
 
-            if precon is not None:
+            if mechanism is not None:
                 # Slow-path hardware is idle for the remainder of the
                 # dispatch-to-dispatch span (including backend-drain time).
                 idle = max(0, (dispatch - prev_dispatch) - slow_busy)
                 stats.idle_cycles += idle
-                precon.observe_dispatch(trace)
+                mechanism.observe_dispatch(trace)
                 if idle:
-                    precon.tick(idle)
+                    mechanism.tick(idle)
             prev_dispatch = dispatch
 
             # Train after the tick, as the engine saw the pre-update table.

@@ -10,21 +10,18 @@
   by benchmark so each worker generates a dynamic stream once, plus the
   :class:`TimingReport` behind ``repro all --timing-report``;
 * :mod:`repro.runner.bench` — the seeded hot-path benchmark behind
-  ``repro bench`` and the ``BENCH_hotpath.json`` artifact.
+  ``repro bench`` and its ``BENCH_trajectory.jsonl`` history.
 """
 
 from repro.runner.bench import (
     TRAJECTORY_FILE,
     append_trajectory,
-    bench_repro_script,
     bench_sections,
     check_bench,
     format_bench,
     read_trajectory,
-    regressed_sections,
     run_bench,
     trajectory_reference,
-    write_bench_repro,
     write_bench_report,
 )
 from repro.runner.cache import (
@@ -54,10 +51,9 @@ from repro.runner.spec import (
 )
 
 __all__ = [
-    "TRAJECTORY_FILE", "append_trajectory", "bench_repro_script",
-    "bench_sections", "check_bench", "format_bench", "read_trajectory",
-    "regressed_sections", "run_bench", "trajectory_reference",
-    "write_bench_repro", "write_bench_report",
+    "TRAJECTORY_FILE", "append_trajectory", "bench_sections",
+    "check_bench", "format_bench", "read_trajectory", "run_bench",
+    "trajectory_reference", "write_bench_report",
     "CACHE_DIR_ENV", "LAST_RUN_FILE", "ResultCache", "default_cache_dir",
     "ExperimentRunner", "StreamCache", "TimingReport", "execute_spec",
     "run_point", "stderr_progress", "sweep",

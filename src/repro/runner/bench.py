@@ -1,4 +1,4 @@
-"""Seeded hot-path benchmark trajectory (``repro bench``).
+"""Seeded hot-path benchmark (``repro bench``).
 
 Times cold runs of the paper's heaviest exhibit workloads — the
 Figure-5 frontend sweep and the Tables 1-3 traffic points — through the
@@ -6,16 +6,13 @@ ordinary :class:`~repro.runner.pool.ExperimentRunner`, with the result
 cache disabled and a fresh stream cache, so the numbers measure the
 simulator itself rather than the cache layer.
 
-The module pins the pre-overhaul wall-clock baselines (measured on the
-commit before the hot-path PR, same machine class, ``jobs=1``, cold)
-so every subsequent run reports its speedup against a fixed origin
-rather than against whatever happened to run last.  Budgets are pinned
-too: the baselines are only comparable at the instruction counts they
-were recorded at, so ``repro bench`` ignores ``--instructions``.
-
-``write_bench_report`` serialises the measurement — baseline, current
-and speedup per section, plus the full scheduler timing report — to
-``BENCH_hotpath.json``, the artifact CI uploads.
+Budgets are pinned so that runs of one mode stay comparable across
+commits; ``repro bench`` ignores ``--instructions``.  Each run's cold
+wall seconds per section become one row of the committed history
+:data:`TRAJECTORY_FILE`, and ``bench --check`` compares a fresh run
+with the newest row of the same mode.  ``write_bench_report`` also
+writes the full payload, scheduler timing reports included, to an
+untracked ``BENCH_*.json``.
 """
 
 from __future__ import annotations
@@ -30,26 +27,15 @@ from repro.runner.pool import ExperimentRunner
 from repro.runner.spec import ExperimentSpec
 from repro.telemetry.session import current_telemetry, utc_timestamp
 
-#: Commit the baselines were measured on (the parent of the hot-path
-#: overhaul PR), recorded so a report is interpretable on its own.
-BASELINE_COMMIT = "61d73a5"
-
 #: Committed append-only history of bench runs — what ``repro
-#: report``'s trajectory panel and ``bench --check`` (against a
-#: ``.jsonl``) read.
+#: report``'s trajectory panel and ``bench --check`` read.
 TRAJECTORY_FILE = "BENCH_trajectory.jsonl"
 
-#: Pinned budgets — changing these invalidates the baselines.
+#: Pinned budgets — changing these makes new trajectory rows
+#: incomparable with the old ones.
 FULL_INSTRUCTIONS = 60_000
 QUICK_INSTRUCTIONS = 20_000
 QUICK_BENCHMARKS = ("gcc", "go")
-
-#: Cold single-job wall-clock seconds on :data:`BASELINE_COMMIT`.
-BASELINE_SECONDS: dict[tuple[str, str], float] = {
-    ("full", "figure5"): 104.90,   # 160 specs, all benchmarks @60k
-    ("full", "tables"): 2.95,      # 4 specs @60k
-    ("quick", "figure5"): 9.67,    # 40 specs, gcc+go @20k
-}
 
 
 def bench_sections(quick: bool = False
@@ -78,13 +64,10 @@ def run_bench(quick: bool = False, jobs: int = 1,
 
     Each section gets its own runner (no result cache, no shared
     stream cache) so section times are independent cold measurements.
-    Speedups are only meaningful at ``jobs=1`` — the baselines are
-    single-job — but parallel runs still record their wall time.
     ``profile_dir`` forwards to the runner's per-point ``cProfile``
     capture (expect skewed wall times under it).
     """
     tele = current_telemetry()
-    mode = "quick" if quick else "full"
     sections: dict[str, Any] = {}
     reports = []
     for name, specs in bench_sections(quick):
@@ -97,32 +80,21 @@ def run_bench(quick: bool = False, jobs: int = 1,
                 runner.run(specs)
         else:
             runner.run(specs)
-        elapsed = time.perf_counter() - started
-        baseline = BASELINE_SECONDS[(mode, name)]
         sections[name] = {
             "specs": len(specs),
-            "baseline_seconds": baseline,
-            "current_seconds": round(elapsed, 2),
-            "speedup": round(baseline / elapsed, 2) if elapsed else None,
+            "current_seconds": round(time.perf_counter() - started, 2),
         }
         reports.append(runner.report.to_dict())
 
-    total_baseline = sum(s["baseline_seconds"] for s in sections.values())
-    total_current = sum(s["current_seconds"] for s in sections.values())
+    total = sum(s["current_seconds"] for s in sections.values())
     return {
-        "schema": 1,
-        "mode": mode,
+        "schema": 2,
+        "mode": "quick" if quick else "full",
         "jobs": jobs,
-        "baseline_commit": BASELINE_COMMIT,
         "instructions": (QUICK_INSTRUCTIONS if quick
                          else FULL_INSTRUCTIONS),
         "sections": sections,
-        "total": {
-            "baseline_seconds": round(total_baseline, 2),
-            "current_seconds": round(total_current, 2),
-            "speedup": (round(total_baseline / total_current, 2)
-                        if total_current else None),
-        },
+        "total": {"current_seconds": round(total, 2)},
         "timing_reports": reports,
     }
 
@@ -181,7 +153,8 @@ def append_trajectory(payload: dict[str, Any],
 
 def read_trajectory(path: str | Path = TRAJECTORY_FILE
                     ) -> list[dict[str, Any]]:
-    """All history rows, oldest first; missing file reads as empty.
+    """All history rows, oldest first; a missing or undecodable file
+    reads as empty.
 
     Damaged lines (a truncated append from a killed run) are skipped
     rather than poisoning the whole history.
@@ -189,7 +162,7 @@ def read_trajectory(path: str | Path = TRAJECTORY_FILE
     target = Path(path)
     try:
         text = target.read_text()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return []
     rows: list[dict[str, Any]] = []
     for line in text.splitlines():
@@ -208,23 +181,26 @@ def read_trajectory(path: str | Path = TRAJECTORY_FILE
 def trajectory_reference(path: str | Path, mode: str
                          ) -> Optional[dict[str, Any]]:
     """The newest history row for ``mode``, as a ``check_bench``
-    reference payload — ``bench --check history.jsonl`` compares the
-    fresh run against the last recorded run of the same mode."""
+    reference — ``bench --check history.jsonl`` compares the fresh run
+    with the last recorded run of the same mode.  ``None`` when the
+    file has no such row (missing, empty, or not a history at all)."""
     for row in reversed(read_trajectory(path)):
-        if row.get("mode") != mode:
-            continue
-        return {"mode": row.get("mode"),
-                "sections": row.get("sections", {})}
+        sections = row.get("sections")
+        if row.get("mode") == mode and isinstance(sections, dict) and all(
+                isinstance(section, dict) and isinstance(
+                    section.get("current_seconds"), (int, float))
+                for section in sections.values()):
+            return {"mode": mode, "sections": sections}
     return None
 
 
 def check_bench(payload: dict[str, Any], reference: dict[str, Any],
                 tolerance: float = 0.5) -> list[str]:
-    """Compare a fresh bench payload against a pinned reference report.
+    """Compare a fresh bench payload against a reference row.
 
-    The observability PR's guard-rail: with instrumentation off (the
-    default), each section's wall time must stay within ``tolerance``
-    (fractional, e.g. ``0.5`` = +50%) of the reference's recorded
+    ``reference`` is what :func:`trajectory_reference` returns: each
+    section's wall time must stay within ``tolerance`` (fractional,
+    e.g. ``0.5`` = +50%) of the reference's recorded
     ``current_seconds``.  Returns a list of violations (empty = pass).
     Sections missing from either side are reported, not ignored.
     """
@@ -259,113 +235,12 @@ def check_bench(payload: dict[str, Any], reference: dict[str, Any],
     return problems
 
 
-def regressed_sections(payload: dict[str, Any], reference: dict[str, Any],
-                       tolerance: float = 0.5) -> dict[str, float]:
-    """Sections whose wall time exceeds the reference limit.
-
-    The minimizable subset of :func:`check_bench`'s findings: mode and
-    section-presence mismatches cannot be reproduced by re-timing, so
-    only genuine slowdowns come back — ``{section: limit_seconds}``.
-    """
-    regressed: dict[str, float] = {}
-    sections = payload.get("sections")
-    if payload.get("mode") != reference.get("mode") \
-            or not isinstance(sections, dict):
-        return regressed
-    for name, ref in reference.get("sections", {}).items():
-        section = sections.get(name)
-        if section is None:
-            continue
-        limit = ref["current_seconds"] * (1.0 + tolerance)
-        if section["current_seconds"] > limit:
-            regressed[name] = round(limit, 2)
-    return regressed
-
-
-def bench_repro_script(payload: dict[str, Any], reference: dict[str, Any],
-                       tolerance: float = 0.5) -> str:
-    """A self-contained repro script for a failed ``bench --check``.
-
-    The regression-triage counterpart of the fuzz minimizer's repro
-    scripts: instead of re-running the whole bench matrix, the script
-    re-times *only the regressed sections* (the minimized failing
-    subset) against the reference limits embedded at generation time,
-    and exits non-zero while any section still exceeds its limit.
-    """
-    regressed = regressed_sections(payload, reference, tolerance)
-    if not regressed:
-        raise ValueError("no regressed sections to reproduce")
-    mode = payload.get("mode", "quick")
-    limits = "".join(
-        f"    {name!r}: {limit},\n" for name, limit in sorted(regressed.items()))
-    observed = "".join(
-        f"#   {name}: {payload['sections'][name]['current_seconds']:.2f}s "
-        f"(limit {limit:.2f}s)\n"
-        for name, limit in sorted(regressed.items()))
-    return (
-        "#!/usr/bin/env python\n"
-        '"""Minimized repro for a `repro bench --check` regression.\n'
-        "\n"
-        "Run with the repository on PYTHONPATH:\n"
-        "    PYTHONPATH=src python bench_regression_repro.py\n"
-        '"""\n'
-        "# Regressed sections at generation time:\n"
-        f"{observed}"
-        "import time\n"
-        "\n"
-        "from repro.runner.bench import bench_sections\n"
-        "from repro.runner.pool import ExperimentRunner\n"
-        "\n"
-        f"MODE = {mode!r}\n"
-        "LIMIT_SECONDS = {\n"
-        f"{limits}"
-        "}\n"
-        "\n"
-        "failed = False\n"
-        "for name, specs in bench_sections(quick=MODE == 'quick'):\n"
-        "    if name not in LIMIT_SECONDS:\n"
-        "        continue\n"
-        "    runner = ExperimentRunner(jobs=1, cache=None)\n"
-        "    started = time.perf_counter()\n"
-        "    runner.run(specs)\n"
-        "    elapsed = time.perf_counter() - started\n"
-        "    limit = LIMIT_SECONDS[name]\n"
-        "    verdict = 'REGRESSED' if elapsed > limit else 'ok'\n"
-        "    print(f'{name}: {elapsed:.2f}s (limit {limit:.2f}s) {verdict}')\n"
-        "    failed = failed or elapsed > limit\n"
-        "raise SystemExit(1 if failed else 0)\n"
-    )
-
-
-def write_bench_repro(payload: dict[str, Any], reference: dict[str, Any],
-                      tolerance: float = 0.5,
-                      path: str | Path = "bench_regression_repro.py"
-                      ) -> Path:
-    """Write :func:`bench_repro_script`'s output; returns the path."""
-    target = Path(path)
-    target.write_text(bench_repro_script(payload, reference, tolerance))
-    return target
-
-
-def _format_speedup(speedup: Optional[float]) -> str:
-    """``1.87x`` — or ``n/a`` for a section too fast to time (a
-    near-zero elapsed leaves ``speedup`` as ``None``)."""
-    return f"{speedup:.2f}x" if speedup is not None else "n/a"
-
-
 def format_bench(payload: dict[str, Any]) -> str:
     """Human-readable one-block summary of a bench payload."""
-    lines = [f"repro bench ({payload['mode']}, jobs={payload['jobs']}, "
-             f"baseline {payload['baseline_commit']})"]
+    lines = [f"repro bench ({payload['mode']}, jobs={payload['jobs']})"]
     for name, section in payload["sections"].items():
-        lines.append(
-            f"  {name:8s} {section['specs']:4d} specs: "
-            f"{section['current_seconds']:8.2f}s "
-            f"(baseline {section['baseline_seconds']:.2f}s, "
-            f"{_format_speedup(section['speedup'])})")
-    total = payload["total"]
-    lines.append(f"  {'total':8s} {'':4s}       "
-                 f"{total['current_seconds']:8.2f}s "
-                 f"(baseline {total['baseline_seconds']:.2f}s, "
-                 f"{_format_speedup(total['speedup'])})")
+        lines.append(f"  {name:8s} {section['specs']:4d} specs: "
+                     f"{section['current_seconds']:8.2f}s")
+    lines.append(f"  {'total':8s} {'':4s}        "
+                 f"{payload['total']['current_seconds']:8.2f}s")
     return "\n".join(lines)

@@ -157,6 +157,9 @@ class ExperimentSpec:
             raise ValueError("pb_entries must be non-negative")
         if self.preprocess and self.kind != "processor":
             raise ValueError("preprocess requires kind='processor'")
+        if self.static_seed and self.kind == "processor":
+            raise ValueError("static_seed is not supported with "
+                             "kind='processor'")
         from repro.frontends import mechanism_names
         if self.mechanism not in mechanism_names():
             raise ValueError(f"unknown mechanism {self.mechanism!r}; "

@@ -41,7 +41,6 @@ class FrontendConfig:
     retire_ipc: float = 2.5
     trace_mispredict_penalty: int = 8
     branch_mispredict_penalty: int = 6
-    train_bimodal_on_all_branches: bool = True
     #: Prime the preconstruction start-point stack with statically
     #: computed region start points (call returns + loop exits from
     #: :func:`repro.static.compute_static_seeds`) instead of relying

@@ -247,7 +247,6 @@ class FrontendSimulation:
         ntp_code = plan.ntp_code
         n_branches = plan.n_branches
         all_pairs = plan.pairs
-        train = plan.train_bimodal
         bimodal_update = self.bimodal.update
 
         for t, trace in enumerate(plan.traces):
@@ -325,7 +324,7 @@ class FrontendSimulation:
                 after_trace()
 
             # Occurrence t's training, after the point dispatched it.
-            if train and n_branches[t]:
+            if n_branches[t]:
                 for pc, taken in all_pairs[t]:
                     bimodal_update(pc, taken)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, TypeVar
 
-from repro.isa import INSTRUCTION_BYTES, Instruction, Kind, Opcode
+from repro.isa import INSTRUCTION_BYTES, Instruction, Opcode
 from repro.isa.registers import NUM_REGISTERS, RA, SP, ZERO
 from repro.program.image import ProgramImage
 from repro.static.callgraph import StaticCallGraph

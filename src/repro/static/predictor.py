@@ -47,7 +47,7 @@ from repro.program.image import ProgramImage
 from repro.static.analyses import StaticFacts, resolve_table_via_dataflow
 from repro.static.recovery import ProcedureRange, resolve_indirect_table
 from repro.static.seeding import StaticSeed, compute_static_seeds
-from repro.trace.selection import SelectionConfig
+from repro.trace.selection import SelectionConfig, aligned_cut
 
 #: Exploration bounds.  The walk is polynomial thanks to suffix-state
 #: merging, but adversarial images (every instruction a branch) could
@@ -256,22 +256,6 @@ class _Walk:
         return tuple(sorted(set(resolved))) if resolved else ()
 
     # ------------------------------------------------------------------
-    def aligned_cut(self, insts: list[Instruction]) -> int:
-        """Mirror of :meth:`TraceBuilder._aligned_cut`."""
-        n = len(insts)
-        align = self.config.align_multiple
-        if not align:
-            return n
-        last_backward = None
-        for i in range(n - 1, -1, -1):
-            if insts[i].is_backward:
-                last_backward = i
-                break
-        if last_backward is None:
-            return n
-        beyond = n - last_backward - 1
-        return last_backward + 1 + (beyond // align) * align
-
     def explore(self, start: int, region: bool = False,
                 ) -> tuple[set[int], int, bool]:
         """All static trace paths from ``start``; returns the set of
@@ -324,8 +308,10 @@ class _Walk:
                 if not region:
                     new_starts.update(self.successors(pc, inst))
                 continue
+            last_backward = _last_backward(insts)
             if n >= config.max_length:
-                cut = self.aligned_cut(insts)
+                cut = aligned_cut(len(insts), last_backward,
+                                  config.align_multiple)
                 self.traces.add(path[:cut])
                 emitted += 1
                 if cut < n:
@@ -337,29 +323,35 @@ class _Walk:
                 continue            # stream ends; flush is partial-only
             for succ in self.successors(pc, inst):
                 nxt = path + (succ,)
-                key = self._state_key(nxt, insts, inst)
+                key = self._state_key(nxt, last_backward)
                 if key not in visited:
                     visited.add(key)
                     stack.append(nxt)
         return new_starts, emitted, truncated
 
     @staticmethod
-    def _state_key(path: tuple[int, ...], insts: list[Instruction],
-                   last: Instruction) -> tuple[object, ...]:
+    def _state_key(path: tuple[int, ...], last_backward: Optional[int]
+                   ) -> tuple[object, ...]:
         """Future-exact merge key for a partial trace path.
 
         Delimitation from here on depends only on the current pc, the
         buffered length, and the pcs after the last backward branch
         (the only candidates for an aligned-cut continuation start).
+        ``last_backward`` indexes the last backward branch of ``path``
+        without its final pc.
         """
-        lb = None
-        for i in range(len(insts) - 1, -1, -1):
-            if insts[i].is_backward:
-                lb = i
-                break
-        if lb is None:
+        if last_backward is None:
             return (path[-1], len(path))
-        return (path[-1], len(path), lb, path[lb + 1:])
+        return (path[-1], len(path), last_backward,
+                path[last_backward + 1:])
+
+
+def _last_backward(insts: list[Instruction]) -> Optional[int]:
+    """Index of the last backward branch in ``insts``, if any."""
+    for i in range(len(insts) - 1, -1, -1):
+        if insts[i].is_backward:
+            return i
+    return None
 
 
 def predict_coverage(image: ProgramImage,

@@ -32,6 +32,22 @@ from repro.isa import Instruction
 from repro.trace.trace import MAX_TRACE_LENGTH, Trace, TraceID
 
 
+def aligned_cut(n: int, last_backward: Optional[int], align: int) -> int:
+    """Length to cut an ``n``-instruction trace at when the size limit
+    fires.
+
+    With alignment enabled (``align`` > 0) and a backward branch at
+    index ``last_backward``, the cut lands ``k * align`` instructions
+    beyond it (the largest such length not exceeding ``n``); otherwise
+    the whole trace is kept.  The one copy of the rule: the fill unit's
+    :class:`TraceBuilder` and the static coverage predictor both cut
+    through it.
+    """
+    if not align or last_backward is None:
+        return n
+    return last_backward + 1 + ((n - last_backward - 1) // align) * align
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Trace-delimiting rules (ablation-tunable)."""
@@ -137,28 +153,17 @@ class TraceBuilder:
 
     # ------------------------------------------------------------------
     def _aligned_cut(self) -> int:
-        """Length to cut at when the size limit fires.
-
-        With alignment enabled and a backward branch present, the cut
-        lands ``k * align_multiple`` instructions beyond the last
-        backward branch (largest such length not exceeding the limit);
-        otherwise the full buffer is emitted.
-        """
-        n = len(self._entries)
+        """Length to cut at when the size limit fires (see
+        :func:`aligned_cut`)."""
+        entries = self._entries
+        n = len(entries)
         align = self.config.align_multiple
         if not align:
             return n
-        last_backward = None
-        entries = self._entries
         for i in range(n - 1, -1, -1):
             if entries[i][1].is_backward:
-                last_backward = i
-                break
-        if last_backward is None:
-            return n
-        beyond = n - last_backward - 1
-        cut = last_backward + 1 + (beyond // align) * align
-        return cut
+                return aligned_cut(n, i, align)
+        return n
 
     def _emit(self, cut: int, partial: bool = False) -> Trace:
         assert 0 < cut <= len(self._entries)

@@ -12,7 +12,6 @@ at a jump table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.isa import Instruction
 

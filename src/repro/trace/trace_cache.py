@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
-from repro.caches import LRU, SetAssociativeCache, make_policy
+from repro.caches import SetAssociativeCache, make_policy
 from repro.trace.trace import MAX_TRACE_LENGTH, Trace, TraceID
 
 BYTES_PER_ENTRY = MAX_TRACE_LENGTH * 4

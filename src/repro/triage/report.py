@@ -7,17 +7,18 @@ from ``file://`` years later.  It renders, for a run set:
 
 * **interval metrics** (``metrics.jsonl``) — the per-bucket
   trace-miss-rate trajectory plus the four paper histograms;
-* **bench reports** (``BENCH_*.json``) — per-section baseline→current
-  dumbbells, and the cross-report wall-time trajectory when several
+* **bench reports** (``BENCH_*.json``) — a table of per-section
+  wall seconds, and the cross-report wall-time trajectory when several
   reports are given;
+* **bench trajectories** (``BENCH_trajectory.jsonl``) — the committed
+  per-section wall-time history, one point per recorded run;
 * **Perfetto traces** — deep links into the Perfetto UI for each
   exported ``trace.json``.
 
 Charts follow one visual system: a single blue carries single-series
-magnitude, baseline/current pairs are two shades of that hue, marks
-are thin (2px lines, bars capped at 24px with rounded data ends),
-gridlines are hairlines, and all text wears ink tokens — never a
-series color.  Light and dark render from the same CSS custom
+magnitude, marks are thin (2px lines, bars capped at 24px with rounded
+data ends), gridlines are hairlines, and all text wears ink tokens —
+never a series color.  Light and dark render from the same CSS custom
 properties (the OS preference and an explicit ``data-theme`` stamp
 both work).
 """
@@ -46,7 +47,6 @@ _CSS = """
   --baseline:       #c3c2b7;
   --border:         rgba(11,11,11,0.10);
   --series-1:       #2a78d6;
-  --series-1-soft:  #86b6ef;
   --series-2:       #eb6834;
   --series-3:       #1baf7a;
   --series-4:       #eda100;
@@ -67,7 +67,6 @@ _CSS = """
     --baseline:       #383835;
     --border:         rgba(255,255,255,0.10);
     --series-1:       #3987e5;
-    --series-1-soft:  #1c5cab;
     --series-2:       #d95926;
     --series-3:       #199e70;
     --series-4:       #c98500;
@@ -84,7 +83,6 @@ _CSS = """
   --baseline:       #383835;
   --border:         rgba(255,255,255,0.10);
   --series-1:       #3987e5;
-  --series-1-soft:  #1c5cab;
   --series-2:       #d95926;
   --series-3:       #199e70;
   --series-4:       #c98500;
@@ -279,61 +277,6 @@ def _series_svg(intervals: list[dict[str, Any]],
     return _svg("".join(parts))
 
 
-def _bench_dumbbell_svg(sections: dict[str, Any]) -> str:
-    rows = [(name, float(section.get("baseline_seconds", 0.0)),
-             float(section.get("current_seconds", 0.0)))
-            for name, section in sections.items()]
-    if not rows:
-        return '<p class="note">(no sections)</p>'
-    top = max(max(baseline, current) for _, baseline, current in rows)
-    top = top if top > 0 else 1.0
-    row_height = 34
-    height = _MT + row_height * len(rows) + _MB
-    plot_width = _W - _ML - _MR
-
-    def x_of(value: float) -> float:
-        return _ML + (value / top) * plot_width * 0.94
-
-    parts = []
-    for tick in _ticks(top):
-        x = x_of(tick)
-        parts.append(f'<line x1="{x:.1f}" y1="{_MT}" x2="{x:.1f}" '
-                     f'y2="{height - _MB}" stroke="var(--gridline)" '
-                     f'stroke-width="1"/>')
-        parts.append(f'<text x="{x:.1f}" y="{height - _MB + 16}" '
-                     f'text-anchor="middle" font-size="11" '
-                     f'fill="var(--ink-muted)">{_fmt(tick)}s</text>')
-    for index, (name, baseline, current) in enumerate(rows):
-        y = _MT + row_height * index + row_height / 2
-        x_base, x_cur = x_of(baseline), x_of(current)
-        parts.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" '
-                     f'text-anchor="end" font-size="12" '
-                     f'fill="var(--ink-secondary)">{_esc(name)}</text>')
-        parts.append(f'<line x1="{x_base:.1f}" y1="{y:.1f}" '
-                     f'x2="{x_cur:.1f}" y2="{y:.1f}" '
-                     f'stroke="var(--series-1-soft)" stroke-width="2"/>')
-        parts.append(f'<circle cx="{x_base:.1f}" cy="{y:.1f}" r="5" '
-                     f'fill="var(--series-1-soft)" '
-                     f'stroke="var(--surface-1)" stroke-width="2">'
-                     f'<title>{_esc(name)} baseline: {baseline:.2f}s'
-                     f'</title></circle>')
-        parts.append(f'<circle cx="{x_cur:.1f}" cy="{y:.1f}" r="5" '
-                     f'fill="var(--series-1)" stroke="var(--surface-1)" '
-                     f'stroke-width="2"><title>{_esc(name)} current: '
-                     f'{current:.2f}s</title></circle>')
-        parts.append(f'<text x="{x_cur + 10:.1f}" y="{y + 4:.1f}" '
-                     f'font-size="11" fill="var(--ink-secondary)">'
-                     f'{current:.2f}s</text>')
-    legend = ('<div class="legend">'
-              '<span class="key"><span class="swatch" '
-              'style="background: var(--series-1-soft)"></span>'
-              'baseline</span>'
-              '<span class="key"><span class="swatch" '
-              'style="background: var(--series-1)"></span>'
-              'current</span></div>')
-    return legend + _svg("".join(parts), height=height)
-
-
 _TRAJECTORY_SLOTS = ("--series-1", "--series-2", "--series-3", "--series-4")
 
 
@@ -435,24 +378,17 @@ def _bench_section(paths: Sequence[Path]) -> str:
                       "<h3>wall-time trajectory (current seconds)</h3>"
                       f"{_bench_trajectory_svg(reports)}</div>")
     for name, payload in reports:
-        blocks.append('<div class="card">')
-        blocks.append(f"<h3>{_esc(name)} "
-                      f"({_esc(payload.get('mode', '?'))} mode, "
-                      f"baseline {_esc(payload.get('baseline_commit', '?'))})"
-                      f"</h3>")
-        blocks.append(_bench_dumbbell_svg(payload.get("sections", {})))
         rows = "".join(
             f"<tr><td>{_esc(section_name)}</td>"
             f"<td>{_esc(section.get('specs', ''))}</td>"
-            f"<td>{section.get('baseline_seconds', 0):.2f}</td>"
-            f"<td>{section.get('current_seconds', 0):.2f}</td>"
-            f"<td>{_esc(section.get('speedup') or 'n/a')}</td></tr>"
+            f"<td>{section.get('current_seconds', 0):.2f}</td></tr>"
             for section_name, section
             in payload.get("sections", {}).items())
-        blocks.append("<table><tr><th>section</th><th>specs</th>"
-                      "<th>baseline s</th><th>current s</th>"
-                      f"<th>speedup</th></tr>{rows}</table>")
-        blocks.append("</div>")
+        blocks.append(f'<div class="card"><h3>{_esc(name)} '
+                      f"({_esc(payload.get('mode', '?'))} mode, "
+                      f"jobs={_esc(payload.get('jobs', '?'))})</h3>"
+                      "<table><tr><th>section</th><th>specs</th>"
+                      f"<th>seconds</th></tr>{rows}</table></div>")
     return "".join(blocks)
 
 

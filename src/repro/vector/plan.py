@@ -52,7 +52,6 @@ class BatchPlan:
     selection: SelectionConfig
     predictor: NextTracePredictorConfig
     bimodal_entries: int
-    train_bimodal: bool
     line_bytes: int
 
     # Per-occurrence features.
@@ -84,8 +83,6 @@ class BatchPlan:
             return "next-trace predictor config differs"
         if config.bimodal_entries != self.bimodal_entries:
             return "bimodal_entries differs"
-        if config.train_bimodal_on_all_branches != self.train_bimodal:
-            return "train_bimodal_on_all_branches differs"
         if config.icache.line_bytes != self.line_bytes:
             return "icache line_bytes differs"
         return None
@@ -98,9 +95,7 @@ def plan_key(config: "FrontendConfig") -> tuple[object, ...]:
     :func:`dataclasses.astuple` to make the key hashable.
     """
     return (astuple(config.selection), astuple(config.predictor),
-            config.bimodal_entries,
-            config.train_bimodal_on_all_branches,
-            config.icache.line_bytes)
+            config.bimodal_entries, config.icache.line_bytes)
 
 
 def _branch_pairs(trace: Trace) -> tuple[tuple[int, bool], ...]:
@@ -160,12 +155,11 @@ def build_plan(traces: Sequence[Trace],
                    ends_in_return=trace.ends_in_return)
 
     # One bimodal replay: the table is trained identically at every
-    # point (updates are unconditional under the training flag, and the
-    # slow path's prediction reads without writing), so the
-    # misprediction count a miss at occurrence t would record is
-    # point-independent.  Reads happen against the pre-update state —
-    # the slow path predicts before the same trace trains.
-    train_bimodal = config.train_bimodal_on_all_branches
+    # point (every conditional branch updates it, and the slow path's
+    # prediction reads without writing), so the misprediction count a
+    # miss at occurrence t would record is point-independent.  Reads
+    # happen against the pre-update state — the slow path predicts
+    # before the same trace trains.
     bimodal = BimodalPredictor(entries=config.bimodal_entries)
     peek = bimodal.peek
     update_bimodal = bimodal.update
@@ -176,15 +170,14 @@ def build_plan(traces: Sequence[Trace],
             if peek(pc) != taken:
                 mispredicted += 1
         n_mispredicts.append(mispredicted)
-        if train_bimodal:
-            for pc, taken in trace_pairs:
-                update_bimodal(pc, taken)
+        for pc, taken in trace_pairs:
+            update_bimodal(pc, taken)
 
     return BatchPlan(
         traces=traces, selection=config.selection,
         predictor=config.predictor,
         bimodal_entries=config.bimodal_entries,
-        train_bimodal=train_bimodal, line_bytes=line_bytes,
+        line_bytes=line_bytes,
         length=[len(trace) for trace in traces],
         n_branches=[len(trace_pairs) for trace_pairs in pairs],
         n_mispredicts=n_mispredicts, ntp_code=ntp_code, pairs=pairs,

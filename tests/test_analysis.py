@@ -19,7 +19,7 @@ from repro.analysis import (
     series_table,
 )
 from repro.analysis.figures import ExtendedPipelineResult, SpeedupResult
-from repro.analysis.tables import TableRow, TablesResult
+from repro.analysis.tables import TableRow
 from repro.runner import ExperimentSpec
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -391,11 +393,16 @@ class TestCompareCLI:
         assert "unknown mechanism" in err
 
 
+def bench_payload(seconds=16.0):
+    return {"schema": 2, "mode": "quick", "jobs": 1,
+            "sections": {"figure5": {"specs": 4,
+                                     "current_seconds": seconds}},
+            "total": {"current_seconds": seconds}}
+
+
 class TestBenchCheckCLI:
-    def test_missing_reference_names_the_file(self, capsys, tmp_path,
-                                              monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_INSTRUCTIONS", "2000")
-        missing = tmp_path / "nope" / "ref.json"
+    def test_missing_reference_names_the_file(self, capsys, tmp_path):
+        missing = tmp_path / "nope" / "ref.jsonl"
         out_path = tmp_path / "bench.json"
         assert main(["bench", "--quick", "--output", str(out_path),
                      "--check", str(missing)]) == 1
@@ -403,75 +410,81 @@ class TestBenchCheckCLI:
         assert "reference report not found" in err
         assert str(missing) in err
 
-    def test_check_failure_writes_minimized_repro_script(
-            self, capsys, tmp_path, monkeypatch):
+    def check_rejects(self, capsys, monkeypatch, tmp_path, reference):
+        monkeypatch.setattr("repro.runner.run_bench",
+                            lambda **kwargs: bench_payload())
+        assert main(["bench", "--quick", "--no-trajectory",
+                     "--output", str(tmp_path / "bench.json"),
+                     "--check", str(reference)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"bench --check: no 'quick' rows in trajectory {reference}"]
+        assert captured.out == ""
+
+    def test_malformed_reference_exits_one_naming_the_path(
+            self, capsys, monkeypatch, tmp_path):
+        reference = tmp_path / "ref.json"
+        reference.write_text('{"mode": "quick", "sections": {\n')
+        self.check_rejects(capsys, monkeypatch, tmp_path, reference)
+
+    def test_old_report_format_reference_exits_one(
+            self, capsys, monkeypatch, tmp_path):
         import json
 
-        payload = {"schema": 1, "mode": "quick", "jobs": 1,
-                   "baseline_commit": "abc1234",
-                   "sections": {"figure5": {"specs": 4,
-                                            "baseline_seconds": 20.0,
-                                            "current_seconds": 16.0,
-                                            "speedup": 1.25}},
-                   "total": {"baseline_seconds": 20.0,
-                             "current_seconds": 16.0, "speedup": 1.25}}
-        monkeypatch.setattr("repro.runner.run_bench",
-                            lambda **kwargs: payload)
-        reference = tmp_path / "ref.json"
+        # A pretty-printed bench report is not a trajectory: none of
+        # its lines is a row, whatever its mode.
+        reference = tmp_path / "BENCH_quick.json"
         reference.write_text(json.dumps(
-            {"mode": "quick",
-             "sections": {"figure5": {"current_seconds": 10.0}}}))
-        script = tmp_path / "repro.py"
-        assert main(["bench", "--quick", "--no-trajectory",
-                     "--output", str(tmp_path / "bench.json"),
-                     "--check", str(reference),
-                     "--repro-script", str(script)]) == 1
-        err = capsys.readouterr().err
-        assert "bench regression:" in err
-        assert f"bench regression repro script: {script}" in err
-        text = script.read_text()
-        assert "'figure5': 15.0," in text
-        compile(text, str(script), "exec")   # the script at least parses
+            {"schema": 1, "mode": "quick", "jobs": 1,
+             "sections": {"figure5": {"specs": 40,
+                                      "current_seconds": 3.87}}},
+            indent=2, sort_keys=True))
+        self.check_rejects(capsys, monkeypatch, tmp_path, reference)
 
-    def test_check_mismatch_without_slowdown_writes_no_script(
-            self, capsys, tmp_path, monkeypatch):
-        import json
+    def test_check_failure_names_the_regression(self, capsys, tmp_path,
+                                                 monkeypatch):
+        from repro.runner import append_trajectory, read_trajectory
 
-        # Mode mismatch fails the check but is not re-timeable, so no
-        # repro script should appear.
-        payload = {"schema": 1, "mode": "quick", "jobs": 1,
-                   "baseline_commit": "abc1234", "sections": {},
-                   "total": {"baseline_seconds": 0.0,
-                             "current_seconds": 0.0, "speedup": None}}
         monkeypatch.setattr("repro.runner.run_bench",
-                            lambda **kwargs: payload)
-        reference = tmp_path / "ref.json"
-        reference.write_text(json.dumps({"mode": "full", "sections": {}}))
-        script = tmp_path / "repro.py"
-        assert main(["bench", "--quick", "--no-trajectory",
+                            lambda **kwargs: bench_payload(16.0))
+        trajectory = tmp_path / "hist.jsonl"
+        append_trajectory(bench_payload(10.0), trajectory, commit="aaa1111")
+        # The reference is the row recorded before this run: checked
+        # against itself the appended 16 s run would pass.
+        assert main(["bench", "--quick",
                      "--output", str(tmp_path / "bench.json"),
-                     "--check", str(reference),
-                     "--repro-script", str(script)]) == 1
-        assert "bench regression:" in capsys.readouterr().err
-        assert not script.exists()
+                     "--trajectory", str(trajectory),
+                     "--check", str(trajectory)]) == 1
+        err = capsys.readouterr().err
+        assert ("bench regression: figure5: 16.00s exceeds 10.00s +50% "
+                "(15.00s)") in err
+        assert [row["commit"] for row in read_trajectory(trajectory)][0] \
+            == "aaa1111"
+        assert len(read_trajectory(trajectory)) == 2
+
+    def test_committed_trajectory_is_the_ci_reference(self):
+        from repro.runner import TRAJECTORY_FILE, trajectory_reference
+
+        root = Path(__file__).resolve().parent.parent
+        reference = trajectory_reference(root / TRAJECTORY_FILE, "quick")
+        assert reference == {
+            "mode": "quick",
+            "sections": {"figure5": {"current_seconds": 3.87,
+                                     "specs": 40}}}
 
 
 class TestBenchFormatting:
     def test_format_bench_tolerates_untimeable_sections(self):
         from repro.runner import format_bench
 
-        # A near-zero elapsed leaves speedup as None; the formatter
-        # must say "n/a", not raise TypeError on the float format.
-        payload = {"mode": "quick", "jobs": 1, "baseline_commit": "abc1234",
+        payload = {"mode": "quick", "jobs": 1,
                    "sections": {"tables": {"specs": 3,
-                                           "baseline_seconds": 0.0,
-                                           "current_seconds": 0.0,
-                                           "speedup": None}},
-                   "total": {"baseline_seconds": 0.0,
-                             "current_seconds": 0.0, "speedup": None}}
-        text = format_bench(payload)
-        assert text.count("n/a") == 2
-        assert "None" not in text
+                                           "current_seconds": 0.0}},
+                   "total": {"current_seconds": 0.0}}
+        assert format_bench(payload).splitlines() == [
+            "repro bench (quick, jobs=1)",
+            "  tables      3 specs:     0.00s",
+            "  total                    0.00s"]
 
     def test_check_bench_reports_missing_sections_mapping(self):
         from repro.runner import check_bench
@@ -481,47 +494,20 @@ class TestBenchFormatting:
         assert check_bench({"mode": "quick"}, reference) \
             == ["payload has no 'sections' mapping"]
 
+    def test_payload_carries_seconds_only(self, monkeypatch):
+        from repro.runner import ExperimentSpec, run_bench
 
-class TestBenchRepro:
-    REFERENCE = {"mode": "quick",
-                 "sections": {"figure5": {"current_seconds": 10.0},
-                              "tables": {"current_seconds": 1.0}}}
-
-    def test_regressed_sections_names_only_slowdowns(self):
-        from repro.runner import regressed_sections
-
-        payload = {"mode": "quick",
-                   "sections": {"figure5": {"current_seconds": 16.0},
-                                "tables": {"current_seconds": 1.0}}}
-        assert regressed_sections(payload, self.REFERENCE, 0.5) \
-            == {"figure5": 15.0}
-
-    def test_mode_mismatch_is_not_minimizable(self):
-        from repro.runner import regressed_sections
-
-        payload = {"mode": "full",
-                   "sections": {"figure5": {"current_seconds": 99.0}}}
-        assert regressed_sections(payload, self.REFERENCE) == {}
-
-    def test_script_generation_requires_a_regression(self):
-        from repro.runner import bench_repro_script
-
-        with pytest.raises(ValueError, match="no regressed sections"):
-            bench_repro_script({"mode": "quick", "sections": {}},
-                               self.REFERENCE)
-
-    def test_write_bench_repro_embeds_the_limits(self, tmp_path):
-        from repro.runner import write_bench_repro
-
-        payload = {"mode": "quick",
-                   "sections": {"figure5": {"current_seconds": 16.0}}}
-        target = write_bench_repro(payload, self.REFERENCE, 0.5,
-                                   tmp_path / "r.py")
-        text = target.read_text()
-        assert "MODE = 'quick'" in text
-        assert "'figure5': 15.0," in text
-        assert "SystemExit" in text
-        compile(text, str(target), "exec")
+        spec = ExperimentSpec(benchmark="compress", tc_entries=64,
+                              pb_entries=0, instructions=2000)
+        monkeypatch.setattr("repro.runner.bench.bench_sections",
+                            lambda quick: [("figure5", [spec])])
+        payload = run_bench(quick=True)
+        assert payload["schema"] == 2
+        assert set(payload) == {"schema", "mode", "jobs", "instructions",
+                                "sections", "total", "timing_reports"}
+        assert set(payload["sections"]["figure5"]) \
+            == {"specs", "current_seconds"}
+        assert set(payload["total"]) == {"current_seconds"}
 
 
 class TestCacheStaleTempsCLI:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa import AsmError, Opcode, RA, assemble, disassemble
+from repro.isa import AsmError, Opcode, assemble, disassemble
 
 
 class TestAssemble:

@@ -1,8 +1,5 @@
 """Tests for the preprocessing passes (constprop, fusion, scheduling)."""
 
-import pytest
-
-from repro.engine import ArchState
 from repro.engine.functional import FunctionalEngine
 from repro.isa import Instruction, Opcode, assemble
 from repro.preprocess import (

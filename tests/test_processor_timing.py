@@ -98,6 +98,25 @@ class TestProcessorTiming:
                               stream=stream).stats
         assert eight.cycles <= four.cycles * 1.02
 
+    def test_mechanism_seam_honours_static_seed(self, vortex):
+        from dataclasses import replace
+
+        from repro.frontends import PreconstructionMechanism
+
+        image, stream = vortex
+        config = _config(tc=128, pb=128)
+        seeded = replace(config, frontend=replace(config.frontend,
+                                                  static_seed=True))
+        simulation = ProcessorSimulation(image, seeded)
+        assert isinstance(simulation.mechanism, PreconstructionMechanism)
+        assert simulation.precon is simulation.mechanism.engine
+        result = simulation.run(stream[:5_000])
+        assert result.preconstruction is simulation.precon
+        assert result.preconstruction.stats.static_seeds_offered > 0
+        plain = ProcessorSimulation(image, config).run(stream[:5_000])
+        assert plain.preconstruction.stats.static_seeds_offered == 0
+        assert ProcessorSimulation(image, _config()).mechanism is None
+
     def test_empty_stream(self, vortex):
         image, _ = vortex
         result = ProcessorSimulation(image, _config()).run([])

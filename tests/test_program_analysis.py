@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.isa import Instruction, Opcode, assemble
+from repro.isa import Opcode, assemble
 from repro.program import (
     ProgramImage,
     call_graph,

@@ -8,14 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.branch import BimodalPredictor, PathHistory, ReturnAddressStack
-from repro.caches import LRU, SetAssociativeCache
+from repro.caches import SetAssociativeCache
 from repro.core import StartPointStack
 from repro.engine import FunctionalEngine
-from repro.isa import Instruction, Opcode
 from repro.preprocess import propagate_constants
 from repro.preprocess.scheduler import schedule_order
 from repro.preprocess.dependence import build_dependence_graph
-from repro.program import ProgramImage
 from repro.trace import SelectionConfig, traces_of_stream
 from repro.workloads import WorkloadProfile, generate
 

@@ -54,6 +54,12 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec(benchmark="gcc", instructions=-5)
 
+    def test_processor_rejects_static_seed(self):
+        # processor_config() has no static_seed slot: the flag would
+        # only change the digest, never the simulated point.
+        with pytest.raises(ValueError, match="static_seed"):
+            spec_for(kind="processor", static_seed=True)
+
     def test_digest_is_stable(self):
         assert spec_for().digest() == spec_for().digest()
 

@@ -576,14 +576,10 @@ class TestRunnerIntegration:
 # Bench trajectory
 # ----------------------------------------------------------------------
 def bench_payload(seconds=16.0, mode="quick"):
-    return {"schema": 1, "mode": mode, "jobs": 1,
-            "baseline_commit": "abc1234",
+    return {"schema": 2, "mode": mode, "jobs": 1,
             "sections": {"figure5": {"specs": 4,
-                                     "baseline_seconds": 20.0,
-                                     "current_seconds": seconds,
-                                     "speedup": None}},
-            "total": {"baseline_seconds": 20.0,
-                      "current_seconds": seconds, "speedup": None}}
+                                     "current_seconds": seconds}},
+            "total": {"current_seconds": seconds}}
 
 
 class TestBenchTrajectory:
@@ -645,6 +641,7 @@ class TestBenchTrajectory:
                 "--output", str(tmp_path / "bench.json"),
                 "--trajectory", str(trajectory)]
         # First run: an empty trajectory cannot be a reference.
+        trajectory.touch()
         assert main(base + ["--check", str(trajectory)]) == 1
         assert "no 'quick' rows" in capsys.readouterr().err
         assert read_trajectory(trajectory) == []

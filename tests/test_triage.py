@@ -412,6 +412,15 @@ class TestReport:
         with pytest.raises(ValueError, match="nothing to report"):
             render_report()
 
+    def test_old_bench_report_renders_seconds_only(self, report_inputs):
+        # The fixture is a schema-1 report: its baseline and speedup
+        # keys are ignored, its seconds still shown.
+        _, bench, _ = report_inputs
+        html = render_report(bench=[bench])
+        assert "<td>figure5</td><td>40</td><td>4.10</td>" in html
+        for gone in ("9.67", "speedup", "61d73a5"):
+            assert gone not in html, gone
+
     def test_cli_report_writes_the_dashboard(self, report_inputs,
                                              tmp_path, capsys):
         metrics, bench, trace = report_inputs

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine import FunctionalEngine
-from repro.isa import Kind, Opcode
+from repro.isa import Kind
 from repro.program import static_stats
 from repro.trace import traces_of_stream
 from repro.workloads import (
