@@ -238,6 +238,13 @@ def solve(analysis: DataflowAnalysis[F], cfg: RecoveredCFG,
     (backward): deterministic, and within a sweep every block sees its
     already-updated predecessors, so shallow CFGs converge in two or
     three rounds.
+
+    Round one transfers every block.  After that a block is transferred
+    again only when its joined (and, once widening, widened) input
+    differs from the input of its previous transfer: transfers are pure,
+    so the skipped one would reproduce the output already held.  The
+    sweep order, and so every fact, round count and widening decision,
+    is that of transferring every block every round.
     """
     if graph is None:
         if proc is None:
@@ -274,6 +281,8 @@ def solve(analysis: DataflowAnalysis[F], cfg: RecoveredCFG,
                 if fact != in_facts[node]:
                     in_facts[node] = fact
                     changed = True
+                elif rounds > 1:
+                    continue        # same input as its last transfer
                 new_out = analysis.transfer_block(block_rows[node], fact)
                 if new_out != out_facts[node]:
                     out_facts[node] = new_out
@@ -290,6 +299,8 @@ def solve(analysis: DataflowAnalysis[F], cfg: RecoveredCFG,
                 if fact != out_facts[node]:
                     out_facts[node] = fact
                     changed = True
+                elif rounds > 1:
+                    continue        # same input as its last transfer
                 new_in = analysis.transfer_block(block_rows[node], fact)
                 if new_in != in_facts[node]:
                     in_facts[node] = new_in

@@ -101,6 +101,7 @@ class RecoveredCFG:
         for proc in self.procedures:
             self._discover_blocks(proc)
         self._predecessors: dict[int, tuple[int, ...]] = {}
+        self._reachable: dict[ProcedureRange, frozenset[int]] = {}
 
     @cached_property
     def rows(self) -> dict[int, tuple[Row, ...]]:
@@ -155,10 +156,16 @@ class RecoveredCFG:
     # ------------------------------------------------------------------
     # Per-procedure reachability (intra-procedure edges only).
     # ------------------------------------------------------------------
-    def reachable_blocks(self, proc: ProcedureRange) -> set[int]:
-        """Block starts reachable from ``proc``'s entry block."""
+    def reachable_blocks(self, proc: ProcedureRange) -> frozenset[int]:
+        """Block starts reachable from ``proc``'s entry block (memoised)."""
+        reachable = self._reachable.get(proc)
+        if reachable is None:
+            reachable = self._reachable[proc] = self._walk_reachable(proc)
+        return reachable
+
+    def _walk_reachable(self, proc: ProcedureRange) -> frozenset[int]:
         if proc.start not in self.blocks:
-            return set()
+            return frozenset()
         seen: set[int] = set()
         work = [proc.start]
         while work:
@@ -170,7 +177,7 @@ class RecoveredCFG:
                 succ_block = self._block_of.get(succ)
                 if succ_block is not None and succ_block in proc:
                     work.append(succ_block)
-        return seen
+        return frozenset(seen)
 
     # ------------------------------------------------------------------
     # Switch resolution: in-procedure relocated targets.

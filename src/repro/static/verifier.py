@@ -2,12 +2,14 @@
 
 Machine-checks the structural invariants every other subsystem relies
 on.  The workload generator runs this as a post-generation gate (any
-ERROR aborts generation), and ``python -m repro analyze`` exposes it as
-a lint report.  Each rule maps to a cue the paper's mechanisms depend
-on:
+ERROR aborts generation; it runs only the ERROR-capable rules, see
+:func:`verify_image`'s ``errors_only``), and ``python -m repro analyze``
+exposes the full set as a lint report.  Each rule maps to a cue the
+paper's mechanisms depend on; the severity column is the most severe
+level the rule may emit, as declared by its ``@rule`` registration:
 
 =======  ========  ====================================================
-Rule     Severity  Invariant (paper cue it protects)
+Rule     Max       Invariant (paper cue it protects)
 =======  ========  ====================================================
 SD001    ERROR     Control never flows across a procedure boundary
                    except through a call — a clobbered RET breaks the
@@ -179,15 +181,26 @@ class VerifierContext:
 
 RuleFn = Callable[[VerifierContext], Iterator[LintFinding]]
 
-#: Registry of (description, check) per rule ID, in report order.
-RULES: dict[str, tuple[str, RuleFn]] = {}
+#: Registry of (description, most severe level emitted, check) per rule
+#: ID, in report order.
+RULES: dict[str, tuple[str, Severity, RuleFn]] = {}
+
+_RANK = {Severity.INFO: 0, Severity.WARNING: 1, Severity.ERROR: 2}
 
 
-def rule(rule_id: str, description: str) -> Callable[[RuleFn], RuleFn]:
+def rule(rule_id: str, max_severity: Severity,
+         description: str) -> Callable[[RuleFn], RuleFn]:
+    """Register a rule that emits findings no more severe than
+    ``max_severity`` (:func:`verify_image` enforces the bound)."""
     def register(fn: RuleFn) -> RuleFn:
-        RULES[rule_id] = (description, fn)
+        RULES[rule_id] = (description, max_severity, fn)
         return fn
     return register
+
+
+class RuleSeverityError(RuntimeError):
+    """A rule emitted a finding more severe than its registration
+    declares — the ``errors_only`` gate would have skipped it."""
 
 
 @dataclass
@@ -213,7 +226,8 @@ class VerificationReport:
 # ----------------------------------------------------------------------
 # Stack discipline
 # ----------------------------------------------------------------------
-@rule("SD001", "control flow crosses a procedure boundary without a call")
+@rule("SD001", Severity.ERROR,
+      "control flow crosses a procedure boundary without a call")
 def _check_boundary_flow(ctx: VerifierContext) -> Iterator[LintFinding]:
     cfg = ctx.cfg
     for proc in cfg.procedures:
@@ -237,7 +251,8 @@ def _check_boundary_flow(ctx: VerifierContext) -> Iterator[LintFinding]:
                         procedure=proc.name)
 
 
-@rule("SD002", "callable procedure with no reachable return")
+@rule("SD002", Severity.WARNING,
+      "callable procedure with no reachable return")
 def _check_return_matching(ctx: VerifierContext) -> Iterator[LintFinding]:
     cfg = ctx.cfg
     graph = ctx.callgraph
@@ -264,7 +279,8 @@ def _check_return_matching(ctx: VerifierContext) -> Iterator[LintFinding]:
                 pc=proc.start, procedure=proc.name)
 
 
-@rule("SD003", "static call depth unbounded or exceeds the RAS")
+@rule("SD003", Severity.WARNING,
+      "static call depth unbounded or exceeds the RAS")
 def _check_call_depth(ctx: VerifierContext) -> Iterator[LintFinding]:
     depth = ctx.callgraph.max_call_depth
     if depth is None:
@@ -279,7 +295,8 @@ def _check_call_depth(ctx: VerifierContext) -> Iterator[LintFinding]:
             f"{ctx.ras_depth}")
 
 
-@rule("SD004", "stack pointer not restored on a return path")
+@rule("SD004", Severity.ERROR,
+      "stack pointer not restored on a return path")
 def _check_frame_balance(ctx: VerifierContext) -> Iterator[LintFinding]:
     """SP-delta facts at every reachable return must be exactly zero.
 
@@ -312,7 +329,8 @@ def _check_frame_balance(ctx: VerifierContext) -> Iterator[LintFinding]:
                     pc=ret_pc, procedure=proc.name)
 
 
-@rule("SD005", "return address clobbered on a path to a return")
+@rule("SD005", Severity.ERROR,
+      "return address clobbered on a path to a return")
 def _check_return_address(ctx: VerifierContext) -> Iterator[LintFinding]:
     """Every definition of RA reaching a return must be the procedure
     entry value or a frame reload (``LW``); anything else — in
@@ -349,7 +367,8 @@ def _check_return_address(ctx: VerifierContext) -> Iterator[LintFinding]:
 # ----------------------------------------------------------------------
 # Jump tables / relocations
 # ----------------------------------------------------------------------
-@rule("JT001", "relocated code pointer not on an instruction boundary")
+@rule("JT001", Severity.ERROR,
+      "relocated code pointer not on an instruction boundary")
 def _check_jump_tables(ctx: VerifierContext) -> Iterator[LintFinding]:
     image = ctx.image
     for data_addr in sorted(ctx.cfg.reloc_targets):
@@ -362,7 +381,8 @@ def _check_jump_tables(ctx: VerifierContext) -> Iterator[LintFinding]:
                 pc=target)
 
 
-@rule("JT002", "jump-table index range escapes the relocated table")
+@rule("JT002", Severity.ERROR,
+      "jump-table index range escapes the relocated table")
 def _check_table_index_range(ctx: VerifierContext) -> Iterator[LintFinding]:
     """When the value-range analysis bounds a jump-table load, every
     word the bounded address slice can touch must be a relocated code
@@ -394,7 +414,8 @@ def _check_table_index_range(ctx: VerifierContext) -> Iterator[LintFinding]:
 # ----------------------------------------------------------------------
 # Dead code
 # ----------------------------------------------------------------------
-@rule("DC001", "unreachable code inside a live procedure")
+@rule("DC001", Severity.WARNING,
+      "unreachable code inside a live procedure")
 def _check_dead_code(ctx: VerifierContext) -> Iterator[LintFinding]:
     cfg = ctx.cfg
     for proc in cfg.procedures:
@@ -427,7 +448,8 @@ def _dead_runs(dead_blocks: list) -> Iterator[tuple[int, int]]:
 # ----------------------------------------------------------------------
 # Control flow shape
 # ----------------------------------------------------------------------
-@rule("CF001", "irreducible loop (cycle with multiple entry points)")
+@rule("CF001", Severity.WARNING,
+      "irreducible loop (cycle with multiple entry points)")
 def _check_irreducible(ctx: VerifierContext) -> Iterator[LintFinding]:
     cfg = ctx.cfg
     for proc in cfg.procedures:
@@ -443,7 +465,8 @@ def _check_irreducible(ctx: VerifierContext) -> Iterator[LintFinding]:
                 pc=min(component), procedure=proc.name)
 
 
-@rule("CF002", "direct control-transfer target outside the image")
+@rule("CF002", Severity.ERROR,
+      "direct control-transfer target outside the image")
 def _check_direct_targets(ctx: VerifierContext) -> Iterator[LintFinding]:
     image = ctx.image
     cfg = ctx.cfg
@@ -470,7 +493,8 @@ def _check_direct_targets(ctx: VerifierContext) -> Iterator[LintFinding]:
 _INTENT_KINDS = ("diamond_strong", "diamond_weak", "loop_back", "guard")
 
 
-@rule("BB001", "emitted branch contradicts the generator's bias intent")
+@rule("BB001", Severity.ERROR,
+      "emitted branch contradicts the generator's bias intent")
 def _check_bias_consistency(ctx: VerifierContext) -> Iterator[LintFinding]:
     image = ctx.image
     for pc in sorted(ctx.intents):
@@ -530,7 +554,8 @@ def _preceding_andi_mask(image: ProgramImage, pc: int) -> Optional[int]:
 # ----------------------------------------------------------------------
 # Dataflow rules (def-use discipline, value ranges, trip counts)
 # ----------------------------------------------------------------------
-@rule("DF001", "register read before any definition")
+@rule("DF001", Severity.WARNING,
+      "register read before any definition")
 def _check_read_before_write(ctx: VerifierContext) -> Iterator[LintFinding]:
     """A read whose only reaching definition is the procedure entry, in
     a procedure that never defines the register itself, consumes
@@ -576,7 +601,8 @@ def _check_read_before_write(ctx: VerifierContext) -> Iterator[LintFinding]:
                 procedure=proc.name)
 
 
-@rule("DF002", "stored value overwritten before any read")
+@rule("DF002", Severity.INFO,
+      "stored value overwritten before any read")
 def _check_dead_stores(ctx: VerifierContext) -> Iterator[LintFinding]:
     """Write-after-write within one procedure: the liveness boundary is
     all-registers-live at exits, so anything flagged here is provably
@@ -600,7 +626,8 @@ def _check_dead_stores(ctx: VerifierContext) -> Iterator[LintFinding]:
                         f"before any read", pc=pc, procedure=proc.name)
 
 
-@rule("DF003", "caller-live register exposed to a clobbering callee")
+@rule("DF003", Severity.WARNING,
+      "caller-live register exposed to a clobbering callee")
 def _check_live_across_call(ctx: VerifierContext) -> Iterator[LintFinding]:
     """Registers live after a call site that some possible callee may
     clobber (per the interprocedural summaries) need a save slot the
@@ -650,7 +677,8 @@ def _branch_decided(op: Opcode, a: Interval,
     return None
 
 
-@rule("CP001", "conditional branch statically decided")
+@rule("CP001", Severity.INFO,
+      "conditional branch statically decided")
 def _check_constant_branches(ctx: VerifierContext) -> Iterator[LintFinding]:
     """A branch the value-range analysis already decides contributes no
     control-flow variation: it trains the bias tables on a constant and
@@ -681,7 +709,8 @@ def _check_constant_branches(ctx: VerifierContext) -> Iterator[LintFinding]:
                         pc=pc, procedure=proc.name)
 
 
-@rule("LT001", "counted loop is degenerate (at most one trip)")
+@rule("LT001", Severity.INFO,
+      "counted loop is degenerate (at most one trip)")
 def _check_degenerate_loops(ctx: VerifierContext) -> Iterator[LintFinding]:
     """A counted loop whose trip bound proves the back edge can never
     be taken produces no backward-branch cue — the §3.1 region the
@@ -705,18 +734,37 @@ def verify_image(image: ProgramImage,
                  ras_depth: int = DEFAULT_RAS_DEPTH,
                  cfg: Optional[RecoveredCFG] = None,
                  callgraph: Optional[StaticCallGraph] = None,
+                 errors_only: bool = False,
                  ) -> VerificationReport:
-    """Run every lint rule over ``image``; deterministic output order."""
+    """Run every lint rule over ``image``; deterministic output order.
+
+    ``errors_only`` runs only the rules that can emit an ERROR and keeps
+    only their ERROR findings: the report's findings are then exactly
+    the full report's :attr:`~VerificationReport.errors`, in the same
+    order — all the workload generator's gate reads.  A finding more
+    severe than its rule's declared maximum raises
+    :class:`RuleSeverityError` in either mode.
+    """
     cfg = cfg or RecoveredCFG(image)
     graph = callgraph or StaticCallGraph(cfg)
     ctx = VerifierContext(image=image, cfg=cfg, callgraph=graph,
                           intents=dict(intents or {}),
                           ras_depth=ras_depth)
     findings: list[LintFinding] = []
-    for rule_id, (_description, check) in RULES.items():
-        findings.extend(check(ctx))
+    rules_run: list[str] = []
+    for rule_id, (_description, ceiling, check) in RULES.items():
+        if errors_only and ceiling is not Severity.ERROR:
+            continue
+        rules_run.append(rule_id)
+        for finding in check(ctx):
+            if _RANK[finding.severity] > _RANK[ceiling]:
+                raise RuleSeverityError(
+                    f"rule {rule_id} declares at most {ceiling.value} "
+                    f"but emitted: {finding}")
+            if not errors_only or finding.severity is Severity.ERROR:
+                findings.append(finding)
     findings.sort(key=lambda f: (f.severity.value, f.rule_id,
                                  f.pc if f.pc is not None else -1))
     return VerificationReport(findings=findings,
                               dead_procedures=graph.dead_procedures,
-                              rules_run=tuple(RULES))
+                              rules_run=tuple(rules_run))

@@ -91,9 +91,9 @@ def generate(profile: WorkloadProfile,
     """Generate, link, and return the workload described by ``profile``.
 
     With ``verify`` (the default), the linked image is run through the
-    static verifier and any ERROR-severity finding aborts generation
-    with :class:`WorkloadVerificationError` — a generator bug must
-    never silently become a simulation result.
+    static verifier's ERROR-capable rules and any ERROR-severity finding
+    aborts generation with :class:`WorkloadVerificationError` — a
+    generator bug must never silently become a simulation result.
     """
     rng = random.Random(profile.seed)
     data = DataSegment()
@@ -124,7 +124,8 @@ def generate(profile: WorkloadProfile,
 
     if verify:
         from repro.static.verifier import verify_image
-        report = verify_image(image, intents=branch_intents)
+        report = verify_image(image, intents=branch_intents,
+                              errors_only=True)
         if report.errors:
             raise WorkloadVerificationError(profile.name, report.errors)
 

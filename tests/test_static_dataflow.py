@@ -42,7 +42,9 @@ from repro.static import (
     resolve_table_via_dataflow,
     solve,
 )
+import repro.static.dataflow as dataflow_mod
 from repro.static.callgraph import StaticCallGraph
+from repro.static.dataflow import WIDEN_AFTER_ROUNDS
 from repro.static.recovery import RecoveredCFG, resolve_indirect_table
 from repro.static.verifier import verify_image
 from repro.workloads import generate, profile_for
@@ -133,6 +135,126 @@ class TestEngine:
                 assert result.converged
                 runs.append((result.in_facts, result.out_facts))
             assert runs[0] == runs[1]
+
+
+class _CountingTransfers:
+    """Mixin: log every block transfer as ``(block start, input)``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.transfers = []
+
+    def transfer_block(self, rows, fact):
+        self.transfers.append((rows[0][0], fact))
+        return super().transfer_block(rows, fact)
+
+
+class _CountingLiveness(_CountingTransfers, LivenessAnalysis):
+    pass
+
+
+class _CountingReaching(_CountingTransfers, ReachingDefsAnalysis):
+    pass
+
+
+class _CountingConstants(_CountingTransfers, ConstantRangeAnalysis):
+    pass
+
+
+COUNTING = (_CountingLiveness, _CountingReaching, _CountingConstants)
+
+ACYCLIC = """
+main:
+    addi r1, r0, 3
+    beq r1, r2, right
+    addi r3, r1, 1
+    j join
+right:
+    addi r3, r1, 2
+join:
+    add r4, r3, r3
+    halt
+"""
+
+#: A counted loop whose counter interval grows one step per round until
+#: :data:`WIDEN_AFTER_ROUNDS` passes and widening drops it to TOP.
+WIDENING_LOOP = """
+main:
+    addi r1, r0, 0
+    addi r2, r0, 100
+loop:
+    addi r1, r1, 1
+    addi r3, r3, 2
+    blt r1, r2, loop
+    halt
+"""
+
+
+def _counted_solve(analysis_cls, source):
+    facts = _facts(source, ["main"])
+    proc = _proc(facts, "main")
+    analysis = analysis_cls(facts.cfg.image, facts.summaries.call_effects)
+    result = solve(analysis, facts.cfg, graph=facts.flow_graph(proc))
+    return result, analysis.transfers
+
+
+class TestTransferSkip:
+    """``solve`` re-transfers a block only when its input changed."""
+
+    @pytest.mark.parametrize("analysis_cls", COUNTING,
+                             ids=lambda cls: cls.__name__)
+    def test_acyclic_procedure_transfers_each_block_once(self,
+                                                         analysis_cls):
+        result, transfers = _counted_solve(analysis_cls, ACYCLIC)
+        assert len(result.graph.nodes) == 4
+        assert sorted(block for block, _ in transfers) == \
+            list(result.graph.nodes)
+        assert result.converged and result.rounds == 2
+
+    @pytest.mark.parametrize("analysis_cls", COUNTING,
+                             ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("source", [WIDENING_LOOP, """
+        main:
+            addi r1, r0, 0
+        loop:
+            addi r1, r1, 1
+            blt r1, r2, loop
+            halt
+        """], ids=["counted", "open"])
+    def test_confirming_round_transfers_nothing(self, analysis_cls, source,
+                                                monkeypatch):
+        result, transfers = _counted_solve(analysis_cls, source)
+        assert result.converged and result.rounds >= 2
+        # Stopping one round early drops only the confirming round.
+        monkeypatch.setattr(dataflow_mod, "MAX_ROUNDS", result.rounds - 1)
+        cut, cut_transfers = _counted_solve(analysis_cls, source)
+        assert not cut.converged
+        assert cut_transfers == transfers
+        # No block is ever transferred twice in a row on the same input.
+        last = {}
+        for block, fact in transfers:
+            assert last.get(block, object()) != fact
+            last[block] = fact
+
+    def test_widening_loop_keeps_its_facts_and_rounds(self):
+        result, transfers = _counted_solve(_CountingConstants,
+                                           WIDENING_LOOP)
+        # Pinned from the solver that transfers every block every
+        # round: widening fires in round WIDEN_AFTER_ROUNDS + 1 and one
+        # more round confirms.
+        assert result.converged
+        assert result.rounds == WIDEN_AFTER_ROUNDS + 2 == 10
+        zero, hundred = Interval(0, 0), Interval(100, 100)
+        entry, loop, done = BASE, BASE + 8, BASE + 20
+        assert result.in_facts == {entry: {0: zero},
+                                   loop: {0: zero, 2: hundred},
+                                   done: {0: zero, 2: hundred}}
+        assert result.out_facts == {entry: {0: zero, 1: zero, 2: hundred},
+                                    loop: {0: zero, 2: hundred},
+                                    done: {0: zero, 2: hundred}}
+        # Entry once; loop header and exit once per round the header's
+        # input grew (rounds 1-9), never in the confirming round.
+        assert len(transfers) == 1 + 2 * (result.rounds - 1)
 
 
 class TestLiveness:

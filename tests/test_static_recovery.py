@@ -152,6 +152,9 @@ class TestBlockDiscovery:
         reachable = cfg.reachable_blocks(f)
         assert reachable == {f.start}
         assert len(cfg.proc_blocks(f)) == 2
+        # Memoised per procedure, and read-only for every caller.
+        assert isinstance(reachable, frozenset)
+        assert cfg.reachable_blocks(f) is reachable
 
 
 class TestDominatorsAndLoops:

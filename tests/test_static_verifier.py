@@ -1,16 +1,24 @@
 """Mutation self-tests: corrupt a generated image, assert the verifier
 catches each corruption with the right rule ID."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+import repro.static.verifier as verifier_mod
 from repro.isa import INSTRUCTION_BYTES, Opcode, assemble, nop
 from repro.program import ProgramImage
 from repro.static import RecoveredCFG, Severity, StaticCallGraph, verify_image
+from repro.static.verifier import RULES, LintFinding, RuleSeverityError
+from repro.workloads import WorkloadProfile, profile_for
 from repro.workloads.generator import (
     WorkloadVerificationError,
     generate,
 )
-from repro.workloads.spec95 import SPEC95_PROFILES
+from repro.workloads.spec95 import SPEC95_NAMES, SPEC95_PROFILES
+
+FUZZ_CORPUS = Path(__file__).resolve().parent / "golden" / "fuzz_corpus.json"
 
 
 @pytest.fixture
@@ -460,3 +468,150 @@ class TestGeneratorGate:
         monkeypatch.setattr(gen_mod, "layout", broken_layout)
         wl = generate(SPEC95_PROFILES["compress"], verify=False)
         assert wl.image is not None
+
+
+# ----------------------------------------------------------------------
+# The generation gate: ERROR-capable rules only
+# ----------------------------------------------------------------------
+ERROR_RULES = {"SD001", "SD004", "SD005", "JT001", "JT002", "CF002",
+               "BB001"}
+_RANK = {Severity.INFO: 0, Severity.WARNING: 1, Severity.ERROR: 2}
+
+
+def _gate_profiles():
+    """The SPEC stand-ins (own seed and workload seeds 3-5) and every
+    pinned fuzz-corpus program."""
+    for name in SPEC95_NAMES:
+        for seed in (None, 3, 4, 5):
+            key = name if seed is None else f"{name}@{seed}"
+            yield key, profile_for(name, seed)
+    for case in json.loads(FUZZ_CORPUS.read_text())["cases"]:
+        yield case["name"], WorkloadProfile(name=case["name"],
+                                            seed=case["seed"],
+                                            **case["knobs"])
+
+
+def _assert_gate_matches_full(image, intents=None):
+    full = verify_image(image, intents=intents)
+    gate = verify_image(image, intents=intents, errors_only=True)
+    assert gate.findings == full.errors
+    assert set(gate.rules_run) == ERROR_RULES
+    for finding in full.findings:
+        ceiling = RULES[finding.rule_id][1]
+        assert _RANK[finding.severity] <= _RANK[ceiling], str(finding)
+    return full
+
+
+def _broken_return(wl):
+    pc = _reachable_return_pc(wl.image, "p0")
+    wl.image.instructions[_inst_index(wl.image, pc)] = nop()
+
+
+def _wild_jump(wl):
+    image = wl.image
+    cfg = RecoveredCFG(image)
+    for proc in cfg.procedures:
+        for start in sorted(cfg.reachable_blocks(proc)):
+            if cfg.blocks[start].terminator == "jump":
+                idx = _inst_index(image, cfg.blocks[start].end
+                                  - INSTRUCTION_BYTES)
+                image.instructions[idx] = image.instructions[idx] \
+                    .with_fields(imm=image.code_end + 64)
+                return
+
+
+def _weak_strong_diamond(wl):
+    pc = next(pc for pc, kind in wl.branch_intents.items()
+              if kind == "diamond_strong")
+    idx = _inst_index(wl.image, pc - INSTRUCTION_BYTES)
+    wl.image.instructions[idx] = wl.image.instructions[idx].with_fields(
+        imm=1)
+
+
+def _dropped_reloc(wl):
+    del wl.image.relocs[next(iter(wl.image.relocs))]
+
+
+def _misaligned_reloc(wl):
+    addr = next(iter(wl.image.relocs))
+    wl.image.relocs[addr] += 2
+    wl.image.data[addr] += 2
+
+
+class TestErrorsOnlyGate:
+    """``verify_image(errors_only=True)`` is the generator's gate: it
+    must report exactly the full report's errors, in the same order."""
+
+    @pytest.mark.parametrize("key,profile", list(_gate_profiles()),
+                             ids=[key for key, _ in _gate_profiles()])
+    def test_gate_equals_full_errors(self, key, profile):
+        wl = generate(profile, verify=False)
+        _assert_gate_matches_full(wl.image, wl.branch_intents)
+
+    @pytest.mark.parametrize("bench,mutate,rule_id", [
+        ("compress", _broken_return, "SD001"),
+        ("compress", _wild_jump, "CF002"),
+        ("compress", _weak_strong_diamond, "BB001"),
+        ("perl", _dropped_reloc, "JT002"),
+        ("perl", _misaligned_reloc, "JT001"),
+    ], ids=["SD001", "CF002", "BB001", "JT002", "JT001"])
+    def test_gate_equals_full_errors_on_broken_images(self, bench, mutate,
+                                                      rule_id):
+        wl = generate(SPEC95_PROFILES[bench], verify=False)
+        mutate(wl)
+        full = _assert_gate_matches_full(wl.image, wl.branch_intents)
+        assert rule_id in {f.rule_id for f in full.errors}
+
+    @pytest.mark.parametrize("body,errors", [
+        ("addi sp, sp, -8", {"SD004"}),
+        ("addi ra, r0, 4096", {"SD005"}),
+        ("add sp, sp, r8", set()),          # SD004 warns, no error
+    ], ids=["SD004-error", "SD005-error", "SD004-warning"])
+    def test_gate_equals_full_errors_on_dataflow_findings(self, body,
+                                                          errors):
+        source = f"""
+        main:
+            jal f
+            halt
+        f:
+            add r2, r8, r9
+            {body}
+            jr ra
+        """
+        insts, labels = assemble(source, base=0x1000)
+        image = ProgramImage(instructions=insts, code_base=0x1000,
+                             entry=0x1000,
+                             labels={p: labels[p] for p in ("main", "f")})
+        full = _assert_gate_matches_full(image)
+        assert {f.rule_id for f in full.errors} == errors
+        # The full report also carries non-ERROR findings (DF001's
+        # uninitialised r8/r9 reads at least) that the gate leaves out.
+        assert len(full.findings) > len(full.errors)
+
+    def test_generate_runs_the_gate(self, monkeypatch):
+        seen = []
+        original = verifier_mod.verify_image
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("errors_only"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verifier_mod, "verify_image", spy)
+        generate(SPEC95_PROFILES["compress"])
+        assert seen == [True]
+
+    def test_rule_exceeding_its_declaration_fails(self, workload,
+                                                  monkeypatch):
+        def overreach(ctx):
+            yield LintFinding("XX001", Severity.ERROR, "undeclared error")
+
+        monkeypatch.setitem(RULES, "XX001",
+                            ("declares warnings only", Severity.WARNING,
+                             overreach))
+        with pytest.raises(RuleSeverityError, match="XX001"):
+            verify_image(workload.image, intents=workload.branch_intents)
+        # The gate never runs it: the declaration is what it trusts.
+        gate = verify_image(workload.image,
+                            intents=workload.branch_intents,
+                            errors_only=True)
+        assert "XX001" not in gate.rules_run
