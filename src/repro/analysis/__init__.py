@@ -38,11 +38,14 @@ from repro.analysis.results import (
     record_processor_stats,
 )
 from repro.analysis.sweeps import (
+    DYNAMIC_BENCHMARKS,
+    DYNAMIC_SPLIT,
     FIGURE5_PB_SIZES,
     FIGURE5_TC_SIZES,
     Figure5Point,
     StreamCache,
     default_instructions,
+    dynamic_specs,
     figure5_points,
     figure5_specs,
     figure5_sweep,
@@ -63,9 +66,10 @@ __all__ = [
     "bar_chart", "series_table", "ExtendedPipelineResult", "SpeedupResult",
     "figure5_series", "figure6", "figure6_from_results", "figure6_specs",
     "figure8", "figure8_from_results", "figure8_specs", "format_figure5",
-    "format_figure6", "format_figure8", "FIGURE5_PB_SIZES",
-    "FIGURE5_TC_SIZES", "Figure5Point", "StreamCache",
-    "default_instructions", "figure5_points", "figure5_specs",
+    "format_figure6", "format_figure8", "DYNAMIC_BENCHMARKS",
+    "DYNAMIC_SPLIT", "FIGURE5_PB_SIZES", "FIGURE5_TC_SIZES",
+    "Figure5Point", "StreamCache", "default_instructions",
+    "dynamic_specs", "figure5_points", "figure5_specs",
     "figure5_sweep", "run_frontend_point", "run_processor_point",
     "COMPARE_PB_SIZES", "CompareRow", "compare_from_results",
     "compare_specs", "compare_sweep", "format_compare", "rows_to_dicts",

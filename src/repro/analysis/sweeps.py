@@ -35,9 +35,11 @@ from repro.runner import (
 from repro.sim import FrontendStats, run_frontend
 
 __all__ = [
-    "FIGURE5_PB_SIZES", "FIGURE5_TC_SIZES", "Figure5Point", "StreamCache",
-    "default_instructions", "figure5_points", "figure5_specs",
-    "figure5_sweep", "run_frontend_point", "run_processor_point",
+    "DYNAMIC_BENCHMARKS", "DYNAMIC_SPLIT", "FIGURE5_PB_SIZES",
+    "FIGURE5_TC_SIZES", "Figure5Point", "StreamCache",
+    "default_instructions", "dynamic_specs", "figure5_points",
+    "figure5_specs", "figure5_sweep", "run_frontend_point",
+    "run_processor_point",
 ]
 
 
@@ -145,3 +147,26 @@ def figure5_sweep(cache: StreamCache, benchmark: str,
     specs = figure5_specs(benchmark, cache.instructions, tc_sizes, pb_sizes)
     return figure5_points(sweep(specs, jobs=jobs, cache=result_cache,
                                 stream_cache=cache))
+
+
+# ----------------------------------------------------------------------
+# Dynamic TC/PB partitioning (the paper's §5.1 future work)
+# ----------------------------------------------------------------------
+DYNAMIC_BENCHMARKS = ("gcc", "go")
+#: The static (TC, PB) split the adaptive controller starts from and is
+#: compared against.
+DYNAMIC_SPLIT = (384, 128)
+
+
+def dynamic_specs(instructions: Optional[int] = None,
+                  benchmarks: Iterable[str] = DYNAMIC_BENCHMARKS
+                  ) -> list[ExperimentSpec]:
+    """The (static split, adaptive partition) spec pair per benchmark."""
+    budget = resolve_instructions(instructions)
+    tc, pb = DYNAMIC_SPLIT
+    specs = []
+    for benchmark in benchmarks:
+        static = ExperimentSpec(benchmark=benchmark, tc_entries=tc,
+                                pb_entries=pb, instructions=budget)
+        specs += [static, static.replace(kind="dynamic")]
+    return specs

@@ -35,9 +35,8 @@ Host-domain telemetry (:mod:`repro.telemetry`) is the wall-clock
 mirror: ``--telemetry-json`` on ``all``/``bench``/``fuzz``/``compare``
 traces the scheduler, result cache and workload generation (spans +
 metrics registry, propagated across worker processes), ``repro
-telemetry`` prints the last dump, ``repro profile <cmd>`` wraps any
-command in ``cProfile``, and ``repro --profile`` captures a per-point
-profile into the run manifests.  Telemetry is off — and free — by
+telemetry`` prints the last dump, and ``repro profile <cmd>`` wraps
+any command in ``cProfile``.  Telemetry is off — and free — by
 default, and never perturbs results: ``repro all`` output is
 byte-identical either way.
 
@@ -63,6 +62,9 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from repro.analysis import (
+    DYNAMIC_BENCHMARKS,
+    DYNAMIC_SPLIT,
+    dynamic_specs,
     figure5_points,
     figure5_specs,
     figure6_from_results,
@@ -89,10 +91,6 @@ from repro.runner import (
 )
 from repro.workloads import SPEC95_NAMES
 
-DYNAMIC_BENCHMARKS = ("gcc", "go")
-#: The (TC, PB) split the dynamic-partition exhibit compares against.
-DYNAMIC_SPLIT = (384, 128)
-
 Lookup = dict[ExperimentSpec, RunResult]
 Exhibit = tuple[str, list[ExperimentSpec], Callable[[Lookup], str]]
 
@@ -109,12 +107,6 @@ def _parser() -> argparse.ArgumentParser:
                              "REPRO_CACHE_DIR env, else ~/.cache/repro)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the result cache")
-    parser.add_argument("--profile", action="store_true",
-                        help="capture a cProfile per executed sweep point "
-                             "(written under --profile-dir)")
-    parser.add_argument("--profile-dir", default=None, metavar="DIR",
-                        help="directory for per-point .pstats captures "
-                             "(implies --profile; default: profiles)")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="increase log verbosity (-v info, -vv debug)")
     parser.add_argument("--log-level", default=None,
@@ -381,14 +373,6 @@ def _restrict(defaults: Sequence[str],
     return restricted or list(defaults)
 
 
-def _dynamic_specs(benchmark: str, instructions: int
-                   ) -> tuple[ExperimentSpec, ExperimentSpec]:
-    tc, pb = DYNAMIC_SPLIT
-    static = ExperimentSpec(benchmark=benchmark, tc_entries=tc,
-                            pb_entries=pb, instructions=instructions)
-    return static, static.replace(kind="dynamic")
-
-
 def _figure5_exhibit(benchmarks: Sequence[str], instructions: int) -> Exhibit:
     specs = [spec for benchmark in benchmarks
              for spec in figure5_specs(benchmark, instructions)]
@@ -435,18 +419,18 @@ def _figure8_exhibit(benchmarks: Sequence[str], instructions: int) -> Exhibit:
 
 
 def _dynamic_exhibit(benchmarks: Sequence[str], instructions: int) -> Exhibit:
-    pairs = [_dynamic_specs(benchmark, instructions)
-             for benchmark in benchmarks]
-    specs = [spec for pair in pairs for spec in pair]
+    specs = dynamic_specs(instructions, benchmarks)
 
     def render(lookup: Lookup) -> str:
         tc, pb = DYNAMIC_SPLIT
         lines = []
-        for benchmark, (static, dynamic) in zip(benchmarks, pairs):
+        pairs = iter(specs)
+        for static, dynamic in zip(pairs, pairs):
             static_miss = lookup[static].metrics["trace_misses_per_ki"]
             moving = lookup[dynamic].metrics
             lines.append(
-                f"{benchmark}: static({tc}+{pb})={static_miss:.2f} miss/KI, "
+                f"{static.benchmark}: "
+                f"static({tc}+{pb})={static_miss:.2f} miss/KI, "
                 f"dynamic={moving['trace_misses_per_ki']:.2f} miss/KI, "
                 f"trajectory={moving['pb_trajectory']}")
         return "\n".join(lines)
@@ -485,8 +469,7 @@ def _run_exhibits(args, instructions: int) -> int:
     progress = stderr_progress if (args.jobs > 1 or args.command == "all") \
         else None
     runner = ExperimentRunner(jobs=args.jobs, cache=result_cache,
-                              progress=progress,
-                              profile_dir=_profile_dir(args))
+                              progress=progress)
     lookup: Lookup = dict(zip(specs, runner.run(specs)))
     for index, (_, _, render) in enumerate(exhibits):
         if index:
@@ -573,16 +556,6 @@ def _run_trace(args, instructions: int) -> int:
         path = observed.write_metrics(args.metrics)
         print(f"wrote interval metrics to {path}")
     return 0
-
-
-def _profile_dir(args) -> Optional[str]:
-    """``--profile-dir`` wins; bare ``--profile`` defaults to
-    ``profiles/``; neither means no per-point capture."""
-    if getattr(args, "profile_dir", None):
-        return str(args.profile_dir)
-    if getattr(args, "profile", False):
-        return "profiles"
-    return None
 
 
 def _run_profile(args) -> int:
@@ -801,8 +774,7 @@ def _dispatch(args) -> int:
                       f"{args.check}", file=sys.stderr)
                 return 1
         payload = run_bench(quick=args.quick, jobs=args.jobs,
-                            progress=stderr_progress,
-                            profile_dir=_profile_dir(args))
+                            progress=stderr_progress)
         path = write_bench_report(payload, args.output)
         print(format_bench(payload))
         print(f"report written to {path}", file=sys.stderr)

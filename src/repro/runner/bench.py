@@ -58,21 +58,18 @@ def bench_sections(quick: bool = False
 
 
 def run_bench(quick: bool = False, jobs: int = 1,
-              progress: Optional[Callable[[str], None]] = None,
-              profile_dir: Optional[str | Path] = None) -> dict[str, Any]:
+              progress: Optional[Callable[[str], None]] = None
+              ) -> dict[str, Any]:
     """Run one bench mode cold and return the report payload.
 
     Each section gets its own runner (no result cache, no shared
     stream cache) so section times are independent cold measurements.
-    ``profile_dir`` forwards to the runner's per-point ``cProfile``
-    capture (expect skewed wall times under it).
     """
     tele = current_telemetry()
     sections: dict[str, Any] = {}
     reports = []
     for name, specs in bench_sections(quick):
-        runner = ExperimentRunner(jobs=jobs, cache=None, progress=progress,
-                                  profile_dir=profile_dir)
+        runner = ExperimentRunner(jobs=jobs, cache=None, progress=progress)
         started = time.perf_counter()
         if tele:
             with tele.span("bench.section", section=name,

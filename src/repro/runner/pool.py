@@ -29,8 +29,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
-from dataclasses import replace
-from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.engine import FunctionalEngine, Stream
@@ -226,56 +224,25 @@ def run_point(spec: ExperimentSpec, *,
     return result
 
 
-def _execute_point(spec: ExperimentSpec, stream_cache: StreamCache,
-                   profile_dir: Optional[str] = None) -> RunResult:
-    """One point, optionally under a per-point ``cProfile`` capture.
-
-    The ``.pstats`` file is keyed by the spec's digest prefix and a
-    top-N hotspot summary lands in the result's manifest — provenance,
-    so it never affects result identity or cache hits.
-    """
-    if profile_dir is None:
-        return execute_spec(spec, stream_cache)
-    from repro.telemetry.profile import profile_call
-
-    digest = spec.digest()[:16]
-    pstats_path = Path(profile_dir) / f"{digest}.pstats"
-    result, hotspots, written = profile_call(
-        lambda: execute_spec(spec, stream_cache), pstats_path=pstats_path)
-    if not hotspots:     # nested profiler: ran unprofiled
-        return result
-    manifest = dict(result.manifest or {})
-    manifest["profile"] = {"pstats": str(written), "hotspots": hotspots}
-    return replace(result, manifest=manifest)
-
-
-def _run_group(specs: tuple[ExperimentSpec, ...],
-               profile_dir: Optional[str] = None) -> list[RunResult]:
+def _run_group(specs: tuple[ExperimentSpec, ...]) -> list[RunResult]:
     """Worker entry point: one benchmark group, one stream generation."""
     stream_cache = StreamCache(max(spec.instructions for spec in specs))
-    return [_execute_point(spec, stream_cache, profile_dir)
-            for spec in specs]
+    return [execute_spec(spec, stream_cache) for spec in specs]
 
 
 def _run_group_traced(specs: tuple[ExperimentSpec, ...],
-                      context: Optional[Mapping[str, Any]],
-                      profile_dir: Optional[str] = None
-                      ) -> tuple[list[RunResult],
-                                 Optional[dict[str, Any]]]:
-    """Worker entry point with telemetry and/or profiling.
+                      context: Mapping[str, Any]
+                      ) -> tuple[list[RunResult], dict[str, Any]]:
+    """Worker entry point with telemetry.
 
     ``context`` is the parent's span-context handoff; a fresh worker
     session is activated (replacing anything fork-inherited) so the
     harvest shipped back contains only this group's spans/metrics.
-    With ``context=None`` (profiling without telemetry) no session is
-    created and the harvest comes back ``None``.
     """
-    if context is None:
-        return _run_group(specs, profile_dir), None
     tele = activate_worker(context)
     with tele.span("runner.group", benchmark=specs[0].benchmark,
                    points=len(specs)):
-        results = _run_group(specs, profile_dir)
+        results = _run_group(specs)
     return results, tele.harvest()
 
 
@@ -389,15 +356,13 @@ class ExperimentRunner:
     def __init__(self, jobs: int = 1,
                  cache: Optional[ResultCache] = None,
                  stream_cache: Optional[StreamCache] = None,
-                 progress: Optional[Progress] = None,
-                 profile_dir: Optional[str | Path] = None) -> None:
+                 progress: Optional[Progress] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.cache = cache
         self.stream_cache = stream_cache
         self.progress = progress
-        self.profile_dir = str(profile_dir) if profile_dir else None
         self.tele = current_telemetry()
         self.report = TimingReport(jobs=jobs)
 
@@ -483,8 +448,7 @@ class ExperimentRunner:
                                  benchmark=group[0].benchmark,
                                  points=len(group))
                   if self.tele else nullcontext()):
-                executed.extend(_execute_point(spec, stream_cache,
-                                               self.profile_dir)
+                executed.extend(execute_spec(spec, stream_cache)
                                 for spec in group)
             self._announce(index, len(groups), group,
                            time.perf_counter() - group_started)
@@ -494,12 +458,10 @@ class ExperimentRunner:
                       ) -> list[RunResult]:
         executed: list[RunResult] = []
         workers = min(self.jobs, len(groups))
-        traced = self.tele is not None or self.profile_dir is not None
-        context = self.tele.handoff() if self.tele else None
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            if traced:
-                futures = {pool.submit(_run_group_traced, group, context,
-                                       self.profile_dir): group
+            if self.tele:
+                context = self.tele.handoff()
+                futures = {pool.submit(_run_group_traced, group, context): group
                            for group in groups}
             else:
                 futures = {pool.submit(_run_group, group): group
@@ -508,10 +470,9 @@ class ExperimentRunner:
             for future in as_completed(futures):
                 group = futures[future]
                 outcome = future.result()
-                if traced:
+                if self.tele:
                     results, harvest = outcome
-                    if self.tele:
-                        self.tele.absorb(harvest)
+                    self.tele.absorb(harvest)
                 else:
                     results = outcome
                 executed.extend(results)

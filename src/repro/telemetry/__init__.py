@@ -19,8 +19,8 @@ Pieces:
   ``repro all`` output is byte-identical either way);
 * :mod:`repro.telemetry.perfetto` — merged host+sim Perfetto export
   (host tracks keyed by pid/tid, sim tracks by cycle, one file);
-* :mod:`repro.telemetry.profile` — optional per-point ``cProfile``
-  capture behind ``repro --profile`` / ``profile_dir=``.
+* :mod:`repro.telemetry.profile` — the whole-command ``cProfile``
+  capture behind ``repro profile <cmd>``.
 """
 
 from repro.telemetry.perfetto import (

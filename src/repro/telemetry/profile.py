@@ -1,16 +1,10 @@
-"""Optional ``cProfile`` capture for harness hot spots.
+"""Optional ``cProfile`` capture behind ``repro profile <cmd>``.
 
-Two entry points share the machinery:
-
-* ``repro --profile`` / ``ExperimentRunner(profile_dir=...)`` profile
-  *each sweep point* separately, writing ``<digest>.pstats`` files and
-  attaching a top-N hotspot summary to the point's run manifest;
-* ``repro profile <cmd>`` profiles a whole CLI command in one capture.
-
-Only one ``cProfile.Profile`` can be active per interpreter; when a
-capture is requested inside an already-profiled region (``repro
-profile all --profile``), the inner capture degrades to an unprofiled
-run instead of raising — profiling must never turn a green run red.
+``repro profile`` runs a whole CLI command in one capture and prints
+its top-N hotspots.  Only one ``cProfile.Profile`` can be active per
+interpreter; when a capture is requested inside an already-profiled
+region, it degrades to an unprofiled run instead of raising —
+profiling must never turn a green run red.
 """
 
 from __future__ import annotations
@@ -22,7 +16,7 @@ from typing import Any, Callable, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
-#: Hotspot rows attached to manifests / printed by ``repro profile``.
+#: Hotspot rows printed by ``repro profile``.
 DEFAULT_TOP = 10
 
 

@@ -40,6 +40,13 @@ class TestCLI:
         assert "unrecognized arguments: --simulator" \
             in capsys.readouterr().err
 
+    def test_per_point_profile_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["--profile", "all"])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --profile" \
+            in capsys.readouterr().err
+
     def test_dynamic_smoke(self, capsys):
         assert main(["--instructions", "6000", "dynamic",
                      "--benchmarks", "compress"]) == 0

@@ -1,5 +1,8 @@
 """Tests for static CFG recovery, dominators/loops, call graph, seeding."""
 
+import pytest
+
+from repro.analysis.tables import PRECON, TABLE_BENCHMARKS
 from repro.isa import INSTRUCTION_BYTES, assemble
 from repro.program import ProgramImage
 from repro.static import (
@@ -10,6 +13,8 @@ from repro.static import (
     find_loops,
     irreducible_components,
 )
+from repro.runner import StreamCache, build_frontend_config
+from repro.sim import run_frontend
 from repro.static.recovery import START_PROC, resolve_indirect_table
 
 
@@ -292,6 +297,23 @@ class TestCallGraph:
 
 
 class TestStaticSeeding:
+    @pytest.mark.parametrize("name", TABLE_BENCHMARKS)
+    def test_static_seeds_feed_the_constructors(self, name):
+        """At the Table configuration, static seeds start regions, the
+        paper's dynamic stack never offers one, and both modes hit in
+        the preconstruction buffer."""
+        cache = StreamCache(20_000)
+        dynamic, static = (
+            run_frontend(cache.image(name),
+                         build_frontend_config(*PRECON, static_seed=seeded),
+                         stream=cache.stream(name))
+            for seeded in (False, True))
+        assert static.preconstruction.stats.static_seeds_offered > 0
+        assert static.preconstruction.stats.regions_started > 0
+        assert dynamic.preconstruction.stats.static_seeds_offered == 0
+        assert dynamic.stats.buffer_hits > 0
+        assert static.stats.buffer_hits > 0
+
     def test_loop_exit_and_call_return_seeds(self):
         image = _image(LOOP, procs={"main", "f"})
         cfg = RecoveredCFG(image)

@@ -9,9 +9,15 @@ import pytest
 import repro.static.verifier as verifier_mod
 from repro.isa import INSTRUCTION_BYTES, Opcode, assemble, nop
 from repro.program import ProgramImage
-from repro.static import RecoveredCFG, Severity, StaticCallGraph, verify_image
+from repro.static import (
+    RecoveredCFG,
+    Severity,
+    StaticCallGraph,
+    analyze_image,
+    verify_image,
+)
 from repro.static.verifier import RULES, LintFinding, RuleSeverityError
-from repro.workloads import WorkloadProfile, profile_for
+from repro.workloads import WorkloadProfile, build_workload, profile_for
 from repro.workloads.generator import (
     WorkloadVerificationError,
     generate,
@@ -58,6 +64,18 @@ class TestCleanBaseline:
                 if f.severity is not Severity.INFO] == []
         assert report.ok
         assert {f.rule_id for f in report.findings} <= {"DF002"}
+
+    @pytest.mark.parametrize("name", ["gcc", "vortex"])
+    def test_largest_images_analyze_without_errors(self, name):
+        """The full pipeline over the two largest images: no ERROR
+        findings, and static seeds to offer.  The exact findings list of
+        every image is pinned by tests/golden/static_identity.json."""
+        wl = build_workload(name)
+        report = analyze_image(wl.image, intents=wl.branch_intents,
+                               name=name)
+        assert [f for f in report.findings
+                if f.severity is Severity.ERROR] == []
+        assert report.seeds
 
     def test_rules_all_ran(self, workload):
         report = verify_image(workload.image)

@@ -388,7 +388,7 @@ class TestProfileCapture:
 
     def test_blocked_profiler_degrades_to_unprofiled(self, monkeypatch):
         # Some interpreters raise when a second profiler activates
-        # (e.g. under ``repro profile all --profile``); the capture
+        # (e.g. ``repro profile`` under an outer profiler); the capture
         # must degrade to an unprofiled run, never fail the run.
         import cProfile
 
@@ -546,30 +546,6 @@ class TestRunnerIntegration:
             assert key in payload
         assert json.loads(report.to_json()) == payload
         assert "3 points (2 unique)" in report.summary()
-
-    def test_profile_dir_writes_pstats_and_manifest(self, tmp_path):
-        from repro.runner import ExperimentRunner
-
-        profile_dir = tmp_path / "profiles"
-        runner = ExperimentRunner(jobs=1, cache=None,
-                                  profile_dir=profile_dir)
-        results = runner.run(small_specs()[:1])
-        profile = results[0].manifest.get("profile")
-        assert profile is not None
-        assert Path(profile["pstats"]).is_file()
-        assert profile["pstats"].endswith(".pstats")
-        assert profile["hotspots"]
-        assert all("cumtime" in row for row in profile["hotspots"])
-
-    def test_profile_dir_works_across_the_pool(self, tmp_path):
-        from repro.runner import ExperimentRunner
-
-        profile_dir = tmp_path / "profiles"
-        runner = ExperimentRunner(jobs=2, cache=None,
-                                  profile_dir=profile_dir)
-        results = runner.run(small_specs())
-        assert len(list(profile_dir.glob("*.pstats"))) == 4
-        assert all(result.manifest.get("profile") for result in results)
 
 
 # ----------------------------------------------------------------------
