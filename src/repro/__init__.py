@@ -41,33 +41,6 @@ Quickstart::
           run_point(pre).metrics["trace_misses_per_ki"])
 """
 
-from repro.static import (
-    LintFinding,
-    RecoveredCFG,
-    Severity,
-    StaticAnalysisReport,
-    StaticCallGraph,
-    StaticSeed,
-    analyze_image,
-    compute_static_seeds,
-    recover_call_graph,
-    recover_cfg,
-    verify_image,
-)
-
 __version__ = "1.7.0"
 
-__all__ = [
-    "__version__",
-    "LintFinding",
-    "RecoveredCFG",
-    "Severity",
-    "StaticAnalysisReport",
-    "StaticCallGraph",
-    "StaticSeed",
-    "analyze_image",
-    "compute_static_seeds",
-    "recover_call_graph",
-    "recover_cfg",
-    "verify_image",
-]
+__all__ = ["__version__"]

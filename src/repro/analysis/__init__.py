@@ -5,8 +5,24 @@ its grid as :class:`~repro.runner.ExperimentSpec` batches, so exhibit
 regeneration parallelises (``jobs``) and caches (``result_cache``)
 uniformly.  The ``*_specs`` / ``*_from_results`` pairs let callers
 (notably ``repro all``) batch several exhibits through one scheduler.
+A point's record is the runner's :class:`~repro.runner.RunResult`.
+
+:mod:`repro.analysis.bench` is the ``repro bench`` driver: it times
+the Figure-5 and Tables sweeps cold and keeps the
+``BENCH_trajectory.jsonl`` history.
 """
 
+from repro.analysis.bench import (
+    TRAJECTORY_FILE,
+    append_trajectory,
+    bench_sections,
+    check_bench,
+    format_bench,
+    read_trajectory,
+    run_bench,
+    trajectory_reference,
+    write_bench_report,
+)
 from repro.analysis.charts import bar_chart, series_table
 from repro.analysis.compare import (
     COMPARE_PB_SIZES,
@@ -31,12 +47,6 @@ from repro.analysis.figures import (
     format_figure6,
     format_figure8,
 )
-from repro.analysis.results import (
-    ExperimentRecord,
-    ResultSet,
-    record_frontend_stats,
-    record_processor_stats,
-)
 from repro.analysis.sweeps import (
     DYNAMIC_BENCHMARKS,
     DYNAMIC_SPLIT,
@@ -44,13 +54,10 @@ from repro.analysis.sweeps import (
     FIGURE5_TC_SIZES,
     Figure5Point,
     StreamCache,
-    default_instructions,
     dynamic_specs,
     figure5_points,
     figure5_specs,
     figure5_sweep,
-    run_frontend_point,
-    run_processor_point,
 )
 from repro.analysis.tables import (
     TableRow,
@@ -63,18 +70,18 @@ from repro.analysis.tables import (
 )
 
 __all__ = [
+    "TRAJECTORY_FILE", "append_trajectory", "bench_sections",
+    "check_bench", "format_bench", "read_trajectory", "run_bench",
+    "trajectory_reference", "write_bench_report",
     "bar_chart", "series_table", "ExtendedPipelineResult", "SpeedupResult",
     "figure5_series", "figure6", "figure6_from_results", "figure6_specs",
     "figure8", "figure8_from_results", "figure8_specs", "format_figure5",
     "format_figure6", "format_figure8", "DYNAMIC_BENCHMARKS",
     "DYNAMIC_SPLIT", "FIGURE5_PB_SIZES", "FIGURE5_TC_SIZES",
-    "Figure5Point", "StreamCache", "default_instructions",
-    "dynamic_specs", "figure5_points", "figure5_specs",
-    "figure5_sweep", "run_frontend_point", "run_processor_point",
+    "Figure5Point", "StreamCache", "dynamic_specs", "figure5_points",
+    "figure5_specs", "figure5_sweep",
     "COMPARE_PB_SIZES", "CompareRow", "compare_from_results",
     "compare_specs", "compare_sweep", "format_compare", "rows_to_dicts",
     "TableRow", "TablesResult", "compute_tables", "format_all_tables",
     "format_table", "tables_from_results", "tables_specs",
-    "ExperimentRecord", "ResultSet",
-    "record_frontend_stats", "record_processor_stats",
 ]

@@ -2,7 +2,7 @@
 
 Times cold runs of the paper's heaviest exhibit workloads — the
 Figure-5 frontend sweep and the Tables 1-3 traffic points — through the
-ordinary :class:`~repro.runner.pool.ExperimentRunner`, with the result
+ordinary :class:`~repro.runner.ExperimentRunner`, with the result
 cache disabled and a fresh stream cache, so the numbers measure the
 simulator itself rather than the cache layer.
 
@@ -23,9 +23,12 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.runner.pool import ExperimentRunner
-from repro.runner.spec import ExperimentSpec
-from repro.telemetry.session import current_telemetry, utc_timestamp
+from repro.analysis.sweeps import figure5_specs
+from repro.analysis.tables import TABLE_BENCHMARKS, tables_specs
+from repro.obs.manifest import utc_timestamp
+from repro.runner import ExperimentRunner, ExperimentSpec
+from repro.telemetry.session import current_telemetry
+from repro.workloads import SPEC95_NAMES
 
 #: Committed append-only history of bench runs — what ``repro
 #: report``'s trajectory panel and ``bench --check`` read.
@@ -41,10 +44,6 @@ QUICK_BENCHMARKS = ("gcc", "go")
 def bench_sections(quick: bool = False
                    ) -> list[tuple[str, list[ExperimentSpec]]]:
     """The (name, specs) sections one bench mode measures."""
-    from repro.analysis.sweeps import figure5_specs
-    from repro.analysis.tables import TABLE_BENCHMARKS, tables_specs
-    from repro.workloads import SPEC95_NAMES
-
     if quick:
         specs = [spec for benchmark in QUICK_BENCHMARKS
                  for spec in figure5_specs(benchmark, QUICK_INSTRUCTIONS)]

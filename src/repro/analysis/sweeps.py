@@ -8,10 +8,8 @@ across worker processes (``jobs``).  The ``*_specs`` builders and
 ``*_points`` assemblers are exposed separately so ``repro all`` can
 batch every exhibit's specs through one scheduler pass.
 
-The loose-kwargs helpers deprecated in the runner redesign
-(``frontend_config(tc, pb, ...)``, ``run_frontend_point(cache,
-benchmark, tc, ...)``) have been **removed** after their
-``DeprecationWarning`` cycle; the point runners are spec-only now.
+One point runs through :func:`repro.runner.run_point` (or
+:func:`~repro.runner.execute_spec`, which bypasses the result cache).
 
 The per-run instruction budget follows one precedence order —
 explicit value > ``REPRO_INSTRUCTIONS`` env > built-in default — see
@@ -23,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from repro.processor import ProcessorStats, run_processor
 from repro.runner import (
     ExperimentSpec,
     ResultCache,
@@ -32,63 +29,12 @@ from repro.runner import (
     resolve_instructions,
     sweep,
 )
-from repro.sim import FrontendStats, run_frontend
 
 __all__ = [
     "DYNAMIC_BENCHMARKS", "DYNAMIC_SPLIT", "FIGURE5_PB_SIZES",
-    "FIGURE5_TC_SIZES", "Figure5Point", "StreamCache",
-    "default_instructions", "dynamic_specs", "figure5_points",
-    "figure5_specs", "figure5_sweep", "run_frontend_point",
-    "run_processor_point",
+    "FIGURE5_TC_SIZES", "Figure5Point", "StreamCache", "dynamic_specs",
+    "figure5_points", "figure5_specs", "figure5_sweep",
 ]
-
-
-def default_instructions() -> int:
-    """Per-run instruction budget (env-overridable).
-
-    Alias for :func:`repro.runner.resolve_instructions` with no
-    explicit value: ``REPRO_INSTRUCTIONS`` env > built-in default.
-    """
-    return resolve_instructions()
-
-
-# ----------------------------------------------------------------------
-# Single-point runners (spec-only)
-# ----------------------------------------------------------------------
-def run_frontend_point(cache: StreamCache, spec: ExperimentSpec,
-                       *legacy_args, **legacy_kwargs) -> FrontendStats:
-    """One frontend simulation at ``spec``'s configuration point."""
-    if legacy_args or legacy_kwargs or not isinstance(spec, ExperimentSpec):
-        raise TypeError(
-            "run_frontend_point(cache, benchmark, tc_entries, ...) was "
-            "removed; build a repro.api.ExperimentSpec and pass it "
-            "instead (see README 'The repro.api surface')")
-    result = run_frontend(cache.image(spec.benchmark, spec.workload_seed),
-                          spec.frontend_config(),
-                          min(spec.instructions, cache.instructions),
-                          stream=cache.stream(spec.benchmark,
-                                              spec.workload_seed))
-    return result.stats
-
-
-def run_processor_point(cache: StreamCache, spec: ExperimentSpec,
-                        *legacy_args, **legacy_kwargs) -> ProcessorStats:
-    """One full-processor simulation at ``spec``'s configuration point."""
-    if legacy_args or legacy_kwargs or not isinstance(spec, ExperimentSpec):
-        raise TypeError(
-            "run_processor_point(cache, benchmark, tc_entries, ...) was "
-            "removed; build a repro.api.ExperimentSpec and pass it "
-            "instead (see README 'The repro.api surface')")
-    config = spec.processor_config()
-    budget = min(spec.instructions, cache.instructions)
-    result = run_processor(cache.image(spec.benchmark, spec.workload_seed),
-                           config, budget,
-                           stream=cache.stream(spec.benchmark,
-                                               spec.workload_seed),
-                           plan=cache.plan(spec.benchmark, budget,
-                                           config.frontend,
-                                           spec.workload_seed))
-    return result.stats
 
 
 # ----------------------------------------------------------------------

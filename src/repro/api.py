@@ -41,7 +41,8 @@ The surface, by layer:
   comparison drivers :func:`compare_sweep`, :func:`compare_specs`,
   :func:`compare_from_results`, :func:`format_compare`,
   :func:`rows_to_dicts` behind ``python -m repro compare``;
-* **Observability** — :func:`run_observed`, :class:`ObsBus`, the
+* **Observability** — :func:`run_observed` (from
+  :mod:`repro.runner`), :class:`ObsBus`, the
   event sinks, :class:`IntervalMetrics`, :func:`build_manifest`,
   :func:`write_perfetto` / :func:`validate_chrome_trace`, and the
   :func:`get_logger` / :func:`configure_logging` logging helpers;
@@ -55,14 +56,17 @@ The surface, by layer:
   :func:`validate_merged_trace` export host + cycle domains into one
   Perfetto file, and :func:`hotspot_rows` summarizes ``cProfile``
   captures; bench trajectories persist via :func:`append_trajectory` /
-  :func:`read_trajectory` / :func:`trajectory_reference`;
+  :func:`read_trajectory` / :func:`trajectory_reference` (from
+  :mod:`repro.analysis.bench`);
 * **Building blocks** (for custom workload scripts) —
   :func:`assemble`, :class:`ProgramImage`, :class:`FunctionalEngine`
   (whose ``run`` returns a struct-of-arrays :class:`Stream`),
   :class:`TraceCache`, :class:`PreconstructionEngine`, ...
 
-Names exported here are covered by the deprecation policy: removals go
-through a ``DeprecationWarning`` cycle first.
+Removal policy: a name leaves this surface in the change that deletes
+it, with no ``DeprecationWarning`` cycle; CHANGES.md records each
+removal, and tests/test_api_surface.py keeps the README's documented
+list in step with ``__all__``.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from __future__ import annotations
 from repro.analysis import (
     COMPARE_PB_SIZES,
     CompareRow,
+    append_trajectory,
     compare_from_results,
     compare_specs,
     compare_sweep,
@@ -82,7 +87,9 @@ from repro.analysis import (
     format_figure5,
     format_figure6,
     format_figure8,
+    read_trajectory,
     rows_to_dicts,
+    trajectory_reference,
 )
 from repro.branch import BimodalPredictor
 from repro.caches import InstructionCache
@@ -111,13 +118,10 @@ from repro.obs import (
     JsonlSink,
     NullSink,
     ObsBus,
-    ObservedRun,
     RingBufferSink,
     build_manifest,
     configure_logging,
     get_logger,
-    run_observed,
-    run_observed_many,
     validate_chrome_trace,
     write_perfetto,
 )
@@ -127,18 +131,17 @@ from repro.runner import (
     DEFAULT_INSTRUCTIONS,
     ExperimentRunner,
     ExperimentSpec,
+    ObservedRun,
     ResultCache,
     RunResult,
     StreamCache,
     TimingReport,
-    append_trajectory,
     build_frontend_config,
     build_processor_config,
-    read_trajectory,
     resolve_instructions,
+    run_observed,
     run_point,
     sweep,
-    trajectory_reference,
 )
 from repro.sim import (
     DynamicPartitionConfig,
@@ -319,7 +322,6 @@ __all__ = [
     "run_frontend_batch",
     "run_fuzz",
     "run_observed",
-    "run_observed_many",
     "run_point",
     "run_processor",
     "span",

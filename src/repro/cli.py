@@ -51,6 +51,11 @@ scheduler pass and can write its timing report for CI artifacts.
 
 The instruction budget precedence is ``--instructions`` >
 ``REPRO_INSTRUCTIONS`` env > built-in default (60 000).
+
+Bad input — an out-of-range flag, an unreadable file, a malformed
+document — raises ``ValueError`` or ``OSError`` wherever it is found;
+:func:`main` turns either into one ``<command>: <message>`` line on
+stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ from repro.runner import (
     ResultCache,
     RunResult,
     resolve_instructions,
+    run_observed,
     run_point,
     stderr_progress,
 )
@@ -505,8 +511,6 @@ def _observed_spec(args, instructions: int) -> ExperimentSpec:
 
 
 def _run_stats(args, instructions: int) -> int:
-    from repro.obs import run_observed
-
     observed = run_observed(_observed_spec(args, instructions),
                             bucket_cycles=args.bucket_cycles)
     if args.json:
@@ -536,7 +540,7 @@ def _run_stats(args, instructions: int) -> int:
 
 
 def _run_trace(args, instructions: int) -> int:
-    from repro.obs import run_observed, validate_chrome_trace
+    from repro.obs import validate_chrome_trace
 
     observed = run_observed(_observed_spec(args, instructions),
                             bucket_cycles=args.bucket_cycles)
@@ -590,12 +594,7 @@ def _run_telemetry(args) -> int:
 
     path = (Path(args.input) if args.input
             else ResultCache(args.cache_dir).root / LAST_TELEMETRY_FILE)
-    try:
-        payload = load_telemetry(path)
-    except (OSError, ValueError) as error:
-        print(f"telemetry: cannot read dump {path} ({error}); run a "
-              f"command with --telemetry-json first", file=sys.stderr)
-        return 2
+    payload = load_telemetry(path)
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.openmetrics:
@@ -626,8 +625,7 @@ def _write_telemetry_outputs(args, tele, telemetry_json) -> None:
 def _write_bench_perfetto(args) -> int:
     """``repro bench --perfetto``: merge this session's host spans with
     a cycle-domain capture of the first bench point into one trace."""
-    from repro.obs import run_observed
-    from repro.runner import bench_sections
+    from repro.analysis.bench import bench_sections
     from repro.telemetry import (
         current_telemetry,
         validate_merged_trace,
@@ -658,6 +656,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     from repro.obs.log import configure_logging, level_from_args
 
     configure_logging(level_from_args(args.verbose, args.log_level))
+    try:
+        return _main(args)
+    except BrokenPipeError:
+        raise  # ``python -m repro`` exits quietly on a closed pipe
+    except (ValueError, OSError) as error:
+        print(f"{args.command}: {error}", file=sys.stderr)
+        return 2
+
+
+def _main(args) -> int:
     if args.command == "profile":
         return _run_profile(args)
     if args.command == "telemetry":
@@ -748,7 +756,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "bench":
-        from repro.runner import (
+        from repro.analysis.bench import (
             TRAJECTORY_FILE,
             append_trajectory,
             check_bench,
@@ -821,12 +829,8 @@ def _dispatch(args) -> int:
         from repro.triage import diff_paths
 
         cache = None if args.no_cache else ResultCache(args.cache_dir)
-        try:
-            diff = diff_paths(args.run_a, args.run_b, cache=cache,
-                              bucket_cycles=args.bucket_cycles)
-        except (OSError, ValueError) as error:
-            print(f"diff: {error}", file=sys.stderr)
-            return 2
+        diff = diff_paths(args.run_a, args.run_b, cache=cache,
+                          bucket_cycles=args.bucket_cycles)
         if args.json:
             print(json.dumps(diff.to_dict(), indent=2, sort_keys=True))
         else:
@@ -836,14 +840,9 @@ def _dispatch(args) -> int:
     if args.command == "report":
         from repro.triage import write_report
 
-        try:
-            path = write_report(args.output, metrics=args.metrics,
-                                bench=args.bench, traces=args.perfetto,
-                                trajectory=args.trajectory,
-                                title=args.title)
-        except (OSError, ValueError) as error:
-            print(f"report: {error}", file=sys.stderr)
-            return 2
+        path = write_report(args.output, metrics=args.metrics,
+                            bench=args.bench, traces=args.perfetto,
+                            trajectory=args.trajectory, title=args.title)
         print(f"wrote {path} ({path.stat().st_size} bytes)")
         return 0
 
@@ -863,14 +862,10 @@ def _dispatch(args) -> int:
                             if name.strip()])
         pb_sizes = tuple(args.pb) if args.pb else COMPARE_PB_SIZES
         progress = stderr_progress if args.jobs > 1 else None
-        try:
-            rows = compare_sweep(args.benchmarks, mechanisms,
-                                 tc_entries=args.tc, pb_sizes=pb_sizes,
-                                 instructions=instructions, jobs=args.jobs,
-                                 result_cache=cache, progress=progress)
-        except ValueError as error:
-            print(f"compare: {error}", file=sys.stderr)
-            return 2
+        rows = compare_sweep(args.benchmarks, mechanisms,
+                             tc_entries=args.tc, pb_sizes=pb_sizes,
+                             instructions=instructions, jobs=args.jobs,
+                             result_cache=cache, progress=progress)
         if args.json:
             print(json.dumps(rows_to_dicts(rows), indent=2, sort_keys=True))
         else:

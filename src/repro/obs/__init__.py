@@ -22,17 +22,18 @@ end-of-run aggregates.  This package adds the missing instrumentation:
   :class:`~repro.runner.spec.RunResult` and cached entry;
 * :mod:`repro.obs.perfetto` — Chrome/Perfetto ``trace.json`` export of
   an event stream (``repro trace <bench> --out trace.json``);
-* :mod:`repro.obs.capture` — :func:`run_observed`, one-call observed
-  execution of a frontend :class:`ExperimentSpec`;
 * :mod:`repro.obs.log` — stdlib ``logging`` integration: named loggers
   per subsystem and the ``-v``/``--log-level`` CLI plumbing.
+
+One-call observed execution of a frontend point,
+:func:`repro.runner.run_observed`, lives with the runner: it shares
+the ordinary point executor and only attaches a bus.
 
 Determinism contract: for a fixed spec, the emitted event sequence is
 a pure function of the simulation — identical across reruns, across
 ``PYTHONHASHSEED``, and across serial vs parallel execution.
 """
 
-from repro.obs.capture import ObservedRun, run_observed, run_observed_many
 from repro.obs.events import ObsBus
 from repro.obs.log import configure_logging, get_logger
 from repro.obs.manifest import MANIFEST_SCHEMA, build_manifest
@@ -57,6 +58,5 @@ __all__ = [
     "Histogram", "IntervalMetrics",
     "MANIFEST_SCHEMA", "build_manifest",
     "perfetto_trace", "validate_chrome_trace", "write_perfetto",
-    "ObservedRun", "run_observed", "run_observed_many",
     "configure_logging", "get_logger",
 ]

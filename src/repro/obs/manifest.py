@@ -16,15 +16,27 @@ from __future__ import annotations
 
 import platform
 import socket
-from typing import TYPE_CHECKING, Any
+import time
+from typing import TYPE_CHECKING, Any, Optional
 
-from repro.telemetry.session import utc_timestamp
+from repro import __version__
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runner.spec import ExperimentSpec
 
 #: Bump when the manifest layout changes incompatibly.
 MANIFEST_SCHEMA = 1
+
+
+def utc_timestamp(when: Optional[float] = None) -> str:
+    """UTC ISO-8601 with the offset pinned to ``+0000``.
+
+    ``time.strftime("...%z", time.gmtime())`` is platform-dependent
+    (``%z`` may render empty for a bare ``struct_time``), so the
+    offset is a literal — two processes in different ``TZ`` envs
+    produce identical bytes.
+    """
+    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(when)) + "+0000"
 
 
 def host_info() -> dict[str, str]:
@@ -44,13 +56,10 @@ def build_manifest(spec: "ExperimentSpec", *,
     only the deterministic fields (used by tests comparing manifests
     across processes).
     """
-    from repro import __version__
-    from repro.runner.spec import SPEC_SCHEMA_VERSION
-
     manifest: dict[str, Any] = {
         "manifest_schema": MANIFEST_SCHEMA,
         "spec_digest": spec.digest(),
-        "schema_version": SPEC_SCHEMA_VERSION,
+        "schema_version": spec.schema_version,
         "package_version": __version__,
         "benchmark": spec.benchmark,
         "kind": spec.kind,

@@ -10,7 +10,7 @@ A sink consumes plain dicts (JSON-serialisable scalars only) via
   byte-identical files;
 * :class:`RingBufferSink` — keep the last ``capacity`` records in
   memory (unbounded when ``capacity`` is ``None``), the sink behind
-  :func:`repro.obs.capture.run_observed`.
+  :func:`repro.runner.run_observed`.
 """
 
 from __future__ import annotations

@@ -1,14 +1,12 @@
 """Static program representation: blocks, CFGs, layout, linked images.
 
-Also re-exports the deeper static-analysis toolkit from
-:mod:`repro.static` (CFG recovery, dominators/loops, call graph,
-verifier, region seeding) so image-level and recovered-structure
-analyses share one import surface.
+The deeper static-analysis toolkit over linked images (CFG recovery,
+dominators/loops, call graph, verifier, region seeding) lives one layer
+up, in :mod:`repro.static`.
 """
 
 from repro.program.analysis import (
     StaticStats,
-    call_graph,
     instruction_successors,
     reachable_addresses,
     static_stats,
@@ -18,39 +16,10 @@ from repro.program.cfg import ControlFlowGraph, Procedure
 from repro.program.image import CODE_BASE, DATA_BASE, ProgramImage
 from repro.program.layout import DataSegment, LayoutError, Reloc, layout
 
-#: Names re-exported lazily from :mod:`repro.static` (PEP 562): the
-#: static package's modules import ``repro.program`` submodules, so an
-#: eager import here would be circular.
-_STATIC_EXPORTS = frozenset({
-    "CoveragePrediction", "LintFinding", "RecoveredCFG", "Severity",
-    "StaticAnalysisReport", "StaticCallGraph", "StaticFacts",
-    "StaticSeed", "analyze_image", "compute_static_seeds",
-    "predict_coverage", "recover_call_graph", "recover_cfg",
-    "verify_image",
-})
-
-
-def __getattr__(name: str):
-    if name in _STATIC_EXPORTS:
-        import repro.static as _static
-        return getattr(_static, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list:
-    return sorted(set(globals()) | _STATIC_EXPORTS)
-
-
 __all__ = [
-    "StaticStats", "call_graph", "instruction_successors",
+    "StaticStats", "instruction_successors",
     "reachable_addresses", "static_stats",
     "BasicBlock", "BodyItem", "Call", "TermKind", "Terminator",
     "ControlFlowGraph", "Procedure", "CODE_BASE", "DATA_BASE",
     "ProgramImage", "DataSegment", "LayoutError", "Reloc", "layout",
-    "CoveragePrediction", "LintFinding", "RecoveredCFG", "Severity",
-    "StaticAnalysisReport", "StaticCallGraph", "StaticFacts",
-    "StaticSeed", "analyze_image", "compute_static_seeds",
-    "predict_coverage", "recover_call_graph", "recover_cfg",
-    "verify_image",
 ]

@@ -2,7 +2,7 @@
 
 These are used by the workload generator's self-checks and by tests:
 reachability from the entry point, static branch inventory (forward vs
-backward), call-graph extraction, and footprint statistics.
+backward), and footprint statistics.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.isa import INSTRUCTION_BYTES, Kind, Opcode
+from repro.isa import INSTRUCTION_BYTES, Kind
 from repro.program.image import ProgramImage
 
 
@@ -123,29 +123,3 @@ def static_stats(image: ProgramImage) -> StaticStats:
         procedures_reached=procs,
     )
 
-
-def call_graph(image: ProgramImage) -> dict[str, set[str]]:
-    """Direct call graph over procedure labels (indirect calls omitted)."""
-    # Procedure labels are those without a ':'; sort by address to map
-    # call-site addresses back to their enclosing procedure.
-    procs = sorted(((addr, name) for name, addr in image.labels.items()
-                    if ":" not in name))
-    addr_to_proc = {addr: name for addr, name in procs}
-
-    def enclosing(pc: int) -> str | None:
-        owner = None
-        for addr, name in procs:
-            if addr <= pc:
-                owner = name
-            else:
-                break
-        return owner
-
-    graph: dict[str, set[str]] = {name: set() for _, name in procs}
-    for pc in image.addresses():
-        inst = image.fetch(pc)
-        if inst.op is Opcode.JAL and inst.imm in addr_to_proc:
-            caller = enclosing(pc)
-            if caller is not None:
-                graph[caller].add(addr_to_proc[inst.imm])
-    return graph

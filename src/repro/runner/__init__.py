@@ -7,23 +7,15 @@
   content-addressed on-disk store keyed by
   ``(schema_version, spec digest)``;
 * :mod:`repro.runner.pool` — :class:`ExperimentRunner`, grouping jobs
-  by benchmark so each worker generates a dynamic stream once, plus the
-  :class:`TimingReport` behind ``repro all --timing-report``;
-* :mod:`repro.runner.bench` — the seeded hot-path benchmark behind
-  ``repro bench`` and its ``BENCH_trajectory.jsonl`` history.
+  by benchmark so each worker generates a dynamic stream once, the
+  :class:`TimingReport` behind ``repro all --timing-report``, and
+  :func:`run_observed`, one frontend point with the event bus attached
+  (``repro stats`` / ``repro trace``).
+
+The ``repro bench`` driver times exhibit sweeps, so it lives one layer
+up, in :mod:`repro.analysis.bench`.
 """
 
-from repro.runner.bench import (
-    TRAJECTORY_FILE,
-    append_trajectory,
-    bench_sections,
-    check_bench,
-    format_bench,
-    read_trajectory,
-    run_bench,
-    trajectory_reference,
-    write_bench_report,
-)
 from repro.runner.cache import (
     CACHE_DIR_ENV,
     LAST_RUN_FILE,
@@ -32,9 +24,11 @@ from repro.runner.cache import (
 )
 from repro.runner.pool import (
     ExperimentRunner,
+    ObservedRun,
     StreamCache,
     TimingReport,
     execute_spec,
+    run_observed,
     run_point,
     stderr_progress,
     sweep,
@@ -51,12 +45,9 @@ from repro.runner.spec import (
 )
 
 __all__ = [
-    "TRAJECTORY_FILE", "append_trajectory", "bench_sections",
-    "check_bench", "format_bench", "read_trajectory", "run_bench",
-    "trajectory_reference", "write_bench_report",
     "CACHE_DIR_ENV", "LAST_RUN_FILE", "ResultCache", "default_cache_dir",
-    "ExperimentRunner", "StreamCache", "TimingReport", "execute_spec",
-    "run_point", "stderr_progress", "sweep",
+    "ExperimentRunner", "ObservedRun", "StreamCache", "TimingReport",
+    "execute_spec", "run_observed", "run_point", "stderr_progress", "sweep",
     "DEFAULT_INSTRUCTIONS", "KINDS", "SPEC_SCHEMA_VERSION",
     "ExperimentSpec", "RunResult", "build_frontend_config",
     "build_processor_config", "resolve_instructions",

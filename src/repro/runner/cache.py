@@ -26,8 +26,9 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.obs.log import get_logger
+from repro.obs.manifest import utc_timestamp
 from repro.runner.spec import SPEC_SCHEMA_VERSION, ExperimentSpec, RunResult
-from repro.telemetry.session import current_telemetry, utc_timestamp
+from repro.telemetry.session import current_telemetry
 
 #: Environment override for the cache root (used by tests and CI to
 #: keep runs hermetic).

@@ -21,6 +21,11 @@ Execution model:
 The cumulative :class:`TimingReport` records per-point wall times,
 cache hits and executed counts — ``repro all --timing-report`` writes
 it out for CI artifacts.
+
+:func:`run_observed` is the same frontend point with the
+:mod:`repro.obs` event bus attached — the glue behind ``repro stats``
+/ ``repro trace``.  It never consults the result cache: events cannot
+be served from cached aggregates.
 """
 
 from __future__ import annotations
@@ -29,14 +34,20 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import nullcontext
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.engine import FunctionalEngine, Stream
+from repro.obs.events import ObsBus
 from repro.obs.manifest import build_manifest
+from repro.obs.metrics import DEFAULT_BUCKET_CYCLES, IntervalMetrics
+from repro.obs.perfetto import write_perfetto
+from repro.obs.sinks import RingBufferSink, write_events_jsonl
 from repro.processor import run_processor
 from repro.runner.cache import ResultCache
 from repro.runner.spec import ExperimentSpec, RunResult, resolve_instructions
-from repro.sim import DynamicPartitionConfig, run_frontend
+from repro.sim import DynamicPartitionConfig, FrontendResult, run_frontend
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.session import activate_worker, current_telemetry
 from repro.vector import BatchPlan, build_plan, plan_key
@@ -162,6 +173,16 @@ def execute_spec(spec: ExperimentSpec,
         return result
 
 
+def _run_frontend_point(spec: ExperimentSpec, stream_cache: StreamCache,
+                        obs: Optional[ObsBus] = None) -> FrontendResult:
+    """One frontend point on the stream cache's memoised plan."""
+    image = stream_cache.image(spec.benchmark, spec.workload_seed)
+    config = spec.frontend_config()
+    plan = stream_cache.plan(spec.benchmark, spec.instructions, config,
+                             spec.workload_seed)
+    return run_frontend(image, config, plan=plan, obs=obs)
+
+
 def _execute_spec(spec: ExperimentSpec,
                   stream_cache: Optional[StreamCache] = None) -> RunResult:
     started = time.perf_counter()
@@ -179,10 +200,7 @@ def _execute_spec(spec: ExperimentSpec,
     image = stream_cache.image(spec.benchmark, spec.workload_seed)
 
     if spec.kind == "frontend":
-        config = spec.frontend_config()
-        plan = stream_cache.plan(spec.benchmark, spec.instructions, config,
-                                 spec.workload_seed)
-        result = run_frontend(image, config, plan=plan)
+        result = _run_frontend_point(spec, stream_cache)
         metrics = _frontend_metrics(result.stats)
     elif spec.kind == "processor":
         processor_config = spec.processor_config()
@@ -222,6 +240,50 @@ def run_point(spec: ExperimentSpec, *,
     if cache is not None:
         cache.put(spec, result)
     return result
+
+
+@dataclass
+class ObservedRun:
+    """Everything one observed execution produced."""
+
+    result: RunResult
+    stats: Any                       # FrontendStats (raw counters)
+    events: list[dict[str, Any]] = field(default_factory=list)
+    metrics: Optional[IntervalMetrics] = None
+
+    def write_events(self, path: str | Path) -> Path:
+        return write_events_jsonl(self.events, path)
+
+    def write_metrics(self, path: str | Path) -> Path:
+        assert self.metrics is not None
+        return self.metrics.write_jsonl(path)
+
+    def write_perfetto(self, path: str | Path) -> Path:
+        return write_perfetto(self.events, path,
+                              label=self.result.spec.label)
+
+
+def run_observed(spec: ExperimentSpec, *,
+                 bucket_cycles: int = DEFAULT_BUCKET_CYCLES) -> ObservedRun:
+    """Execute frontend ``spec`` with the event bus attached: the
+    result, the full event stream and the interval metrics together.
+
+    The event stream is a pure function of the spec — identical across
+    reruns, ``PYTHONHASHSEED`` and processes.
+    """
+    if spec.kind != "frontend":
+        raise ValueError(f"observed runs support kind='frontend' only, "
+                         f"got {spec.kind!r}")
+    sink = RingBufferSink(capacity=None)
+    bus = ObsBus(sink, IntervalMetrics(bucket_cycles))
+    started = time.perf_counter()
+    sim_result = _run_frontend_point(spec, StreamCache(spec.instructions),
+                                     obs=bus)
+    result = RunResult(spec=spec, metrics=_frontend_metrics(sim_result.stats),
+                       wall_seconds=time.perf_counter() - started,
+                       manifest=build_manifest(spec))
+    return ObservedRun(result=result, stats=sim_result.stats,
+                       events=list(sink.events), metrics=bus.metrics)
 
 
 def _run_group(specs: tuple[ExperimentSpec, ...]) -> list[RunResult]:

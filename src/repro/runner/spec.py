@@ -30,7 +30,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields, replace
-from typing import Any, Mapping, Optional
+from typing import Any, ClassVar, Mapping, Optional
 
 from repro.core import PreconstructionConfig
 from repro.preprocess import PreprocessConfig
@@ -75,8 +75,12 @@ def resolve_instructions(explicit: Optional[int] = None) -> int:
     :data:`DEFAULT_INSTRUCTIONS`.
     """
     if explicit is None:
-        explicit = int(os.environ.get("REPRO_INSTRUCTIONS",
-                                      DEFAULT_INSTRUCTIONS))
+        raw = os.environ.get("REPRO_INSTRUCTIONS", DEFAULT_INSTRUCTIONS)
+        try:
+            explicit = int(raw)
+        except ValueError:
+            raise ValueError("REPRO_INSTRUCTIONS must be an integer, "
+                             f"got {raw!r}") from None
     if explicit <= 0:
         raise ValueError("instruction budget must be positive")
     return explicit
@@ -144,6 +148,9 @@ class ExperimentSpec:
     #: registry name); ``pb_entries`` is its storage budget whatever
     #: the mechanism.
     mechanism: str = "preconstruction"
+    #: :data:`SPEC_SCHEMA_VERSION`, readable off any spec (run
+    #: manifests record it).  Not a field: never serialised or digested.
+    schema_version: ClassVar[int] = SPEC_SCHEMA_VERSION
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:

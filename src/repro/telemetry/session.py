@@ -27,11 +27,11 @@ parent spans are never double-counted), and ships
 from __future__ import annotations
 
 import json
-import time
 from contextlib import AbstractContextManager, contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Optional
 
+from repro.obs.manifest import utc_timestamp
 from repro.telemetry.registry import MetricsRegistry, format_metrics
 from repro.telemetry.spans import SpanTracer, format_span_tree
 
@@ -41,17 +41,6 @@ TELEMETRY_SCHEMA = 1
 #: File (under the result-cache root) holding the most recent
 #: ``--telemetry-json`` dump — what ``repro telemetry`` reads.
 LAST_TELEMETRY_FILE = "last_telemetry.json"
-
-
-def utc_timestamp(when: Optional[float] = None) -> str:
-    """UTC ISO-8601 with the offset pinned to ``+0000``.
-
-    ``time.strftime("...%z", time.gmtime())`` is platform-dependent
-    (``%z`` may render empty for a bare ``struct_time``), so the
-    offset is a literal — two processes in different ``TZ`` envs
-    produce identical bytes.
-    """
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(when)) + "+0000"
 
 
 class Telemetry:
@@ -188,10 +177,15 @@ def write_telemetry(session: Telemetry, path: str | Path) -> Path:
 
 
 def load_telemetry(path: str | Path) -> dict[str, Any]:
-    """Read a :func:`write_telemetry` dump back."""
-    payload = json.loads(Path(path).read_text())
+    """Read a :func:`write_telemetry` dump back; ``ValueError`` names
+    the path when it is missing, unreadable or not a dump."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as error:
+        raise ValueError(f"cannot read dump {path} ({error}); run a "
+                         "command with --telemetry-json first") from None
     if not isinstance(payload, dict):
-        raise ValueError("telemetry dump must be a JSON object")
+        raise ValueError(f"cannot read dump {path}: not a JSON object")
     return payload
 
 

@@ -103,7 +103,7 @@ class RunCapture:
 def capture_spec(spec: ExperimentSpec, *,
                  bucket_cycles: int = DEFAULT_BUCKET_CYCLES) -> RunCapture:
     """Execute ``spec`` observed and package the capture."""
-    from repro.obs import run_observed
+    from repro.runner import run_observed
     from repro.telemetry.session import current_telemetry
 
     tele = current_telemetry()

@@ -399,7 +399,7 @@ def _trajectory_section(paths: Sequence[Path]) -> str:
     same shape :func:`_bench_trajectory_svg` plots for report files —
     so trajectory rows become pseudo-reports labelled by commit.
     """
-    from repro.runner import read_trajectory
+    from repro.analysis.bench import read_trajectory
 
     blocks = ["<h2>Bench trajectory</h2>"]
     for path in paths:

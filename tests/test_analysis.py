@@ -14,13 +14,11 @@ from repro.analysis import (
     format_figure6,
     format_figure8,
     format_table,
-    run_frontend_point,
-    run_processor_point,
     series_table,
 )
 from repro.analysis.figures import ExtendedPipelineResult, SpeedupResult
 from repro.analysis.tables import TableRow
-from repro.runner import ExperimentSpec
+from repro.runner import ExperimentSpec, execute_spec
 
 
 @pytest.fixture(scope="module")
@@ -47,23 +45,16 @@ class TestSweepRunners:
     def test_frontend_point(self, cache):
         spec = ExperimentSpec(benchmark="compress", tc_entries=64,
                               instructions=8_000)
-        stats = run_frontend_point(cache, spec)
-        assert stats.instructions == 8_000
-        assert stats.traces > 0
+        metrics = execute_spec(spec, cache).metrics
+        assert metrics["instructions"] == 8_000
+        assert metrics["traces"] > 0
 
     def test_processor_point(self, cache):
         spec = ExperimentSpec(benchmark="compress", tc_entries=64,
                               kind="processor", instructions=8_000)
-        stats = run_processor_point(cache, spec)
-        assert stats.cycles > 0
-        assert stats.ipc > 0
-
-    def test_loose_kwargs_are_gone(self, cache):
-        # Removed after their DeprecationWarning cycle (runner redesign).
-        with pytest.raises(TypeError, match="ExperimentSpec"):
-            run_frontend_point(cache, "compress", 64, 32)
-        with pytest.raises(TypeError, match="ExperimentSpec"):
-            run_processor_point(cache, "compress", 64)
+        metrics = execute_spec(spec, cache).metrics
+        assert metrics["cycles"] > 0
+        assert metrics["ipc"] > 0
 
     def test_loose_config_helpers_are_gone(self):
         import repro.analysis

@@ -47,6 +47,33 @@ class TestCLI:
         assert "unrecognized arguments: --profile" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--instructions", "-5", "point", "gcc"],
+         "point: instruction budget must be positive"),
+        (["--instructions", "0", "point", "gcc"],
+         "point: instruction budget must be positive"),
+        (["point", "gcc", "--tc", "0"], "point: tc_entries must be positive"),
+        (["point", "gcc", "--pb", "-3"],
+         "point: pb_entries must be non-negative"),
+        (["fuzz", "--seeds", "0"], "fuzz: seeds must be >= 1"),
+        (["fuzz", "--budget", "0", "--seeds", "1"],
+         "fuzz: instruction budget must be positive"),
+        (["stats", "gcc", "--bucket-cycles", "0"],
+         "stats: bucket_cycles must be positive"),
+        (["figure5", "--jobs", "0"], "figure5: jobs must be >= 1"),
+        (["REPRO_INSTRUCTIONS=abc", "point", "gcc"],
+         "point: REPRO_INSTRUCTIONS must be an integer, got 'abc'"),
+    ])
+    def test_bad_input_exits_two_with_one_line(self, argv, message, capsys,
+                                               monkeypatch):
+        if argv[0].startswith("REPRO_INSTRUCTIONS="):
+            monkeypatch.setenv("REPRO_INSTRUCTIONS", argv[0].split("=")[1])
+            argv = argv[1:]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == ""
+
     def test_dynamic_smoke(self, capsys):
         assert main(["--instructions", "6000", "dynamic",
                      "--benchmarks", "compress"]) == 0
@@ -268,7 +295,7 @@ class TestObservabilityCLI:
 
 class TestBenchCheck:
     def test_check_bench_passes_within_tolerance(self):
-        from repro.runner import check_bench
+        from repro.analysis import check_bench
 
         reference = {"mode": "quick",
                      "sections": {"figure5": {"current_seconds": 10.0}}}
@@ -277,7 +304,7 @@ class TestBenchCheck:
         assert check_bench(payload, reference, tolerance=0.5) == []
 
     def test_check_bench_flags_regression(self):
-        from repro.runner import check_bench
+        from repro.analysis import check_bench
 
         reference = {"mode": "quick",
                      "sections": {"figure5": {"current_seconds": 10.0}}}
@@ -287,7 +314,7 @@ class TestBenchCheck:
         assert problems and "figure5" in problems[0]
 
     def test_check_bench_mode_and_section_mismatches(self):
-        from repro.runner import check_bench
+        from repro.analysis import check_bench
 
         reference = {"mode": "full",
                      "sections": {"figure5": {"current_seconds": 10.0},
@@ -418,7 +445,7 @@ class TestBenchCheckCLI:
         assert str(missing) in err
 
     def check_rejects(self, capsys, monkeypatch, tmp_path, reference):
-        monkeypatch.setattr("repro.runner.run_bench",
+        monkeypatch.setattr("repro.analysis.bench.run_bench",
                             lambda **kwargs: bench_payload())
         assert main(["bench", "--quick", "--no-trajectory",
                      "--output", str(tmp_path / "bench.json"),
@@ -450,9 +477,9 @@ class TestBenchCheckCLI:
 
     def test_check_failure_names_the_regression(self, capsys, tmp_path,
                                                  monkeypatch):
-        from repro.runner import append_trajectory, read_trajectory
+        from repro.analysis import append_trajectory, read_trajectory
 
-        monkeypatch.setattr("repro.runner.run_bench",
+        monkeypatch.setattr("repro.analysis.bench.run_bench",
                             lambda **kwargs: bench_payload(16.0))
         trajectory = tmp_path / "hist.jsonl"
         append_trajectory(bench_payload(10.0), trajectory, commit="aaa1111")
@@ -470,7 +497,7 @@ class TestBenchCheckCLI:
         assert len(read_trajectory(trajectory)) == 2
 
     def test_committed_trajectory_is_the_ci_reference(self):
-        from repro.runner import TRAJECTORY_FILE, trajectory_reference
+        from repro.analysis import TRAJECTORY_FILE, trajectory_reference
 
         root = Path(__file__).resolve().parent.parent
         reference = trajectory_reference(root / TRAJECTORY_FILE, "quick")
@@ -482,7 +509,7 @@ class TestBenchCheckCLI:
 
 class TestBenchFormatting:
     def test_format_bench_tolerates_untimeable_sections(self):
-        from repro.runner import format_bench
+        from repro.analysis import format_bench
 
         payload = {"mode": "quick", "jobs": 1,
                    "sections": {"tables": {"specs": 3,
@@ -494,7 +521,7 @@ class TestBenchFormatting:
             "  total                    0.00s"]
 
     def test_check_bench_reports_missing_sections_mapping(self):
-        from repro.runner import check_bench
+        from repro.analysis import check_bench
 
         reference = {"mode": "quick",
                      "sections": {"figure5": {"current_seconds": 1.0}}}
@@ -502,11 +529,12 @@ class TestBenchFormatting:
             == ["payload has no 'sections' mapping"]
 
     def test_payload_carries_seconds_only(self, monkeypatch):
-        from repro.runner import ExperimentSpec, run_bench
+        from repro.analysis import run_bench
+        from repro.runner import ExperimentSpec
 
         spec = ExperimentSpec(benchmark="compress", tc_entries=64,
                               pb_entries=0, instructions=2000)
-        monkeypatch.setattr("repro.runner.bench.bench_sections",
+        monkeypatch.setattr("repro.analysis.bench.bench_sections",
                             lambda quick: [("figure5", [spec])])
         payload = run_bench(quick=True)
         assert payload["schema"] == 2

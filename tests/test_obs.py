@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -24,14 +26,17 @@ from repro.obs import (
     RingBufferSink,
     build_manifest,
     perfetto_trace,
-    run_observed,
-    run_observed_many,
     validate_chrome_trace,
     write_events_jsonl,
 )
 from repro.obs.log import configure_logging, get_logger, level_from_args
 from repro.obs.sinks import read_events_jsonl
-from repro.runner import ExperimentSpec, run_point
+from repro.runner import (
+    SPEC_SCHEMA_VERSION,
+    ExperimentSpec,
+    run_observed,
+    run_point,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -170,6 +175,7 @@ class TestManifest:
         assert manifest["spec_digest"] == SPEC.digest()
         assert manifest["benchmark"] == "compress"
         assert manifest["instructions"] == 6000
+        assert manifest["schema_version"] == SPEC_SCHEMA_VERSION
         assert "host" in manifest and "created_at" in manifest
 
     def test_deterministic_subset(self):
@@ -248,8 +254,10 @@ class TestObservedRuns:
 
     def test_serial_matches_parallel(self):
         specs = [SPEC, SPEC.replace(benchmark="go")]
-        serial = run_observed_many(specs, jobs=1)
-        parallel = run_observed_many(specs, jobs=2)
+        serial = [run_observed(spec) for spec in specs]
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            parallel = list(pool.map(run_observed, specs))
         for left, right in zip(serial, parallel):
             assert left.events == right.events
             assert left.metrics.rows() == right.metrics.rows()
@@ -292,8 +300,7 @@ class TestObservedRuns:
         Regenerate (deliberately, after a simulator change) with::
 
             PYTHONPATH=src python -c "
-            from repro.obs import run_observed
-            from repro.runner import ExperimentSpec
+            from repro.runner import ExperimentSpec, run_observed
             run_observed(ExperimentSpec(benchmark='compress',
                 tc_entries=256, pb_entries=256, instructions=6000)
             ).write_metrics(

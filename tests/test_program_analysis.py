@@ -3,12 +3,8 @@
 import pytest
 
 from repro.isa import Opcode, assemble
-from repro.program import (
-    ProgramImage,
-    call_graph,
-    reachable_addresses,
-    static_stats,
-)
+from repro.program import ProgramImage, reachable_addresses, static_stats
+from repro.static import recover_call_graph
 
 
 def _image(source: str, data=None):
@@ -125,7 +121,7 @@ class TestCallGraph:
         b:
             jr ra
         """)
-        graph = call_graph(image)
+        graph = recover_call_graph(image).edges
         assert graph["main"] == {"a", "b"}
         assert graph["a"] == {"b"}
         assert graph["b"] == set()

@@ -1,15 +1,8 @@
-"""Tests for experiment result records and serialisation."""
+"""Tests for the per-point result record, :class:`RunResult`."""
 
 import pytest
 
-from repro.analysis import StreamCache, run_frontend_point, run_processor_point
-from repro.analysis.results import (
-    ExperimentRecord,
-    ResultSet,
-    record_frontend_stats,
-    record_processor_stats,
-)
-from repro.runner import ExperimentSpec
+from repro.runner import ExperimentSpec, StreamCache, execute_spec
 
 
 @pytest.fixture(scope="module")
@@ -21,47 +14,14 @@ class TestRecords:
     def test_frontend_record(self, cache):
         spec = ExperimentSpec(benchmark="compress", tc_entries=64,
                               pb_entries=32, instructions=6_000)
-        stats = run_frontend_point(cache, spec)
-        record = record_frontend_stats("figure5", "compress", 64, 32, stats)
-        assert record.config == {"tc_entries": 64, "pb_entries": 32}
+        record = execute_spec(spec, cache)
+        assert record.spec == spec
         assert record.metrics["trace_misses_per_ki"] >= 0
-        assert record.instructions == 6_000
+        assert record.metrics["instructions"] == 6_000
 
     def test_processor_record(self, cache):
         spec = ExperimentSpec(benchmark="compress", tc_entries=64,
                               kind="processor", instructions=6_000)
-        stats = run_processor_point(cache, spec)
-        record = record_processor_stats("figure6", "compress", 64, 0,
-                                        False, stats)
+        record = execute_spec(spec, cache)
         assert record.metrics["ipc"] > 0
         assert record.metrics["cycles"] > 0
-
-
-class TestResultSet:
-    def _sample(self):
-        return ExperimentRecord(
-            exhibit="figure5", benchmark="gcc",
-            config={"tc_entries": 256, "pb_entries": 0},
-            metrics={"trace_misses_per_ki": 10.5}, instructions=1000)
-
-    def test_filtering(self):
-        results = ResultSet()
-        results.add(self._sample())
-        results.add(ExperimentRecord(
-            exhibit="table1", benchmark="go", config={},
-            metrics={}, instructions=1000))
-        assert len(results.for_exhibit("figure5")) == 1
-        assert len(results.for_benchmark("go")) == 1
-
-    def test_save_load_round_trip(self, tmp_path):
-        results = ResultSet([self._sample()])
-        path = tmp_path / "results.json"
-        results.save(path)
-        loaded = ResultSet.load(path)
-        assert loaded.records == results.records
-
-    def test_bad_schema_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"schema": 99, "records": []}')
-        with pytest.raises(ValueError):
-            ResultSet.load(path)

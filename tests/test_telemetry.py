@@ -560,7 +560,7 @@ def bench_payload(seconds=16.0, mode="quick"):
 
 class TestBenchTrajectory:
     def test_append_read_round_trip(self, tmp_path):
-        from repro.runner import append_trajectory, read_trajectory
+        from repro.analysis import append_trajectory, read_trajectory
 
         path = tmp_path / "hist.jsonl"
         append_trajectory(bench_payload(16.0), path, commit="aaa1111")
@@ -571,7 +571,7 @@ class TestBenchTrajectory:
         assert rows[1]["recorded_at"].endswith("+0000")
 
     def test_read_skips_damaged_lines_and_missing_file(self, tmp_path):
-        from repro.runner import append_trajectory, read_trajectory
+        from repro.analysis import append_trajectory, read_trajectory
 
         assert read_trajectory(tmp_path / "absent.jsonl") == []
         path = tmp_path / "hist.jsonl"
@@ -583,7 +583,7 @@ class TestBenchTrajectory:
             == ["aaa1111", "bbb2222"]
 
     def test_trajectory_reference_picks_last_matching_mode(self, tmp_path):
-        from repro.runner import (
+        from repro.analysis import (
             append_trajectory,
             check_bench,
             trajectory_reference,
@@ -608,9 +608,9 @@ class TestBenchTrajectory:
                                                      tmp_path,
                                                      monkeypatch):
         from repro.cli import main
-        from repro.runner import read_trajectory
+        from repro.analysis import read_trajectory
 
-        monkeypatch.setattr("repro.runner.run_bench",
+        monkeypatch.setattr("repro.analysis.bench.run_bench",
                             lambda **kwargs: bench_payload(16.0))
         trajectory = tmp_path / "hist.jsonl"
         base = ["bench", "--quick",
@@ -633,7 +633,7 @@ class TestBenchTrajectory:
 
     def test_cli_report_renders_trajectory(self, capsys, tmp_path):
         from repro.cli import main
-        from repro.runner import append_trajectory
+        from repro.analysis import append_trajectory
 
         trajectory = tmp_path / "hist.jsonl"
         append_trajectory(bench_payload(16.0), trajectory,
@@ -729,7 +729,7 @@ class TestTelemetryCLI:
                                                 monkeypatch):
         from repro.cli import main
 
-        monkeypatch.setattr("repro.runner.run_bench",
+        monkeypatch.setattr("repro.analysis.bench.run_bench",
                             lambda **kwargs: bench_payload(16.0))
         trace_path = tmp_path / "merged.json"
         assert main(["bench", "--quick", "--no-trajectory",
