@@ -153,7 +153,9 @@ def read_trajectory(path: str | Path = TRAJECTORY_FILE
     reads as empty.
 
     Damaged lines (a truncated append from a killed run) are skipped
-    rather than poisoning the whole history.
+    rather than poisoning the whole history.  A line that decodes to
+    something other than an object is no history row: it raises a
+    ``ValueError`` naming the file and line.
     """
     target = Path(path)
     try:
@@ -161,7 +163,7 @@ def read_trajectory(path: str | Path = TRAJECTORY_FILE
     except (OSError, UnicodeDecodeError):
         return []
     rows: list[dict[str, Any]] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -169,8 +171,10 @@ def read_trajectory(path: str | Path = TRAJECTORY_FILE
             row = json.loads(line)
         except ValueError:
             continue
-        if isinstance(row, dict):
-            rows.append(row)
+        if not isinstance(row, dict):
+            raise ValueError(f"{target}: line {number} is not a JSON object "
+                             "(a trajectory holds one object per line)")
+        rows.append(row)
     return rows
 
 

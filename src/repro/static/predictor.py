@@ -273,11 +273,14 @@ class _Walk:
         emitted = 0
         truncated = False
         visited: set[tuple[object, ...]] = set()
-        stack: list[tuple[int, ...]] = [(start,)]
+        # Each state carries the index of the last backward branch
+        # before its final pc, so no pop re-fetches its path.
+        stack: list[tuple[tuple[int, ...], Optional[int]]] = [
+            ((start,), None)]
         budget = MAX_REGION_STATES if region else MAX_STATES_PER_START
         spent = 0
         while stack:
-            path = stack.pop()
+            path, last_backward = stack.pop()
             spent += 1
             if not region:
                 self.states += 1
@@ -292,9 +295,6 @@ class _Walk:
             if inst is None:
                 continue            # ran off the image: verifier territory
             self.covered.add(pc)
-            insts = [i for i in
-                     (self.image.try_fetch(p) for p in path)
-                     if i is not None]
             n = len(path)
             if inst.is_return and config.end_at_returns:
                 self.traces.add(path)
@@ -308,10 +308,10 @@ class _Walk:
                 if not region:
                     new_starts.update(self.successors(pc, inst))
                 continue
-            last_backward = _last_backward(insts)
+            if inst.is_backward:
+                last_backward = n - 1
             if n >= config.max_length:
-                cut = aligned_cut(len(insts), last_backward,
-                                  config.align_multiple)
+                cut = aligned_cut(n, last_backward, config.align_multiple)
                 self.traces.add(path[:cut])
                 emitted += 1
                 if cut < n:
@@ -326,7 +326,7 @@ class _Walk:
                 key = self._state_key(nxt, last_backward)
                 if key not in visited:
                     visited.add(key)
-                    stack.append(nxt)
+                    stack.append((nxt, last_backward))
         return new_starts, emitted, truncated
 
     @staticmethod
@@ -344,14 +344,6 @@ class _Walk:
             return (path[-1], len(path))
         return (path[-1], len(path), last_backward,
                 path[last_backward + 1:])
-
-
-def _last_backward(insts: list[Instruction]) -> Optional[int]:
-    """Index of the last backward branch in ``insts``, if any."""
-    for i in range(len(insts) - 1, -1, -1):
-        if insts[i].is_backward:
-            return i
-    return None
 
 
 def predict_coverage(image: ProgramImage,

@@ -335,10 +335,13 @@ def _read_metrics(path: Path) -> dict[str, Any]:
     meta: dict[str, Any] = {}
     intervals: list[dict[str, Any]] = []
     histograms: list[dict[str, Any]] = []
-    for line in path.read_text().splitlines():
+    for number, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
         row = json.loads(line)
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: line {number} is not a JSON object "
+                             "(a metrics file holds one object per line)")
         if row.get("type") == "meta":
             meta = row
         elif row.get("type") == "interval":
@@ -370,8 +373,23 @@ def _metrics_section(paths: Sequence[Path]) -> str:
     return "".join(blocks)
 
 
+def _check_sections(payload: Any, where: str) -> dict[str, Any]:
+    """``payload`` itself, once it is an object whose ``sections`` (if
+    any) maps section names to objects, as bench reports and trajectory
+    rows do."""
+    if isinstance(payload, dict):
+        sections = payload.get("sections", {})
+        if isinstance(sections, dict) and all(
+                isinstance(section, dict) for section in sections.values()):
+            return payload
+    raise ValueError(f"{where}: expected an object whose \"sections\" "
+                     "maps section names to objects")
+
+
 def _bench_section(paths: Sequence[Path]) -> str:
-    reports = [(path.name, json.loads(path.read_text())) for path in paths]
+    reports = [(path.name,
+                _check_sections(json.loads(path.read_text()), str(path)))
+               for path in paths]
     blocks = ["<h2>Bench</h2>"]
     if len(reports) > 1:
         blocks.append('<div class="card">'
@@ -410,7 +428,9 @@ def _trajectory_section(paths: Sequence[Path]) -> str:
             blocks.append('<p class="note">(need at least two recorded '
                           "runs for a trajectory)</p>")
         else:
-            reports = [(str(row.get("commit", "?")), row) for row in rows]
+            reports = [(str(row.get("commit", "?")),
+                        _check_sections(row, f"{path}: row {number}"))
+                       for number, row in enumerate(rows, 1)]
             blocks.append(_bench_trajectory_svg(reports))
         blocks.append("</div>")
     return "".join(blocks)

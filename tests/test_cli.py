@@ -74,6 +74,34 @@ class TestCLI:
         assert captured.err.splitlines() == [message]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--bench", '{"sections": 3}',
+         'expected an object whose "sections" maps section names to '
+         'objects'),
+        ("--bench", '[1, 2]',
+         'expected an object whose "sections" maps section names to '
+         'objects'),
+        ("--metrics", '[{"type": "meta"}]',
+         "line 1 is not a JSON object (a metrics file holds one object "
+         "per line)"),
+        ("--trajectory", '{"sections": {}}\n[1]\n',
+         "line 2 is not a JSON object (a trajectory holds one object per "
+         "line)"),
+        ("--trajectory", '{"sections": {}}\n{"sections": {"a": 3}}\n',
+         'row 2: expected an object whose "sections" maps section names '
+         'to objects'),
+    ])
+    def test_malformed_report_input_exits_two_with_one_line(
+            self, flag, content, message, tmp_path, capsys):
+        source = tmp_path / "input.json"
+        source.write_text(content)
+        output = tmp_path / "report.html"
+        assert main(["report", flag, str(source), "-o", str(output)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"report: {source}: {message}"]
+        assert captured.out == ""
+        assert not output.exists()
+
     def test_dynamic_smoke(self, capsys):
         assert main(["--instructions", "6000", "dynamic",
                      "--benchmarks", "compress"]) == 0

@@ -1,11 +1,17 @@
 """Unit tests for the functional execution engine."""
 
+import gc
+import itertools
+import weakref
+
 import pytest
 
-from repro.engine import ExecutionError, FunctionalEngine
+from repro.engine import ArchState, ExecutionError, FunctionalEngine
 from repro.engine.state import to_signed, to_unsigned
-from repro.isa import Opcode, assemble
+from repro.isa import INSTRUCTION_BYTES, RA, Instruction, Kind, Opcode, \
+    assemble
 from repro.program import ProgramImage
+from repro.workloads import build_workload
 
 
 def _image_from_asm(source: str, data: dict[int, int] | None = None,
@@ -266,3 +272,216 @@ class TestHelpers:
         assert to_unsigned(-1) == 0xFFFF_FFFF
         assert to_signed(0x7FFF_FFFF) == 0x7FFF_FFFF
         assert to_signed(0x8000_0000) == -0x8000_0000
+
+
+class TestDecodeTable:
+    def test_dropped_engine_frees_its_table_without_collection(self):
+        image = build_workload("compress").image
+        gc.collect()
+        gc.disable()
+        try:
+            engine = FunctionalEngine(image)
+            engine.run(2_000)
+            engine_ref = weakref.ref(engine)
+            del engine
+            assert engine_ref() is None
+            # Nothing the table held is left for the cycle collector.
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_each_static_instruction_is_decoded_once(self):
+        engine, stream = _run("""
+            addi r1, r0, 0
+            addi r2, r0, 50
+        loop:
+            addi r1, r1, 1
+            blt  r1, r2, loop
+            halt
+        """)
+        assert len(stream) == 103
+        assert len(engine._table) == 5
+
+
+# ----------------------------------------------------------------------
+# Opcode semantics against a reference interpreter
+# ----------------------------------------------------------------------
+def _reference_execute(state: ArchState, image: ProgramImage, pc: int,
+                       inst: Instruction) -> tuple[bool, int, int, bool]:
+    """One instruction as a plain if-chain over ``state``.
+
+    Returns ``(taken, next_pc, mem_addr, halted)``; raises
+    :class:`ExecutionError` for a wild indirect target.
+    """
+    op = inst.op
+    read = state.read
+    write = state.write
+    fall = pc + INSTRUCTION_BYTES
+    if op is Opcode.ADD:
+        write(inst.rd, read(inst.rs1) + read(inst.rs2))
+    elif op is Opcode.SUB:
+        write(inst.rd, read(inst.rs1) - read(inst.rs2))
+    elif op is Opcode.AND:
+        write(inst.rd, read(inst.rs1) & read(inst.rs2))
+    elif op is Opcode.OR:
+        write(inst.rd, read(inst.rs1) | read(inst.rs2))
+    elif op is Opcode.XOR:
+        write(inst.rd, read(inst.rs1) ^ read(inst.rs2))
+    elif op is Opcode.SLT:
+        write(inst.rd,
+              int(to_signed(read(inst.rs1)) < to_signed(read(inst.rs2))))
+    elif op is Opcode.SLL:
+        write(inst.rd, read(inst.rs1) << (read(inst.rs2) & 31))
+    elif op is Opcode.SRL:
+        write(inst.rd, read(inst.rs1) >> (read(inst.rs2) & 31))
+    elif op is Opcode.ADDI:
+        write(inst.rd, read(inst.rs1) + inst.imm)
+    elif op is Opcode.ANDI:
+        write(inst.rd, read(inst.rs1) & to_unsigned(inst.imm))
+    elif op is Opcode.ORI:
+        write(inst.rd, read(inst.rs1) | to_unsigned(inst.imm))
+    elif op is Opcode.XORI:
+        write(inst.rd, read(inst.rs1) ^ to_unsigned(inst.imm))
+    elif op is Opcode.SLTI:
+        write(inst.rd, int(to_signed(read(inst.rs1)) < inst.imm))
+    elif op is Opcode.SLLI:
+        write(inst.rd, read(inst.rs1) << (inst.imm & 31))
+    elif op is Opcode.SRLI:
+        write(inst.rd, read(inst.rs1) >> (inst.imm & 31))
+    elif op is Opcode.LUI:
+        write(inst.rd, (inst.imm & 0xFFFF) << 16)
+    elif op is Opcode.SADD:
+        write(inst.rd, (read(inst.rs1) << inst.sh1)
+              + (read(inst.rs2) << inst.sh2) + inst.imm)
+    elif op is Opcode.MUL:
+        write(inst.rd, read(inst.rs1) * read(inst.rs2))
+    elif op is Opcode.DIV:
+        divisor = to_signed(read(inst.rs2))
+        write(inst.rd, 0 if divisor == 0
+              else int(to_signed(read(inst.rs1)) / divisor))
+    elif op is Opcode.LW:
+        addr = (read(inst.rs1) + inst.imm) & 0xFFFF_FFFF
+        write(inst.rd, state.load(addr))
+        return False, fall, addr, False
+    elif op is Opcode.SW:
+        addr = (read(inst.rs1) + inst.imm) & 0xFFFF_FFFF
+        state.store(addr, read(inst.rs2))
+        return False, fall, addr, False
+    elif op is Opcode.HALT:
+        return False, pc, 0, True
+    elif inst.kind is Kind.BRANCH:
+        a, b = to_signed(read(inst.rs1)), to_signed(read(inst.rs2))
+        taken = {Opcode.BEQ: a == b, Opcode.BNE: a != b,
+                 Opcode.BLT: a < b, Opcode.BGE: a >= b}[op]
+        return taken, (pc + inst.imm) if taken else fall, 0, False
+    elif op is Opcode.J:
+        return False, inst.imm, 0, False
+    elif op is Opcode.JAL:
+        write(RA, fall)
+        return False, inst.imm, 0, False
+    elif op in (Opcode.JALR, Opcode.JR):
+        target = read(inst.rs1)
+        if op is Opcode.JALR:
+            write(inst.rd if inst.rd else RA, fall)
+        if target not in image:
+            raise ExecutionError(
+                f"indirect transfer at {pc:#x} to wild target {target:#x}")
+        return False, target, 0, False
+    else:
+        assert op is Opcode.NOP
+    return False, fall, 0, False
+
+
+_BASE = 0x1000
+#: The instruction under test sits mid-image, so short forward and
+#: backward branch targets land on code.
+_SITE = _BASE + 8 * INSTRUCTION_BYTES
+_BOUNDARY = (0, 1, 0x7FFF_FFFF, 0x8000_0000, 0xFFFF_FFFF)
+_IMMEDIATES = (0, 1, -1, 4, -8, 31, 33, 0x7FFF, -0x8000)
+_DATA = 0x40_0000
+
+
+def _register_pairs():
+    return itertools.product(_BOUNDARY, repeat=2)
+
+
+def _cases(op: Opcode):
+    """``(inst, regs)`` pairs covering ``op``: boundary register values,
+    ``rd = 0``, ``rd`` aliasing a source and negative immediates."""
+    kind = op.meta.kind
+    if op in (Opcode.NOP, Opcode.HALT):
+        yield Instruction(op), {}
+    elif op is Opcode.LUI:
+        for imm in (*_IMMEDIATES, 0x1_2345):
+            yield Instruction(op, rd=3, imm=imm), {}
+        yield Instruction(op, rd=0, imm=5), {}
+    elif op is Opcode.SADD:
+        for (a, b), (sh1, sh2) in itertools.product(
+                _register_pairs(), ((0, 0), (1, 3), (31, 2))):
+            yield Instruction(op, rd=3, rs1=1, rs2=2, imm=-4, sh1=sh1,
+                              sh2=sh2), {1: a, 2: b}
+    elif kind in (Kind.ALU, Kind.MUL, Kind.DIV) and op.meta.reads_rs2:
+        for a, b in itertools.chain(_register_pairs(),
+                                    ((7, 2), (-7 & 0xFFFF_FFFF, 2),
+                                     (7, -2 & 0xFFFF_FFFF), (35, 33))):
+            yield Instruction(op, rd=3, rs1=1, rs2=2), {1: a, 2: b}
+        yield Instruction(op, rd=0, rs1=1, rs2=2), {1: 6, 2: 7}
+        yield Instruction(op, rd=1, rs1=1, rs2=1), {1: 0x8000_0001}
+    elif kind in (Kind.ALU, Kind.MUL, Kind.DIV):
+        for a, imm in itertools.product(_BOUNDARY, _IMMEDIATES):
+            yield Instruction(op, rd=3, rs1=1, imm=imm), {1: a}
+        yield Instruction(op, rd=0, rs1=1, imm=-1), {1: 6}
+        yield Instruction(op, rd=1, rs1=1, imm=-3), {1: 2}
+    elif kind in (Kind.LOAD, Kind.STORE):
+        for base, imm in itertools.product(
+                (_DATA, _DATA + 2, 0, 0xFFFF_FFFE), (0, 4, -4, 7, -1)):
+            yield Instruction(op, rd=3, rs1=1, rs2=2, imm=imm), \
+                {1: base, 2: 0xDEAD_BEEF}
+        yield Instruction(op, rd=0, rs1=1, rs2=2, imm=8), {1: _DATA, 2: 9}
+        yield Instruction(op, rd=1, rs1=1, rs2=1, imm=0), {1: _DATA}
+    elif kind is Kind.BRANCH:
+        for (a, b), imm in itertools.product(_register_pairs(),
+                                             (-8, 4, 12)):
+            yield Instruction(op, rs1=1, rs2=2, imm=imm), {1: a, 2: b}
+    elif kind in (Kind.JUMP, Kind.CALL):
+        for target in (_BASE, _SITE, _SITE + 4, 0x9_0000):
+            yield Instruction(op, imm=target), {RA: 5}
+    else:
+        link = {Kind.CALL_INDIRECT: (0, 2, 5), Kind.JUMP_INDIRECT: (0,)}
+        for rd, target in itertools.product(
+                link[kind], (_BASE, _SITE + 12, _SITE + 2, 0x9_0000, 0)):
+            yield Instruction(op, rd=rd, rs1=5, imm=0), {5: target}
+
+
+@pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+def test_one_step_matches_the_reference_interpreter(op):
+    cases = list(_cases(op))
+    assert cases
+    for inst, regs in cases:
+        code = [Instruction(Opcode.NOP)] * 16
+        code[(_SITE - _BASE) // INSTRUCTION_BYTES] = inst
+        image = ProgramImage(instructions=code, code_base=_BASE,
+                             entry=_SITE, data={_DATA: 11, _DATA + 4: 22,
+                                                0xFFFF_FFFC: 33})
+        engine = FunctionalEngine(image)
+        reference = ArchState(initial_data=image.data)
+        for reg, value in regs.items():
+            engine.state.regs[reg] = reference.regs[reg] = value
+        try:
+            expected = _reference_execute(reference, image, _SITE, inst)
+        except ExecutionError as exc:
+            with pytest.raises(ExecutionError, match=str(exc)):
+                engine.step()
+            continue
+        record = engine.step()
+        taken, next_pc, mem_addr, halted = expected
+        case = (inst, regs)
+        assert engine.state.regs == reference.regs, case
+        assert engine.state.memory == reference.memory, case
+        assert (record.pc, record.inst) == (_SITE, inst), case
+        assert record.next_pc == next_pc, case
+        assert record.taken is taken, case
+        assert record.mem_addr == mem_addr, case
+        assert engine.halted is halted, case
+        assert engine.pc == next_pc, case
+        assert engine.instructions_executed == 1, case
