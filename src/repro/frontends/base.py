@@ -10,8 +10,9 @@ extracts it as an abstract base class and a registry, letting every
 mechanism flow through the experiment runner, result cache, obs
 manifests and differential-validation oracles unchanged.
 
-Call protocol, per dispatched trace (driven by
-:class:`repro.sim.frontend_runner.FrontendSimulation`):
+Call protocol, per dispatched trace (driven by both dispatch loops,
+:class:`repro.sim.frontend_runner.FrontendSimulation` and
+:class:`repro.processor.ProcessorSimulation`):
 
 1. :meth:`~FrontendMechanism.probe` on a trace-cache miss — a
    mechanism holding the trace in a side buffer promotes it and

@@ -1,16 +1,17 @@
-"""Trace preconstruction behind the mechanism interface.
+"""Trace preconstruction as a frontend mechanism.
 
-A thin adapter over :class:`repro.core.PreconstructionEngine` — every
-hook delegates 1:1, so a run through the mechanism seam is
-byte-identical to the historical direct wiring.  The engine stays
-exposed as :attr:`engine` (and as ``FrontendResult.preconstruction``)
-because the dynamic-partition extension repartitions its buffers in
-place.
+:class:`PreconstructionMechanism` *is* the paper's engine
+(:class:`repro.core.PreconstructionEngine`) registered behind the
+mechanism interface: the engine's ``observe_dispatch``, ``tick`` and
+``attach_obs`` are the seam's hooks as they stand, and :meth:`probe`
+is its buffer probe.  ``FrontendResult.preconstruction`` and
+``ProcessorResult.preconstruction`` are this object, so the
+dynamic-partition extension repartitions its buffers in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Optional
+from typing import ClassVar, Optional
 
 from repro.core import PreconstructionEngine
 from repro.frontends.base import (
@@ -18,18 +19,15 @@ from repro.frontends.base import (
     MechanismContext,
     register_mechanism,
 )
-from repro.trace import Trace, TraceID
+from repro.trace import TraceID
 
 
 @register_mechanism
-class PreconstructionMechanism(FrontendMechanism):
+class PreconstructionMechanism(PreconstructionEngine, FrontendMechanism):
     """The paper's mechanism: idle-cycle-funded trace preconstruction."""
 
     name: ClassVar[str] = "preconstruction"
     icache_client: ClassVar[str] = "preconstruct"
-
-    def __init__(self, engine: PreconstructionEngine) -> None:
-        self.engine = engine
 
     @classmethod
     def build(cls, context: MechanismContext
@@ -41,22 +39,11 @@ class PreconstructionMechanism(FrontendMechanism):
             from repro.static.seeding import compute_static_seeds
             static_seeds = tuple(
                 s.pc for s in compute_static_seeds(context.image))
-        return cls(PreconstructionEngine(
-            image=context.image, icache=context.icache,
-            bimodal=context.bimodal, trace_cache=context.trace_cache,
-            config=context.preconstruction,
-            selection=context.selection,
-            static_seeds=static_seeds))
-
-    # ------------------------------------------------------------------
-    def attach_obs(self, bus: Any) -> None:
-        self.engine.attach_obs(bus)
+        return cls(image=context.image, icache=context.icache,
+                   bimodal=context.bimodal, trace_cache=context.trace_cache,
+                   config=context.preconstruction,
+                   selection=context.selection,
+                   static_seeds=static_seeds)
 
     def probe(self, trace_id: TraceID) -> bool:
-        return self.engine.probe_and_promote(trace_id) is not None
-
-    def observe_dispatch(self, trace: Trace) -> None:
-        self.engine.observe_dispatch(trace)
-
-    def tick(self, idle_cycles: int) -> None:
-        self.engine.tick(idle_cycles)
+        return self.probe_and_promote(trace_id) is not None

@@ -10,7 +10,9 @@ point-independent and computed once per partition), with:
 
 * next-trace prediction gating the fast (trace cache) fetch path;
 * slow-path fetch through the shared instruction cache when the
-  predictor has no matching prediction or the trace is absent;
+  predictor has no matching prediction or the trace is absent — the
+  frontend model's own point and slow path
+  (:class:`~repro.sim.frontend_runner.FrontendPoint`);
 * mispredict resolution tied to the previous trace's last control
   transfer completing in the backend;
 * the dataflow backend of :mod:`repro.processor.backend` (4 PEs,
@@ -26,22 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from repro.branch import BimodalPredictor
-from repro.caches import InstructionCache
-from repro.core import PreconstructionEngine
 from repro.engine import FunctionalEngine, Stream, StreamRecord, as_stream
-from repro.frontends import (
-    FrontendMechanism,
-    MechanismContext,
-    create_mechanism,
-)
+from repro.frontends import PreconstructionMechanism
 from repro.isa import Instruction
 from repro.preprocess import PreprocessConfig, Preprocessor
 from repro.processor.backend import BackendConfig, BackendModel
 from repro.program import ProgramImage
 from repro.sim.config import FrontendConfig
-from repro.trace import Trace, TraceCache, TraceID, traces_of_stream
-from repro.vector.plan import NTP_NONE, NTP_WRONG, BatchPlan, build_plan
+from repro.sim.frontend_runner import FrontendPoint
+from repro.trace import Trace, TraceID
+from repro.vector.plan import NTP_NONE, NTP_WRONG, BatchPlan
 
 
 @dataclass(frozen=True)
@@ -84,48 +80,31 @@ class ProcessorStats:
 class ProcessorResult:
     config: ProcessorConfig
     stats: ProcessorStats
-    preconstruction: Optional[PreconstructionEngine]
+    preconstruction: Optional[PreconstructionMechanism]
     backend: Optional[object] = None
 
 
-class ProcessorSimulation:
+class ProcessorSimulation(FrontendPoint):
     """Cycle-timestamped trace-processor model.
 
-    Each point keeps its own trace cache, I-cache, bimodal table,
-    backend, preprocessed views and frontend mechanism (built through
-    :func:`~repro.frontends.create_mechanism`, as the frontend
-    simulation builds its own, and driven through its ``probe``,
-    ``observe_dispatch`` and ``tick`` hooks); everything
-    point-independent comes from the plan :meth:`run` is given.
+    The frontend point (caches, bimodal table, mechanism, plan set-up
+    and slow path) is the one :class:`~repro.sim.FrontendSimulation`
+    runs; this model adds the backend and the preprocessed views, and
+    drives the mechanism through its ``probe``, ``observe_dispatch``
+    and ``tick`` hooks.  Everything point-independent comes from the
+    plan :meth:`run` is given.
     """
 
+    stats: ProcessorStats
+
     def __init__(self, image: ProgramImage, config: ProcessorConfig) -> None:
-        self.image = image
+        super().__init__(image, config.frontend, ProcessorStats())
         self.config = config
-        front = config.frontend
-        self.stats = ProcessorStats()
-        self.icache = InstructionCache(front.icache)
-        self.trace_cache = TraceCache(front.trace_cache)
-        #: Read only by the preconstruction engine's bias checks; the
-        #: slow path's predictions come from the plan.
-        self.bimodal = BimodalPredictor(entries=front.bimodal_entries)
         self.backend = BackendModel(config.backend)
         self.preprocessor: Optional[Preprocessor] = None
         if config.preprocess is not None and config.preprocess.any_enabled:
             self.preprocessor = Preprocessor(config.preprocess)
         self._views: dict[TraceID, tuple[Instruction, ...]] = {}
-        self.mechanism: Optional[FrontendMechanism] = create_mechanism(
-            front.mechanism,
-            MechanismContext(
-                image=image, icache=self.icache, bimodal=self.bimodal,
-                trace_cache=self.trace_cache, selection=front.selection,
-                budget_entries=front.mechanism_entries,
-                static_seed=front.static_seed,
-                preconstruction=front.preconstruction))
-        #: The preconstruction engine, when that is the configured
-        #: mechanism (reported as ``ProcessorResult.preconstruction``).
-        self.precon: Optional[PreconstructionEngine] = getattr(
-            self.mechanism, "engine", None)
 
     # ------------------------------------------------------------------
     def run(self, stream: Union[Stream, Sequence[StreamRecord]],
@@ -137,18 +116,8 @@ class ProcessorSimulation:
         :meth:`~repro.runner.StreamCache.plan`); without one it is built
         from ``stream`` here.  A simulation replays one stream only.
         """
-        if self.stats.traces:
-            raise RuntimeError("a ProcessorSimulation replays one stream; "
-                               "build a new one for the next")
-        front = self.config.frontend
         stream = as_stream(stream)
-        if plan is None:
-            plan = build_plan(traces_of_stream(stream, front.selection),
-                              front)
-        else:
-            why = plan.compatible_with(front)
-            if why is not None:
-                raise ValueError(f"config cannot run on this plan: {why}")
+        plan = self._plan(stream, plan=plan)
         if sum(plan.length) != len(stream):
             raise ValueError(
                 f"plan partitions {sum(plan.length)} instructions but the "
@@ -172,17 +141,14 @@ class ProcessorSimulation:
     def _dispatch(self, plan: BatchPlan, addresses: Sequence[int]) -> None:
         """Fetch, dispatch and execute every occurrence of ``plan``."""
         stats = self.stats
-        front = self.config.frontend
         backend_config = self.config.backend
         backend = self.backend
         pe_free = backend.pe_free
         execute = backend.execute_trace
         lookup = self.trace_cache.lookup
         insert = self.trace_cache.insert
-        fetch_line = self.icache.fetch_line
+        slow_path = self._slow_path
         mechanism = self.mechanism
-        fetch_width = front.fetch_width
-        mispredict_penalty = front.branch_mispredict_penalty
         redirect_penalty = backend_config.redirect_penalty
         num_pes = backend_config.num_pes
         # The bimodal table's only reader is the preconstruction engine.
@@ -220,17 +186,8 @@ class ProcessorSimulation:
                 # Trace-cache supply (after redirect when mispredicted).
                 fetch_done = start + 1
             else:
-                # Slow path: no prediction or trace absent.  Lines are
-                # fetched for timing only (``instructions=0``); the
-                # bimodal predictions were replayed by the plan.
-                stats.slow_path_traces += 1
-                slow_busy = (-(-n // fetch_width)
-                             + plan.n_mispredicts[t] * mispredict_penalty)
-                for line, _count in plan.line_runs[t]:
-                    latency, missed = fetch_line(line, "slow_path",
-                                                 instructions=0)
-                    if missed:
-                        slow_busy += latency
+                # Slow path: no prediction or trace absent.
+                slow_busy = slow_path(plan, t)
                 fetch_done = start + slow_busy
                 if not present and not trace.partial:
                     insert(trace)

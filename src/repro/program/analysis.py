@@ -111,8 +111,9 @@ def static_stats(image: ProgramImage) -> StaticStats:
             rets += 1
         elif inst.is_indirect:
             indirect += 1
+    reached = reachable_addresses(image)
     procs = sum(1 for name, addr in image.labels.items()
-                if ":" not in name and addr in reachable_addresses(image))
+                if ":" not in name and addr in reached)
     return StaticStats(
         instructions=image.code_size,
         conditional_branches=cond,

@@ -19,7 +19,9 @@ committed path, so their evolution, and every per-occurrence trace
 feature, is the same at every point over one stream partition: it is
 computed once per partition as a :class:`~repro.vector.BatchPlan`, and
 :meth:`FrontendSimulation._dispatch`, the one dispatch loop, keeps only
-the point's own caches, mechanism and counters.
+the point's own caches, mechanism and counters.  Those, the plan
+set-up and the slow path live in :class:`FrontendPoint`, which
+:class:`repro.processor.ProcessorSimulation` extends too.
 
 The fill/prefetch mechanism occupying the seam is pluggable
 (:mod:`repro.frontends`): trace preconstruction, MANA-style
@@ -36,16 +38,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence,
-                    Union)
+from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Protocol,
+                    Sequence, Union)
 
 from repro.branch import BimodalPredictor
 from repro.caches import InstructionCache
-from repro.core import PreconstructionEngine
 from repro.engine import FunctionalEngine, Stream, StreamRecord
 from repro.frontends import (
     FrontendMechanism,
     MechanismContext,
+    PreconstructionMechanism,
     create_mechanism,
 )
 from repro.program import ProgramImage
@@ -85,23 +87,119 @@ class FrontendResult:
     config: FrontendConfig
     stats: FrontendStats
     trace_cache: TraceCache
-    preconstruction: Optional[PreconstructionEngine]
+    preconstruction: Optional[PreconstructionMechanism]
     icache: InstructionCache
     #: The mechanism instance that occupied the seam (``None`` for the
-    #: bare baseline).  For ``mechanism="preconstruction"`` its engine
-    #: is also exposed via :attr:`preconstruction` (compatibility).
+    #: bare baseline); the same object as :attr:`preconstruction` when
+    #: that is the paper's engine.
     mechanism: Optional[FrontendMechanism] = None
     #: Epoch decisions of the adaptive-partition controller; ``None``
     #: unless the run was driven with a ``partition`` config.
     partition_events: Optional[list["PartitionEvent"]] = None
 
 
-class FrontendSimulation:
+class _PointStats(Protocol):
+    """The counters :class:`FrontendPoint` itself advances."""
+
+    traces: int
+    slow_path_traces: int
+
+
+class FrontendPoint:
+    """One point's frontend, shared by both timing models.
+
+    The per-point structures, :meth:`_plan` and :meth:`_slow_path`;
+    :class:`FrontendSimulation` (Figure 5, Tables 1-3) and
+    :class:`~repro.processor.ProcessorSimulation` (Figures 6 and 8)
+    each add a dispatch loop.
+    """
+
+    def __init__(self, image: ProgramImage, front: FrontendConfig,
+                 stats: _PointStats,
+                 obs: Optional["ObsBus"] = None) -> None:
+        self.image = image
+        self.front = front
+        self.stats = stats
+        #: Optional :class:`repro.obs.ObsBus`.  The dispatch loop owns
+        #: the event clock: it advances ``obs.now`` to the frontend cycle
+        #: count, so engine/buffer/trace-cache events share one cycle
+        #: domain.  ``None`` (the default) keeps every site a single
+        #: dead branch on the hot path.
+        self.obs = obs
+        self.icache = InstructionCache(front.icache)
+        self.trace_cache = TraceCache(front.trace_cache)
+        #: The slow-path bimodal table the preconstruction engine reads
+        #: bias from.  Its only writer is the dispatch loops' training,
+        #: which runs only when that engine exists.
+        self.bimodal = BimodalPredictor(entries=front.bimodal_entries)
+        self.mechanism: Optional[FrontendMechanism] = create_mechanism(
+            front.mechanism,
+            MechanismContext(
+                image=image, icache=self.icache, bimodal=self.bimodal,
+                trace_cache=self.trace_cache, selection=front.selection,
+                budget_entries=front.mechanism_entries,
+                static_seed=front.static_seed,
+                preconstruction=front.preconstruction))
+        #: The mechanism again when it is the preconstruction engine,
+        #: the bimodal table's only reader; the dynamic-partition
+        #: extension repartitions its buffers.
+        self.precon: Optional[PreconstructionMechanism] = (
+            self.mechanism
+            if isinstance(self.mechanism, PreconstructionMechanism)
+            else None)
+        if obs is not None:
+            self.trace_cache.obs = obs
+            if self.mechanism is not None:
+                self.mechanism.attach_obs(obs)
+
+    def _plan(self, stream: Union[Stream, Iterable[StreamRecord]] = (),
+              traces: Optional[Sequence[Trace]] = None,
+              plan: Optional[BatchPlan] = None) -> BatchPlan:
+        """The plan to replay: ``plan`` checked against this point's
+        config, or one built from ``traces`` (``stream`` partitioned
+        here when neither is given).  A point replays one stream only.
+        """
+        if self.stats.traces:
+            raise RuntimeError(f"a {type(self).__name__} replays one "
+                               "stream; build a new one for the next")
+        if plan is None:
+            if traces is None:
+                traces = traces_of_stream(stream, self.front.selection)
+            return build_plan(traces, self.front)
+        why = plan.compatible_with(self.front)
+        if why is not None:
+            raise ValueError(f"config cannot run on this plan: {why}")
+        return plan
+
+    def _slow_path(self, plan: BatchPlan, t: int) -> int:
+        """Fetch occurrence ``t`` over the slow path; its cycles.
+
+        ``fetch_width`` instructions per cycle, plus each line miss's
+        latency, plus the penalty of each bimodal misprediction (the
+        plan replayed those predictions once).  The caller installs the
+        built trace.
+        """
+        self.stats.slow_path_traces += 1
+        front = self.front
+        cycles = (-(-plan.length[t] // front.fetch_width)
+                  + plan.n_mispredicts[t] * front.branch_mispredict_penalty)
+        fetch_line = self.icache.fetch_line
+        for line, count in plan.line_runs[t]:
+            latency, missed = fetch_line(line, "slow_path",
+                                         instructions=count)
+            if missed:
+                cycles += latency
+        return cycles
+
+
+class FrontendSimulation(FrontendPoint):
     """One frontend point: its caches, mechanism and counters.
 
     :meth:`run` replays one stream through the point with
     :meth:`_dispatch`, the one frontend dispatch loop.
     """
+
+    stats: FrontendStats
 
     #: Per-occurrence hook, called after each dispatched trace (the
     #: dynamic-partition controller's epoch step); ``None`` for a fixed
@@ -111,37 +209,8 @@ class FrontendSimulation:
 
     def __init__(self, image: ProgramImage, config: FrontendConfig,
                  obs: Optional["ObsBus"] = None) -> None:
-        self.image = image
+        super().__init__(image, config, FrontendStats(), obs)
         self.config = config
-        self.stats = FrontendStats()
-        #: Optional :class:`repro.obs.ObsBus`.  The dispatch loop owns
-        #: the event clock: it advances ``obs.now`` to the frontend cycle
-        #: count, so engine/buffer/trace-cache events share one cycle
-        #: domain.  ``None`` (the default) keeps every site a single
-        #: dead branch on the hot path.
-        self.obs = obs
-        self.icache = InstructionCache(config.icache)
-        self.trace_cache = TraceCache(config.trace_cache)
-        if obs is not None:
-            self.trace_cache.obs = obs
-        #: The slow-path bimodal table mechanisms read bias from.  Its
-        #: only writer is the dispatch loop's per-occurrence training.
-        self.bimodal = BimodalPredictor(entries=config.bimodal_entries)
-        self.mechanism: Optional[FrontendMechanism] = create_mechanism(
-            config.mechanism,
-            MechanismContext(
-                image=image, icache=self.icache, bimodal=self.bimodal,
-                trace_cache=self.trace_cache, selection=config.selection,
-                budget_entries=config.mechanism_entries,
-                static_seed=config.static_seed,
-                preconstruction=config.preconstruction))
-        #: The preconstruction engine, when that is the configured
-        #: mechanism — kept as a direct attribute because the
-        #: dynamic-partition extension repartitions its buffers.
-        self.precon: Optional[PreconstructionEngine] = getattr(
-            self.mechanism, "engine", None)
-        if obs is not None and self.mechanism is not None:
-            self.mechanism.attach_obs(obs)
 
     # ------------------------------------------------------------------
     def run(self, stream: Union[Stream, Iterable[StreamRecord]] = (),
@@ -154,16 +223,9 @@ class FrontendSimulation:
         partition (:meth:`~repro.runner.StreamCache.traces`), from
         which a plan is built; with neither, ``stream`` (a
         :class:`~repro.engine.Stream`, or records packed into one) is
-        partitioned here.  A simulation replays one stream only.
+        partitioned here.
         """
-        if self.stats.traces:
-            raise RuntimeError("a FrontendSimulation replays one stream; "
-                               "build a new one for the next")
-        if plan is None:
-            if traces is None:
-                traces = traces_of_stream(stream, self.config.selection)
-            plan = build_plan(traces, self.config)
-        self._dispatch(plan)
+        self._dispatch(self._plan(stream, traces, plan))
         return self.result()
 
     def result(self) -> FrontendResult:
@@ -175,51 +237,28 @@ class FrontendSimulation:
                               partition_events=getattr(self, "events", None))
 
     # ------------------------------------------------------------------
-    def _slow_path(self, trace: Trace, plan: BatchPlan, t: int) -> int:
-        """Fetch occurrence ``t`` (``trace``) via the I-cache; build and
-        install the trace.  Returns the cycles consumed."""
-        stats = self.stats
-        stats.slow_path_traces += 1
-        length = plan.length[t]
-        cycles = -(-length // self.config.fetch_width)  # ceil division
-        fetch_line = self.icache.fetch_line
-        for run_line, run_count in plan.line_runs[t]:
-            latency, missed = fetch_line(run_line, "slow_path",
-                                         instructions=run_count)
-            stats.slow_line_accesses += 1
-            if missed:
-                stats.slow_line_misses += 1
-                stats.slow_instructions_from_misses += run_count
-                cycles += latency
-        stats.slow_instructions += length
-        # The slow path consults the bimodal predictor per conditional
-        # branch; the plan replayed those predictions once.
-        branches = plan.n_branches[t]
-        if branches:
-            mispredicted = plan.n_mispredicts[t]
-            cycles += mispredicted * self.config.branch_mispredict_penalty
-            stats.bimodal_predictions += branches
-            stats.bimodal_mispredictions += mispredicted
-        # Fill unit installs the newly built trace (never the partial
-        # end-of-stream tail — its identity may collide).
-        if not trace.partial:
-            self.trace_cache.insert(trace)
-        return cycles
-
     def _finish(self, plan: BatchPlan) -> None:
-        """Point-independent totals and end-of-run mirrors."""
+        """Point-independent totals and the I-cache's traffic records."""
         stats = self.stats
         stats.ntp_none = plan.ntp_none
         stats.ntp_correct = plan.ntp_correct
         stats.ntp_wrong = plan.ntp_wrong
+        traffic = self.icache.traffic
+        slow = traffic.get("slow_path")
+        if slow is not None:
+            stats.slow_instructions = slow.instructions_supplied
+            stats.slow_instructions_from_misses = \
+                slow.instructions_from_misses
+            stats.slow_line_accesses = slow.lines_accessed
+            stats.slow_line_misses = slow.misses
         # Table 2's mechanism-side I-cache traffic, whatever client name
         # the mechanism fetches under.
         client = (self.mechanism.icache_client
                   if self.mechanism is not None else "preconstruct")
-        traffic = self.icache.traffic.get(client)
-        if traffic is not None:
-            stats.precon_line_accesses = traffic.lines_accessed
-            stats.precon_line_misses = traffic.misses
+        mechanism_side = traffic.get(client)
+        if mechanism_side is not None:
+            stats.precon_line_accesses = mechanism_side.lines_accessed
+            stats.precon_line_misses = mechanism_side.misses
 
     def _dispatch(self, plan: BatchPlan) -> None:
         """Dispatch every occurrence of ``plan`` through this point.
@@ -229,9 +268,6 @@ class FrontendSimulation:
         updates are applied.  ``after_trace`` may rebuild the trace
         cache, so ``self.trace_cache`` is read per occurrence.
         """
-        why = plan.compatible_with(self.config)
-        if why is not None:
-            raise ValueError(f"config cannot run on this plan: {why}")
         stats = self.stats
         mechanism = self.mechanism
         precon = self.precon
@@ -246,7 +282,10 @@ class FrontendSimulation:
         length = plan.length
         ntp_code = plan.ntp_code
         n_branches = plan.n_branches
+        n_mispredicts = plan.n_mispredicts
         all_pairs = plan.pairs
+        # The bimodal table's only reader is the preconstruction engine.
+        train = precon is not None
         bimodal_update = self.bimodal.update
 
         for t, trace in enumerate(plan.traces):
@@ -284,7 +323,13 @@ class FrontendSimulation:
                 stats.trace_misses += 1
                 if mechanism is not None:
                     mechanism.on_slow_path(trace)
-                cycles += slow_path(trace, plan, t)
+                cycles += slow_path(plan, t)
+                stats.bimodal_predictions += n_branches[t]
+                stats.bimodal_mispredictions += n_mispredicts[t]
+                # Fill unit installs the newly built trace (never the
+                # partial end-of-stream tail — its identity may collide).
+                if not trace.partial:
+                    self.trace_cache.insert(trace)
 
             if obs:
                 if present:
@@ -324,7 +369,7 @@ class FrontendSimulation:
                 after_trace()
 
             # Occurrence t's training, after the point dispatched it.
-            if n_branches[t]:
+            if train:
                 for pc, taken in all_pairs[t]:
                     bimodal_update(pc, taken)
 

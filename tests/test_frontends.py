@@ -19,7 +19,7 @@ from repro.frontends import (
 )
 from repro.frontends.base import _REGISTRY
 from repro.runner import build_frontend_config
-from repro.sim import run_frontend
+from repro.sim import FrontendSimulation, run_frontend
 from repro.trace import (
     SelectionConfig,
     TraceCache,
@@ -254,7 +254,7 @@ class TestSeamWiring:
         config = build_frontend_config(128, 64)
         result = run_frontend(image, config, stream=stream)
         assert isinstance(result.mechanism, PreconstructionMechanism)
-        assert result.preconstruction is result.mechanism.engine
+        assert result.preconstruction is result.mechanism
         assert result.stats.buffer_hits > 0
 
     def test_mechanism_kwarg_overrides_config(self, compress):
@@ -278,6 +278,18 @@ class TestSeamWiring:
             assert result.mechanism is None
             summaries.append(result.stats.summary())
         assert all(s == summaries[0] for s in summaries)
+
+    def test_only_preconstruction_trains_the_bimodal_table(self, compress):
+        # The engine is the table's only reader, so only its points
+        # train it; a baseline point leaves every counter initial.
+        image, stream = compress
+        untrained = BimodalPredictor()._table
+        baseline = FrontendSimulation(image, build_frontend_config(128, 0))
+        baseline.run(stream)
+        assert baseline.bimodal._table == untrained
+        precon = FrontendSimulation(image, build_frontend_config(128, 64))
+        precon.run(stream)
+        assert precon.bimodal._table != untrained
 
     def test_prefetch_traffic_reported_per_client(self, compress):
         image, stream = compress

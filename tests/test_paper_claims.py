@@ -314,10 +314,17 @@ def test_ablation_region_bounds(streams):
 def test_extension_dynamic_partition(results):
     """§5.1 future work: the hill-climbing TC/PB controller stays inside
     the static envelope of a 512-entry budget (within 15% of the worst
-    split, 50% of the best)."""
+    split, 50% of the best).
+
+    At 20k instructions the controller completes no epoch, so the
+    dynamic run equals its static start; only the 60k budget judges it,
+    and there the controller must have completed an epoch.
+    """
     specs = dynamic_specs(BUDGET)
     for dynamic in specs[1::2]:
         name = dynamic.benchmark
+        if BUDGET >= 60_000:
+            assert results[dynamic].metrics["pb_trajectory"], name
         statics = [results[spec].metrics["trace_misses_per_ki"]
                    for spec in DYNAMIC_ENVELOPE if spec.benchmark == name]
         moving = results[dynamic].metrics["trace_misses_per_ki"]

@@ -109,9 +109,9 @@ class TestProcessorTiming:
                                                   static_seed=True))
         simulation = ProcessorSimulation(image, seeded)
         assert isinstance(simulation.mechanism, PreconstructionMechanism)
-        assert simulation.precon is simulation.mechanism.engine
+        assert simulation.precon is simulation.mechanism
         result = simulation.run(stream[:5_000])
-        assert result.preconstruction is simulation.precon
+        assert result.preconstruction is simulation.mechanism
         assert result.preconstruction.stats.static_seeds_offered > 0
         plain = ProcessorSimulation(image, config).run(stream[:5_000])
         assert plain.preconstruction.stats.static_seeds_offered == 0
