@@ -15,7 +15,6 @@ from repro.api import (
     BimodalPredictor,
     FunctionalEngine,
     InstructionCache,
-    PreconstructionConfig,
     PreconstructionEngine,
     ProgramImage,
     TraceCache,
@@ -73,8 +72,7 @@ def main() -> None:
     bimodal = BimodalPredictor()
     engine = PreconstructionEngine(
         image=image, icache=icache, bimodal=bimodal,
-        trace_cache=trace_cache,
-        config=PreconstructionConfig(buffer_entries=64))
+        trace_cache=trace_cache, buffer_entries=64)
 
     hits = 0
     for trace in traces:

@@ -37,9 +37,11 @@ def main() -> None:
             result = run_frontend(image, config, len(stream), stream=stream)
             print(f"static  TC={TOTAL - pb:3d} PB={pb:3d}: "
                   f"{result.stats.trace_miss_rate_per_ki:6.2f} miss/KI")
+        # The controller re-divides the point's own TC+PB total,
+        # starting from its split.
         result = run_frontend(
             image, build_frontend_config(TOTAL - 128, 128), stream=stream,
-            partition=DynamicPartitionConfig(total_entries=TOTAL))
+            partition=DynamicPartitionConfig())
         events = result.partition_events or []
         print(f"dynamic (start PB=128):  "
               f"{result.stats.trace_miss_rate_per_ki:6.2f} miss/KI")

@@ -89,8 +89,14 @@ def compare_specs(benchmark: str,
 
     First spec is the shared baseline (budget 0 — every mechanism
     degenerates to the bare frontend there, so one point serves all);
-    then one spec per ``(mechanism, budget)``.
+    then one spec per ``(mechanism, budget)``.  Every budget in
+    ``pb_sizes`` must be positive: a zero budget would repeat the
+    baseline once per mechanism.
     """
+    pb_sizes = tuple(pb_sizes)
+    if any(pb <= 0 for pb in pb_sizes):
+        raise ValueError(f"pb_sizes must be positive budgets, got "
+                         f"{list(pb_sizes)}")
     budget = resolve_instructions(instructions)
     specs = [ExperimentSpec(benchmark=benchmark, tc_entries=tc_entries,
                             pb_entries=0, instructions=budget)]

@@ -27,7 +27,8 @@ The surface, by layer:
   ``python -m repro fuzz``), :func:`minimize_case` (failure shrinking),
   :func:`oracle_names`;
 * **Simulators** (for bespoke studies) — :func:`run_frontend` (the
-  unified entry point: ``mechanism=`` selects the frontend mechanism,
+  unified entry point: the config's ``mechanism`` and
+  ``mechanism_budget`` select and size the frontend mechanism,
   ``partition=`` enables the dynamic TC/PB partition) and
   :func:`run_processor` with their configuration types; the shared
   trace-partition plan every frontend point runs on —

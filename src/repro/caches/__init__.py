@@ -1,4 +1,4 @@
-"""Cache substrate: replacement policies, set-associative store, I-cache,
+"""Cache substrate: LRU replacement, set-associative store, I-cache,
 fill-up prefetch caches, and the perfect L2."""
 
 from repro.caches.dcache import DataCache, DCacheConfig, DCacheStats
@@ -9,20 +9,12 @@ from repro.caches.icache import (
 )
 from repro.caches.l2 import PerfectL2
 from repro.caches.prefetch_cache import PrefetchCache
-from repro.caches.replacement import (
-    FIFO,
-    LRU,
-    POLICIES,
-    RandomReplacement,
-    ReplacementPolicy,
-    make_policy,
-)
+from repro.caches.replacement import LRU
 from repro.caches.setassoc import CacheStats, SetAssociativeCache, stable_index
 
 __all__ = [
     "DataCache", "DCacheConfig", "DCacheStats",
     "FetchTraffic", "ICacheConfig", "InstructionCache", "PerfectL2",
-    "PrefetchCache", "FIFO", "LRU", "POLICIES", "RandomReplacement",
-    "ReplacementPolicy", "make_policy", "CacheStats", "SetAssociativeCache",
+    "PrefetchCache", "LRU", "CacheStats", "SetAssociativeCache",
     "stable_index",
 ]

@@ -1,69 +1,48 @@
-"""Replacement policies for set-associative structures.
+"""LRU replacement for set-associative structures.
 
-A policy instance manages *one* cache: it is told about accesses and
-fills per (set, way) and is asked for a victim way when a set is full.
-The paper's trace cache and preconstruction buffers use LRU; FIFO and
-seeded-random policies exist for ablation studies.
+The paper's trace cache is 2-way LRU (§4.1), and the I-cache and
+D-cache use the same policy, so LRU is the one policy of every
+:class:`~repro.caches.SetAssociativeCache`: :class:`LRU` manages *one*
+cache, is told about accesses, fills and invalidations per
+(set, way), and nominates the victim way when a set is full.
 """
 
 from __future__ import annotations
 
-import abc
-import random
 
-
-class ReplacementPolicy(abc.ABC):
-    """Interface: tracks per-set way ordering and nominates victims."""
+class LRU:
+    """Least-recently-used victim selection, per set."""
 
     def __init__(self, num_sets: int, ways: int) -> None:
         if num_sets <= 0 or ways <= 0:
             raise ValueError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-
-    @abc.abstractmethod
-    def on_access(self, set_index: int, way: int) -> None:
-        """A hit touched ``way`` of ``set_index``."""
-
-    @abc.abstractmethod
-    def on_fill(self, set_index: int, way: int) -> None:
-        """``way`` of ``set_index`` was (re)filled."""
-
-    @abc.abstractmethod
-    def victim(self, set_index: int) -> int:
-        """Nominate the way to evict from a full ``set_index``."""
-
-    def on_invalidate(self, set_index: int, way: int) -> None:
-        """``way`` of ``set_index`` was invalidated.
-
-        Recency-tracking policies demote the way to most-eligible-victim
-        so an invalidated slot is reclaimed before any live line.
-        Without this hook an invalidated way keeps its (stale) recency
-        and a later victim choice can evict a live line while the set
-        still holds dead state.  Default: no ordering state to fix.
-        """
-
-
-class LRU(ReplacementPolicy):
-    """Least-recently-used, the paper's policy for the trace cache."""
-
-    def __init__(self, num_sets: int, ways: int) -> None:
-        super().__init__(num_sets, ways)
         # Per set: ways ordered most-recent-first.
         self._order = [list(range(ways)) for _ in range(num_sets)]
 
     def on_access(self, set_index: int, way: int) -> None:
+        """A hit touched ``way`` of ``set_index``."""
         order = self._order[set_index]
         order.remove(way)
         order.insert(0, way)
 
     def on_fill(self, set_index: int, way: int) -> None:
+        """``way`` of ``set_index`` was (re)filled."""
         self.on_access(set_index, way)
 
     def victim(self, set_index: int) -> int:
+        """The way to evict from a full ``set_index``."""
         return self._order[set_index][-1]
 
     def on_invalidate(self, set_index: int, way: int) -> None:
+        """``way`` of ``set_index`` was invalidated.
+
+        The way is demoted to least-recent so an invalidated slot is
+        reclaimed before any live line; keeping its stale recency would
+        let a later victim choice evict a live line while the set still
+        holds dead state.
+        """
         order = self._order[set_index]
         order.remove(way)
         order.append(way)  # least-recent: next victim
@@ -71,56 +50,3 @@ class LRU(ReplacementPolicy):
     def recency_order(self, set_index: int) -> tuple[int, ...]:
         """Ways of ``set_index``, most-recent first (for tests)."""
         return tuple(self._order[set_index])
-
-
-class FIFO(ReplacementPolicy):
-    """First-in-first-out (ablation alternative)."""
-
-    def __init__(self, num_sets: int, ways: int) -> None:
-        super().__init__(num_sets, ways)
-        self._queue = [list(range(ways)) for _ in range(num_sets)]
-
-    def on_access(self, set_index: int, way: int) -> None:
-        pass  # accesses do not affect FIFO order
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        queue = self._queue[set_index]
-        queue.remove(way)
-        queue.insert(0, way)
-
-    def victim(self, set_index: int) -> int:
-        return self._queue[set_index][-1]
-
-    def on_invalidate(self, set_index: int, way: int) -> None:
-        queue = self._queue[set_index]
-        queue.remove(way)
-        queue.append(way)  # oldest: next victim
-
-
-class RandomReplacement(ReplacementPolicy):
-    """Seeded random victim selection (ablation alternative)."""
-
-    def __init__(self, num_sets: int, ways: int, seed: int = 0) -> None:
-        super().__init__(num_sets, ways)
-        self._rng = random.Random(seed)
-
-    def on_access(self, set_index: int, way: int) -> None:
-        pass
-
-    def on_fill(self, set_index: int, way: int) -> None:
-        pass
-
-    def victim(self, set_index: int) -> int:
-        return self._rng.randrange(self.ways)
-
-
-POLICIES = {"lru": LRU, "fifo": FIFO, "random": RandomReplacement}
-
-
-def make_policy(name: str, num_sets: int, ways: int) -> ReplacementPolicy:
-    """Construct a policy by name (``lru``, ``fifo``, ``random``)."""
-    try:
-        cls = POLICIES[name.lower()]
-    except KeyError:
-        raise ValueError(f"unknown replacement policy {name!r}") from None
-    return cls(num_sets, ways)

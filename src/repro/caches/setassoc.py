@@ -8,7 +8,7 @@ of start address and branch outcomes, as the paper describes.
 Tag match is O(1): alongside the per-way line array, each set keeps a
 ``key -> way`` dict mirror, so a probe is a single dict lookup instead
 of an associative scan.  The line array remains the ground truth the
-replacement policy is told about.
+LRU order is told about.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Callable, Generic, Hashable, Iterator, Optional, TypeVar
 
-from repro.caches.replacement import LRU, ReplacementPolicy
+from repro.caches.replacement import LRU
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -73,7 +73,7 @@ class _Line(Generic[K, V]):
 
 
 class SetAssociativeCache(Generic[K, V]):
-    """A set-associative store of key -> value with replacement.
+    """A set-associative store of key -> value with LRU replacement.
 
     ``index_fn`` maps a key to its set index (any int; reduced modulo
     the set count).  The default is :func:`stable_index`, which is
@@ -82,16 +82,13 @@ class SetAssociativeCache(Generic[K, V]):
     """
 
     def __init__(self, num_sets: int, ways: int,
-                 index_fn: Optional[Callable[[K], int]] = None,
-                 policy: Optional[ReplacementPolicy] = None) -> None:
+                 index_fn: Optional[Callable[[K], int]] = None) -> None:
         if num_sets <= 0 or ways <= 0:
             raise ValueError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
         self._index_fn = index_fn if index_fn is not None else stable_index
-        self.policy = policy if policy is not None else LRU(num_sets, ways)
-        if (self.policy.num_sets, self.policy.ways) != (num_sets, ways):
-            raise ValueError("policy geometry does not match cache geometry")
+        self.lru = LRU(num_sets, ways)
         self._sets = [[_Line() for _ in range(ways)] for _ in range(num_sets)]
         # key -> way mirror of each set's valid lines (O(1) tag match).
         self._maps: list[dict[K, int]] = [{} for _ in range(num_sets)]
@@ -114,7 +111,7 @@ class SetAssociativeCache(Generic[K, V]):
         way = self._maps[set_index].get(key)
         if way is not None:
             stats.hits += 1
-            self.policy.on_access(set_index, way)
+            self.lru.on_access(set_index, way)
             return self._sets[set_index][way].value
         stats.misses += 1
         return None
@@ -143,22 +140,22 @@ class SetAssociativeCache(Generic[K, V]):
         way = key_map.get(key)
         if way is not None:
             ways[way].value = value
-            self.policy.on_fill(set_index, way)
+            self.lru.on_fill(set_index, way)
             return None
         for way, line in enumerate(ways):
             if not line.valid:
                 line.valid, line.key, line.value = True, key, value
                 key_map[key] = way
-                self.policy.on_fill(set_index, way)
+                self.lru.on_fill(set_index, way)
                 self.stats.fills += 1
                 return None
-        way = self.policy.victim(set_index)
+        way = self.lru.victim(set_index)
         line = ways[way]
         evicted = (line.key, line.value)
         del key_map[line.key]
         line.key, line.value = key, value
         key_map[key] = way
-        self.policy.on_fill(set_index, way)
+        self.lru.on_fill(set_index, way)
         self.stats.fills += 1
         self.stats.evictions += 1
         return evicted  # type: ignore[return-value]
@@ -166,10 +163,10 @@ class SetAssociativeCache(Generic[K, V]):
     def invalidate(self, key: K) -> bool:
         """Drop ``key`` if present; returns whether it was present.
 
-        The replacement policy is notified so the freed way becomes the
-        set's preferred victim — without this, LRU/FIFO recency state
-        goes stale and the next victim choice after an invalidate+refill
-        can evict a live line instead.
+        The LRU order is notified so the freed way becomes the set's
+        preferred victim — without this, its recency state goes stale
+        and the next victim choice after an invalidate+refill can evict
+        a live line instead.
         """
         set_index = self._index_fn(key) % self.num_sets
         way = self._maps[set_index].pop(key, None)
@@ -177,7 +174,7 @@ class SetAssociativeCache(Generic[K, V]):
             return False
         line = self._sets[set_index][way]
         line.valid, line.key, line.value = False, None, None
-        self.policy.on_invalidate(set_index, way)
+        self.lru.on_invalidate(set_index, way)
         return True
 
     def clear(self) -> None:
@@ -185,7 +182,7 @@ class SetAssociativeCache(Generic[K, V]):
             for way, line in enumerate(ways):
                 if line.valid:
                     line.valid, line.key, line.value = False, None, None
-                    self.policy.on_invalidate(set_index, way)
+                    self.lru.on_invalidate(set_index, way)
             self._maps[set_index].clear()
 
     # ------------------------------------------------------------------

@@ -44,9 +44,13 @@ from repro.trace import SelectionConfig, Trace, TraceCache, TraceID
 
 @dataclass(frozen=True)
 class PreconstructionConfig:
-    """Hardware parameters of the preconstruction mechanism (§3, §4.1)."""
+    """Hardware parameters of the preconstruction mechanism (§3, §4.1).
 
-    buffer_entries: int = 256
+    The buffers' size is not among them: it is the point's storage
+    budget (``FrontendConfig.mechanism_budget``), the one currency every
+    mechanism is sized in.
+    """
+
     buffer_ways: int = 2
     num_constructors: int = 4
     num_prefetch_caches: int = 4
@@ -134,10 +138,15 @@ def region_priority(regions_by_seq: dict[int, Region]
 
 
 class PreconstructionEngine:
-    """Preconstruction mechanism attached to a trace-processor frontend."""
+    """Preconstruction mechanism attached to a trace-processor frontend.
+
+    ``buffer_entries`` sizes the preconstruction buffers, in 64-byte
+    trace entries.
+    """
 
     def __init__(self, image: ProgramImage, icache: InstructionCache,
                  bimodal: BimodalPredictor, trace_cache: TraceCache,
+                 buffer_entries: int,
                  config: PreconstructionConfig | None = None,
                  selection: SelectionConfig | None = None,
                  static_seeds: Sequence[int] | None = None) -> None:
@@ -153,7 +162,7 @@ class PreconstructionEngine:
                                      completed_memory=cfg.completed_memory)
         self._regions_by_seq: dict[int, Region] = {}
         self.buffers = PreconstructionBuffers(
-            entries=cfg.buffer_entries, ways=cfg.buffer_ways,
+            entries=buffer_entries, ways=cfg.buffer_ways,
             priority_fn=region_priority(self._regions_by_seq))
         self._free_prefetch: list[PrefetchCache] = [
             PrefetchCache(cfg.prefetch_cache_instructions)

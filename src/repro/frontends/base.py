@@ -59,15 +59,16 @@ class MechanismContext:
     trace_cache: TraceCache
     selection: SelectionConfig
     #: Storage budget in trace-cache-equivalent entries (64 bytes each)
-    #: — the same area currency as ``pb_entries``, so Figure-5-style
-    #: equal-area comparisons line up across mechanisms.  ``0`` means
-    #: the mechanism is unconfigured (baseline frontend).
+    #: — ``FrontendConfig.mechanism_budget``, the one area currency of
+    #: every mechanism, so Figure-5-style equal-area comparisons line
+    #: up across mechanisms.  ``0`` means the mechanism is unconfigured
+    #: (baseline frontend).
     budget_entries: int
     #: Honour ``FrontendConfig.static_seed`` (preconstruction only).
     static_seed: bool
-    #: Hardware parameters for the preconstruction mechanism; ``None``
-    #: for every other mechanism.
-    preconstruction: Optional[PreconstructionConfig]
+    #: Hardware parameters of the preconstruction mechanism (read by
+    #: that mechanism only).
+    preconstruction: PreconstructionConfig
 
 
 class FrontendMechanism(ABC):

@@ -32,7 +32,7 @@ class PreconstructionMechanism(PreconstructionEngine, FrontendMechanism):
     @classmethod
     def build(cls, context: MechanismContext
               ) -> Optional["PreconstructionMechanism"]:
-        if context.preconstruction is None:
+        if context.budget_entries <= 0:
             return None
         static_seeds: tuple[int, ...] = ()
         if context.static_seed:
@@ -41,6 +41,7 @@ class PreconstructionMechanism(PreconstructionEngine, FrontendMechanism):
                 s.pc for s in compute_static_seeds(context.image))
         return cls(image=context.image, icache=context.icache,
                    bimodal=context.bimodal, trace_cache=context.trace_cache,
+                   buffer_entries=context.budget_entries,
                    config=context.preconstruction,
                    selection=context.selection,
                    static_seeds=static_seeds)

@@ -8,11 +8,10 @@ from repro.preprocess.dependence import (
     DependenceGraph,
     build_dependence_graph,
 )
-from repro.preprocess.pipeline import PreprocessConfig, Preprocessor
+from repro.preprocess.pipeline import Preprocessor
 from repro.preprocess.scheduler import schedule_trace
 
 __all__ = [
     "fuse_shift_adds", "propagate_constants", "DependenceGraph",
-    "build_dependence_graph", "PreprocessConfig", "Preprocessor",
-    "schedule_trace",
+    "build_dependence_graph", "Preprocessor", "schedule_trace",
 ]

@@ -1,7 +1,7 @@
 """The preprocessing pipeline attached to the fill unit (paper §6).
 
-Applies the three optimisations of the paper's extended pipeline model
-to each trace as it is constructed — demand-built traces and
+Applies the three optimisations of the paper's extended pipeline model,
+always together and in this order, to each trace as it is constructed — demand-built traces and
 preconstructed traces alike pass through the same fill unit:
 
 1. constant propagation,
@@ -16,8 +16,6 @@ preprocessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.isa import Instruction
 from repro.preprocess.alu_fusion import fuse_shift_adds
 from repro.preprocess.constprop import propagate_constants
@@ -25,25 +23,10 @@ from repro.preprocess.scheduler import schedule_trace
 from repro.trace import Trace
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
-    """Which preprocessing passes the fill unit applies."""
-
-    constant_propagation: bool = True
-    alu_fusion: bool = True
-    scheduling: bool = True
-
-    @property
-    def any_enabled(self) -> bool:
-        return (self.constant_propagation or self.alu_fusion
-                or self.scheduling)
-
-
 class Preprocessor:
     """Fill-unit preprocessing stage."""
 
-    def __init__(self, config: PreprocessConfig | None = None) -> None:
-        self.config = config or PreprocessConfig()
+    def __init__(self) -> None:
         self.traces_processed = 0
         self.instructions_rewritten = 0
 
@@ -55,15 +38,8 @@ class Preprocessor:
         ``pcs``/``instructions`` pairing drives dispatch monitoring and
         trace identity; only backend timing consumes this view.
         """
-        instructions = trace.instructions
-        if not self.config.any_enabled:
-            return instructions
-        if self.config.constant_propagation:
-            instructions = propagate_constants(instructions)
-        if self.config.alu_fusion:
-            instructions = fuse_shift_adds(instructions)
-        if self.config.scheduling:
-            instructions = schedule_trace(instructions)
+        instructions = schedule_trace(fuse_shift_adds(
+            propagate_constants(trace.instructions)))
         self.traces_processed += 1
         self.instructions_rewritten += sum(
             1 for a, b in zip(trace.instructions, instructions) if a is not b)

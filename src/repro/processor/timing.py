@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 from repro.engine import FunctionalEngine, Stream, StreamRecord, as_stream
 from repro.frontends import PreconstructionMechanism
 from repro.isa import Instruction
-from repro.preprocess import PreprocessConfig, Preprocessor
+from repro.preprocess import Preprocessor
 from repro.processor.backend import BackendConfig, BackendModel
 from repro.program import ProgramImage
 from repro.sim.config import FrontendConfig
@@ -46,7 +46,9 @@ class ProcessorConfig:
 
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     backend: BackendConfig = field(default_factory=BackendConfig)
-    preprocess: Optional[PreprocessConfig] = None
+    #: Run every trace through the fill unit's three preprocessing
+    #: passes (the extended pipeline of Figure 8).
+    preprocess: bool = False
 
 
 @dataclass
@@ -101,9 +103,8 @@ class ProcessorSimulation(FrontendPoint):
         super().__init__(image, config.frontend, ProcessorStats())
         self.config = config
         self.backend = BackendModel(config.backend)
-        self.preprocessor: Optional[Preprocessor] = None
-        if config.preprocess is not None and config.preprocess.any_enabled:
-            self.preprocessor = Preprocessor(config.preprocess)
+        self.preprocessor: Optional[Preprocessor] = (
+            Preprocessor() if config.preprocess else None)
         self._views: dict[TraceID, tuple[Instruction, ...]] = {}
 
     # ------------------------------------------------------------------

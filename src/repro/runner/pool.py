@@ -213,10 +213,11 @@ def _execute_spec(spec: ExperimentSpec,
             plan=plan)
         metrics = _processor_metrics(result.stats)
     else:  # dynamic
+        config = spec.frontend_config()
         result = run_frontend(
-            image, spec.frontend_config(), spec.instructions,
-            stream=stream_cache.stream(spec.benchmark, spec.workload_seed),
-            partition=DynamicPartitionConfig())
+            image, config, partition=DynamicPartitionConfig(),
+            plan=stream_cache.plan(spec.benchmark, spec.instructions,
+                                   config, spec.workload_seed))
         events = result.partition_events or []
         metrics = {
             "trace_misses_per_ki": result.stats.trace_miss_rate_per_ki,

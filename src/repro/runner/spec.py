@@ -32,8 +32,6 @@ import os
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, ClassVar, Mapping, Optional
 
-from repro.core import PreconstructionConfig
-from repro.preprocess import PreprocessConfig
 from repro.processor import BackendConfig, ProcessorConfig
 from repro.sim import FrontendConfig
 from repro.trace import TraceCacheConfig
@@ -56,7 +54,10 @@ from repro.trace import TraceCacheConfig
 #: v6: the ``simulator`` field is gone (every point runs the one
 #: dispatch loop); entries whose spec still carries it become clean
 #: misses instead of unknown-field errors.
-SPEC_SCHEMA_VERSION = 6
+#: v7: a ``kind="dynamic"`` spec's controller starts from the spec's own
+#: ``tc_entries``/``pb_entries`` split instead of a fixed 384+128, so
+#: dynamic results cached under v6 answer a different question.
+SPEC_SCHEMA_VERSION = 7
 
 #: Built-in per-run instruction budget (the harness scale documented in
 #: EXPERIMENTS.md: the paper's 200M-instruction runs scaled down
@@ -97,15 +98,9 @@ def build_frontend_config(tc_entries: int, pb_entries: int = 0,
     mechanism, record/request storage for the prefetcher zoo — so
     equal-``pb_entries`` points are equal-area comparisons.
     """
-    if mechanism == "preconstruction":
-        precon = (PreconstructionConfig(buffer_entries=pb_entries)
-                  if pb_entries else None)
-        return FrontendConfig(
-            trace_cache=TraceCacheConfig(entries=tc_entries),
-            preconstruction=precon, static_seed=static_seed)
     return FrontendConfig(trace_cache=TraceCacheConfig(entries=tc_entries),
-                          preconstruction=None, static_seed=static_seed,
-                          mechanism=mechanism, mechanism_budget=pb_entries)
+                          static_seed=static_seed, mechanism=mechanism,
+                          mechanism_budget=pb_entries)
 
 
 def build_processor_config(tc_entries: int, pb_entries: int = 0,
@@ -113,8 +108,7 @@ def build_processor_config(tc_entries: int, pb_entries: int = 0,
     """Standard full-processor configuration (Figures 6/8)."""
     return ProcessorConfig(
         frontend=build_frontend_config(tc_entries, pb_entries),
-        backend=BackendConfig(),
-        preprocess=PreprocessConfig() if preprocess else None)
+        backend=BackendConfig(), preprocess=preprocess)
 
 
 @dataclass(frozen=True)

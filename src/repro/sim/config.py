@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 from repro.branch import NextTracePredictorConfig
 from repro.caches import ICacheConfig
@@ -15,8 +14,8 @@ from repro.trace import SelectionConfig, TraceCacheConfig
 class FrontendConfig:
     """Everything the frontend simulation needs.
 
-    ``preconstruction`` of ``None`` models the baseline trace processor
-    (no preconstruction hardware at all).
+    ``mechanism_budget`` of ``0`` models the baseline trace processor
+    (no fill/prefetch hardware at all), whatever ``mechanism`` names.
 
     The trace-driven timing approximation (see DESIGN.md) is controlled
     by three knobs:
@@ -31,7 +30,8 @@ class FrontendConfig:
     """
 
     trace_cache: TraceCacheConfig = field(default_factory=TraceCacheConfig)
-    preconstruction: Optional[PreconstructionConfig] = None
+    preconstruction: PreconstructionConfig = field(
+        default_factory=PreconstructionConfig)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     icache: ICacheConfig = field(default_factory=ICacheConfig)
     predictor: NextTracePredictorConfig = field(
@@ -48,12 +48,13 @@ class FrontendConfig:
     static_seed: bool = False
     #: Which frontend fill/prefetch mechanism occupies the seam
     #: (:mod:`repro.frontends` registry name).  ``"preconstruction"``
-    #: keeps the paper's mechanism, configured via ``preconstruction``;
-    #: any other name is configured via ``mechanism_budget``.
+    #: is the paper's mechanism, whose hardware parameters are
+    #: ``preconstruction``.
     mechanism: str = "preconstruction"
-    #: Storage budget for a non-preconstruction mechanism, in
-    #: trace-cache-equivalent 64-byte entries (the same area currency
-    #: as ``preconstruction.buffer_entries``).  ``0`` = baseline.
+    #: The mechanism's storage budget in trace-cache-equivalent 64-byte
+    #: entries — preconstruction buffers for the paper's mechanism,
+    #: record/request storage for the others, so equal budgets are
+    #: equal-area designs.  ``0`` = baseline.
     mechanism_budget: int = 0
 
     def __post_init__(self) -> None:
@@ -65,49 +66,3 @@ class FrontendConfig:
             raise ValueError("mechanism must be a non-empty name")
         if self.mechanism_budget < 0:
             raise ValueError("mechanism_budget must be non-negative")
-        if self.mechanism == "preconstruction" and self.mechanism_budget:
-            raise ValueError("preconstruction sizes its storage via "
-                             "preconstruction.buffer_entries, not "
-                             "mechanism_budget")
-        if self.mechanism != "preconstruction" \
-                and self.preconstruction is not None:
-            raise ValueError(f"mechanism {self.mechanism!r} cannot carry "
-                             "a preconstruction config")
-
-    @property
-    def mechanism_entries(self) -> int:
-        """Mechanism-side storage, in 64-byte entries (any mechanism)."""
-        if self.preconstruction is not None:
-            return self.preconstruction.buffer_entries
-        return self.mechanism_budget
-
-    def with_mechanism(self, mechanism: str) -> "FrontendConfig":
-        """This sizing point under a different mechanism.
-
-        The storage budget moves with the mechanism: preconstruction
-        carries it in ``preconstruction.buffer_entries``, every other
-        mechanism in ``mechanism_budget`` — same area either way.
-        """
-        if mechanism == self.mechanism:
-            return self
-        budget = self.mechanism_entries
-        if mechanism == "preconstruction":
-            from repro.core import PreconstructionConfig
-            precon = (PreconstructionConfig(buffer_entries=budget)
-                      if budget else None)
-            return replace(self, mechanism=mechanism, mechanism_budget=0,
-                           preconstruction=precon)
-        return replace(self, mechanism=mechanism, mechanism_budget=budget,
-                       preconstruction=None)
-
-    @property
-    def total_trace_storage_bytes(self) -> int:
-        """Combined trace cache + mechanism storage area (the x-axis
-        of the paper's Figure 5, equal-area across mechanisms)."""
-        from repro.trace.trace_cache import BYTES_PER_ENTRY
-        return (self.trace_cache.size_bytes
-                + self.mechanism_entries * BYTES_PER_ENTRY)
-
-    @property
-    def total_trace_entries(self) -> int:
-        return self.trace_cache.entries + self.mechanism_entries

@@ -10,9 +10,11 @@ be used.  We do not investigate dynamically partitioning space between
 the trace cache and preconstruction buffer, but this could likely be
 done."
 
-This module does investigate it.  A fixed total entry budget is split
-between the trace cache and the preconstruction buffers; a hill-
-climbing controller re-evaluates the split every epoch:
+This module does investigate it.  The point's total trace storage —
+its trace-cache entries plus its preconstruction budget
+(``FrontendConfig.mechanism_budget``), which is also the starting
+split — is re-divided between the trace cache and the preconstruction
+buffers by a hill-climbing controller every epoch:
 
 * each epoch records the trace miss rate;
 * the controller keeps moving the boundary in the current direction
@@ -26,21 +28,24 @@ climbing controller re-evaluates the split every epoch:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from repro.core.precon_buffers import PreconstructionBuffers
 from repro.sim.config import FrontendConfig
 from repro.sim.frontend_runner import FrontendSimulation
 from repro.program import ProgramImage
-from repro.trace import TraceCache, TraceCacheConfig
+from repro.trace import TraceCache
 
 
 @dataclass(frozen=True)
 class DynamicPartitionConfig:
-    """Controller parameters."""
+    """Controller parameters.
 
-    total_entries: int = 512
-    initial_pb_entries: int = 128
+    The sizes it partitions come from the point's
+    :class:`~repro.sim.FrontendConfig`; these bound and pace the walk.
+    """
+
     min_pb_entries: int = 32
     max_pb_entries: int = 384
     step_entries: int = 32
@@ -51,9 +56,9 @@ class DynamicPartitionConfig:
     it should only happen on a significant gradient)."""
 
     def __post_init__(self) -> None:
-        if not (0 < self.min_pb_entries <= self.initial_pb_entries
-                <= self.max_pb_entries < self.total_entries):
-            raise ValueError("inconsistent partition bounds")
+        if not 0 < self.min_pb_entries <= self.max_pb_entries:
+            raise ValueError("partition bounds need "
+                             "0 < min_pb_entries <= max_pb_entries")
         if self.step_entries <= 0 or self.epoch_traces <= 0:
             raise ValueError("step/epoch must be positive")
         if self.hold_tolerance < 0:
@@ -74,19 +79,49 @@ class DynamicPartitionFrontend(FrontendSimulation):
 
     def __init__(self, image: ProgramImage, config: FrontendConfig,
                  partition: DynamicPartitionConfig | None = None) -> None:
-        if config.preconstruction is None:
+        if config.mechanism != "preconstruction" \
+                or not config.mechanism_budget:
             raise ValueError("dynamic partitioning needs the "
                              "preconstruction mechanism with a non-zero "
                              "buffer budget")
         self.partition = partition or DynamicPartitionConfig()
+        self.total_entries = (config.trace_cache.entries
+                              + config.mechanism_budget)
+        self._check_bounds(config)
         super().__init__(image, config)
-        self._pb_entries = self.partition.initial_pb_entries
+        self._pb_entries = config.mechanism_budget
         self._direction = +1
         self._epoch_traces = 0
         self._epoch_start_misses = 0
         self._last_epoch_rate: float | None = None
         self.events: list[PartitionEvent] = []
-        self._apply_partition(self._pb_entries)
+
+    def _check_bounds(self, config: FrontendConfig) -> None:
+        """``ValueError`` naming the first controller bound that does
+        not fit ``config``'s split."""
+        bounds = self.partition
+        budget = config.mechanism_budget
+        if bounds.min_pb_entries > budget:
+            raise ValueError(f"min_pb_entries={bounds.min_pb_entries} "
+                             f"exceeds the {budget}-entry starting budget")
+        if bounds.max_pb_entries < budget:
+            raise ValueError(f"max_pb_entries={bounds.max_pb_entries} is "
+                             f"below the {budget}-entry starting budget")
+        if bounds.max_pb_entries >= self.total_entries:
+            raise ValueError(f"max_pb_entries={bounds.max_pb_entries} "
+                             "leaves no trace cache out of "
+                             f"{self.total_entries} entries")
+        # Every reachable split must divide evenly into both structures'
+        # ways.
+        ways = math.lcm(config.trace_cache.ways,
+                        config.preconstruction.buffer_ways)
+        for name, moved in (("min_pb_entries", budget - bounds.min_pb_entries),
+                            ("max_pb_entries", bounds.max_pb_entries - budget),
+                            ("step_entries", bounds.step_entries)):
+            if moved % ways:
+                raise ValueError(f"{name}={getattr(bounds, name)} moves "
+                                 f"the split by {moved} entries, not a "
+                                 f"multiple of {ways} ways")
 
     # ------------------------------------------------------------------
     @property
@@ -95,11 +130,11 @@ class DynamicPartitionFrontend(FrontendSimulation):
 
     def _apply_partition(self, pb_entries: int) -> None:
         """Rebuild the trace cache and buffers at the new split."""
-        tc_entries = self.partition.total_entries - pb_entries
         old_tc = self.trace_cache
         old_buffers = self.precon.buffers
 
-        new_tc = TraceCache(TraceCacheConfig(entries=tc_entries))
+        new_tc = TraceCache(replace(
+            old_tc.config, entries=self.total_entries - pb_entries))
         for trace in old_tc.resident_traces():
             new_tc.insert(trace)
         new_buffers = PreconstructionBuffers(

@@ -26,7 +26,8 @@ set-up and the slow path live in :class:`FrontendPoint`, which
 The fill/prefetch mechanism occupying the seam is pluggable
 (:mod:`repro.frontends`): trace preconstruction, MANA-style
 record-replay prefetching, program-map traversal, or next-N-line —
-selected by ``FrontendConfig.mechanism``.
+selected by ``FrontendConfig.mechanism`` and sized by
+``FrontendConfig.mechanism_budget``.
 
 This is the trace-driven approximation described in DESIGN.md: the
 committed path is exact; wrong-path fetch is approximated by resolution
@@ -64,8 +65,7 @@ if TYPE_CHECKING:
     )
 
 
-def retire_pace_table(retire_ipc: float,
-                      max_length: int = MAX_TRACE_LENGTH) -> tuple[int, ...]:
+def retire_pace_table(retire_ipc: float) -> tuple[int, ...]:
     """Cycles the backend needs to consume a trace of each length.
 
     ``table[n]`` is the pace for an ``n``-instruction trace: ceiling
@@ -77,7 +77,7 @@ def retire_pace_table(retire_ipc: float,
     preconstruction).
     """
     return tuple(max(1, math.ceil(n / retire_ipc))
-                 for n in range(max_length + 1))
+                 for n in range(MAX_TRACE_LENGTH + 1))
 
 
 @dataclass
@@ -137,7 +137,7 @@ class FrontendPoint:
             MechanismContext(
                 image=image, icache=self.icache, bimodal=self.bimodal,
                 trace_cache=self.trace_cache, selection=front.selection,
-                budget_entries=front.mechanism_entries,
+                budget_entries=front.mechanism_budget,
                 static_seed=front.static_seed,
                 preconstruction=front.preconstruction))
         #: The mechanism again when it is the preconstruction engine,
@@ -277,8 +277,7 @@ class FrontendSimulation(FrontendPoint):
         slow_path = self._slow_path
         mispredict_penalty = self.config.trace_mispredict_penalty
         # Pace of backend-paced consumption, precomputed per length.
-        pace_of = retire_pace_table(self.config.retire_ipc,
-                                    self.config.selection.max_length)
+        pace_of = retire_pace_table(self.config.retire_ipc)
         length = plan.length
         ntp_code = plan.ntp_code
         n_branches = plan.n_branches
@@ -381,7 +380,6 @@ def run_frontend(image: ProgramImage, config: FrontendConfig,
                  stream: Union[Stream, Sequence[StreamRecord], None] = None,
                  traces: Optional[list[Trace]] = None,
                  obs: Optional["ObsBus"] = None, *,
-                 mechanism: Optional[str] = None,
                  partition: Optional["DynamicPartitionConfig"] = None,
                  plan: Optional[BatchPlan] = None) -> FrontendResult:
     """The one frontend entry point.
@@ -391,14 +389,10 @@ def run_frontend(image: ProgramImage, config: FrontendConfig,
     and replays it through the frontend.  ``obs`` attaches an event bus
     (:class:`repro.obs.ObsBus`) for cycle-domain tracing.
 
-    ``mechanism`` overrides ``config.mechanism`` at the same storage
-    budget (see :meth:`FrontendConfig.with_mechanism`).  ``partition``
-    switches to the adaptive trace-storage-partition frontend (the
-    dynamic extension); its epoch decisions come back as
-    ``result.partition_events``.
+    ``partition`` switches to the adaptive trace-storage-partition
+    frontend (the dynamic extension), which starts from ``config``'s
+    split; its epoch decisions come back as ``result.partition_events``.
     """
-    if mechanism is not None:
-        config = config.with_mechanism(mechanism)
     if partition is not None:
         from repro.sim.dynamic_partition import DynamicPartitionFrontend
         if obs is not None:

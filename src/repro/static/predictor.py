@@ -48,6 +48,7 @@ from repro.static.analyses import StaticFacts, resolve_table_via_dataflow
 from repro.static.recovery import ProcedureRange, resolve_indirect_table
 from repro.static.seeding import StaticSeed, compute_static_seeds
 from repro.trace.selection import SelectionConfig, aligned_cut
+from repro.trace.trace import MAX_TRACE_LENGTH
 
 #: Exploration bounds.  The walk is polynomial thanks to suffix-state
 #: merging, but adversarial images (every instruction a branch) could
@@ -127,11 +128,13 @@ class CoveragePrediction:
         """Compact, digest-based form for golden files and CI diffs."""
         return {
             "complete": self.complete,
+            # The stops and the length limit are fixed rules now; their
+            # keys stay so the serialised form keeps its shape.
             "config": {
                 "align_multiple": self.config.align_multiple,
-                "end_at_indirect": self.config.end_at_indirect,
-                "end_at_returns": self.config.end_at_returns,
-                "max_length": self.config.max_length,
+                "end_at_indirect": True,
+                "end_at_returns": True,
+                "max_length": MAX_TRACE_LENGTH,
             },
             "coverage_ratio": round(self.coverage_ratio, 6),
             "covered_count": len(self.covered_pcs),
@@ -268,7 +271,7 @@ class _Walk:
         separate budget — a truncated region estimate does not weaken
         the whole-image containment claim.
         """
-        config = self.config
+        align = self.config.align_multiple
         new_starts: set[int] = set()
         emitted = 0
         truncated = False
@@ -296,13 +299,7 @@ class _Walk:
                 continue            # ran off the image: verifier territory
             self.covered.add(pc)
             n = len(path)
-            if inst.is_return and config.end_at_returns:
-                self.traces.add(path)
-                emitted += 1
-                if not region:
-                    new_starts.update(self.successors(pc, inst))
-                continue
-            if inst.is_indirect and config.end_at_indirect:
+            if inst.is_return or inst.is_indirect:
                 self.traces.add(path)
                 emitted += 1
                 if not region:
@@ -310,8 +307,8 @@ class _Walk:
                 continue
             if inst.is_backward:
                 last_backward = n - 1
-            if n >= config.max_length:
-                cut = aligned_cut(n, last_backward, config.align_multiple)
+            if n >= MAX_TRACE_LENGTH:
+                cut = aligned_cut(n, last_backward, align)
                 self.traces.add(path[:cut])
                 emitted += 1
                 if cut < n:

@@ -50,16 +50,15 @@ def aligned_cut(n: int, last_backward: Optional[int], align: int) -> int:
 
 @dataclass(frozen=True)
 class SelectionConfig:
-    """Trace-delimiting rules (ablation-tunable)."""
+    """The one tunable delimiting rule: the alignment heuristic.
 
-    max_length: int = MAX_TRACE_LENGTH
+    The length limit (:data:`MAX_TRACE_LENGTH`) and the return and
+    indirect-transfer stops are the paper's fixed rules (§2.2).
+    """
+
     align_multiple: int = 4     # 0 disables the alignment heuristic
-    end_at_returns: bool = True
-    end_at_indirect: bool = True
 
     def __post_init__(self) -> None:
-        if not 1 <= self.max_length <= MAX_TRACE_LENGTH:
-            raise ValueError("max_length must be in 1..16")
         if self.align_multiple < 0:
             raise ValueError("align_multiple must be >= 0")
 
@@ -84,20 +83,14 @@ class TraceBuilder:
         #: times, and an interned TraceID makes every downstream
         #: equality check hit the identity fast path.
         self._id_intern: dict[tuple[int, tuple[bool, ...]], TraceID] = {}
-        #: Interning table for whole traces.  Valid only while every
-        #: indirect transfer ends its trace (the default): then the
-        #: instruction path is a pure function of (start_pc, outcomes)
-        #: and the image, and ``next_pc`` disambiguates a trailing
-        #: indirect's target — so the same key always denotes an
-        #: identical trace and the object can be reused outright
-        #: (sharing its line-run memo across all its occurrences).
+        #: Interning table for whole traces.  Every indirect transfer
+        #: ends its trace, so the instruction path is a pure function
+        #: of (start_pc, outcomes) and the image, and ``next_pc``
+        #: disambiguates a trailing indirect's target — the same key
+        #: always denotes an identical trace and the object can be
+        #: reused outright (sharing its line-run memo across all its
+        #: occurrences).
         self._trace_intern: dict[tuple[TraceID, int], Trace] = {}
-        self._intern_traces = self.config.end_at_indirect
-        # Stopping rules flattened out of the config dataclass: add()
-        # runs once per dynamic and once per preconstructed instruction.
-        self._end_at_returns = self.config.end_at_returns
-        self._end_at_indirect = self.config.end_at_indirect
-        self._max_length = self.config.max_length
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -114,11 +107,9 @@ class TraceBuilder:
         entries.append((pc, inst, taken, next_pc))
         if inst.is_conditional_branch:
             self._outcomes.append(taken)
-        if inst.is_return and self._end_at_returns:
+        if inst.is_return or inst.is_indirect:
             return self._emit(len(entries))
-        if inst.is_indirect and self._end_at_indirect:
-            return self._emit(len(entries))
-        if len(entries) >= self._max_length:
+        if len(entries) >= MAX_TRACE_LENGTH:
             return self._emit(self._aligned_cut())
         return None
 
@@ -197,9 +188,8 @@ class TraceBuilder:
             trace_id = TraceID(start_pc=key[0], outcomes=outcomes)
             self._id_intern[key] = trace_id
 
-        intern = self._intern_traces and not partial
-        if intern:
-            memo_key = (trace_id, last_next)
+        memo_key = (trace_id, last_next)
+        if not partial:
             trace = self._trace_intern.get(memo_key)
             if trace is not None:
                 return trace
@@ -219,7 +209,7 @@ class TraceBuilder:
             ends_in_return=last_inst.is_return,
             partial=partial,
         )
-        if intern:
+        if not partial:
             self._trace_intern[memo_key] = trace
         return trace
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Optional
 
-from repro.caches import SetAssociativeCache, make_policy
+from repro.caches import SetAssociativeCache
 from repro.trace.trace import MAX_TRACE_LENGTH, Trace, TraceID
 
 BYTES_PER_ENTRY = MAX_TRACE_LENGTH * 4
@@ -29,7 +29,6 @@ _index_trace_id: Callable[[TraceID], int] = attrgetter("_index")
 class TraceCacheConfig:
     entries: int = 512
     ways: int = 2
-    replacement: str = "lru"
 
     def __post_init__(self) -> None:
         if self.entries <= 0 or self.entries % self.ways:
@@ -57,8 +56,6 @@ class TraceCache:
                 num_sets=self.config.num_sets,
                 ways=self.config.ways,
                 index_fn=_index_trace_id,
-                policy=make_policy(self.config.replacement,
-                                   self.config.num_sets, self.config.ways),
             )
 
     # ------------------------------------------------------------------

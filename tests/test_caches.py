@@ -3,15 +3,12 @@
 import pytest
 
 from repro.caches import (
-    FIFO,
     LRU,
     ICacheConfig,
     InstructionCache,
     PerfectL2,
     PrefetchCache,
-    RandomReplacement,
     SetAssociativeCache,
-    make_policy,
 )
 
 
@@ -30,26 +27,6 @@ class TestLRU:
         assert lru.victim(1) == 0
         lru.on_fill(1, 0)
         assert lru.victim(1) == 1
-
-
-class TestFIFO:
-    def test_access_does_not_refresh(self):
-        fifo = FIFO(num_sets=1, ways=2)
-        fifo.on_fill(0, 0)
-        fifo.on_fill(0, 1)
-        fifo.on_access(0, 0)
-        assert fifo.victim(0) == 0  # still the first in
-
-
-class TestPolicyFactory:
-    def test_make_policy_names(self):
-        assert isinstance(make_policy("lru", 2, 2), LRU)
-        assert isinstance(make_policy("fifo", 2, 2), FIFO)
-        assert isinstance(make_policy("random", 2, 2), RandomReplacement)
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            make_policy("belady", 2, 2)
 
 
 class TestSetAssociativeCache:

@@ -455,6 +455,15 @@ class TestCompareCLI:
         assert "unknown mechanism" in err
 
 
+    def test_compare_zero_budget_errors_cleanly(self, capsys):
+        assert main(["--instructions", "4000", "--no-cache", "compare",
+                     "--benchmarks", "gcc", "--mechanisms", "mana",
+                     "--pb", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "pb_sizes" in captured.err
+
 def bench_payload(seconds=16.0):
     return {"schema": 2, "mode": "quick", "jobs": 1,
             "sections": {"figure5": {"specs": 4,

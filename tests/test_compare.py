@@ -39,6 +39,13 @@ class TestCompareSpecs:
         with pytest.raises(ValueError, match="unknown mechanism"):
             compare_specs("gcc", ["markov"], instructions=INSTRUCTIONS)
 
+    def test_zero_budget_rejected(self):
+        # A zero budget is the baseline; as a sweep budget it would
+        # repeat the baseline row once per mechanism.
+        with pytest.raises(ValueError, match="pb_sizes"):
+            compare_specs("gcc", ["mana"], pb_sizes=(0,),
+                          instructions=INSTRUCTIONS)
+
     def test_mechanism_in_spec_digest(self):
         specs = compare_specs("gcc", ["pmap", "nextline"], pb_sizes=(64,),
                               instructions=INSTRUCTIONS)

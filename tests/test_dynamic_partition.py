@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.runner import build_frontend_config
+from repro.runner import ExperimentSpec, build_frontend_config, execute_spec
 from repro.engine import FunctionalEngine
 from repro.sim import (
     DynamicPartitionConfig,
@@ -26,9 +26,41 @@ class TestDynamicPartition:
         with pytest.raises(ValueError):
             DynamicPartitionFrontend(image, build_frontend_config(512, 0))
 
+    def test_starts_from_the_points_split(self, gcc):
+        image, _ = gcc
+        sim = DynamicPartitionFrontend(image, build_frontend_config(256, 256))
+        assert sim.pb_entries == sim.precon.buffers.entries == 256
+        assert sim.trace_cache.config.entries == 256
+
+    def test_dynamic_spec_runs_its_own_split(self):
+        # Before the controller's first epoch ends, a dynamic point is
+        # the static point of the same split.
+        split = dict(benchmark="gcc", tc_entries=256, pb_entries=256,
+                     instructions=5000)
+        dynamic = execute_spec(ExperimentSpec(kind="dynamic", **split))
+        static = execute_spec(ExperimentSpec(**split))
+        assert dynamic.metrics["pb_trajectory"] == []
+        assert (dynamic.metrics["trace_misses_per_ki"]
+                == static.metrics["trace_misses_per_ki"])
+
+    def test_bounds_checked_against_the_point(self, gcc):
+        image, _ = gcc
+        with pytest.raises(ValueError, match="max_pb_entries"):
+            execute_spec(ExperimentSpec(benchmark="gcc", tc_entries=128,
+                                        pb_entries=64, kind="dynamic",
+                                        instructions=1000))
+        with pytest.raises(ValueError, match="min_pb_entries"):
+            DynamicPartitionFrontend(
+                image, build_frontend_config(384, 128),
+                DynamicPartitionConfig(min_pb_entries=256))
+        with pytest.raises(ValueError, match="step_entries"):
+            DynamicPartitionFrontend(
+                image, build_frontend_config(384, 128),
+                DynamicPartitionConfig(step_entries=33))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            DynamicPartitionConfig(total_entries=128, initial_pb_entries=256)
+            DynamicPartitionConfig(min_pb_entries=256, max_pb_entries=128)
         with pytest.raises(ValueError):
             DynamicPartitionConfig(step_entries=0)
         with pytest.raises(ValueError):
@@ -40,8 +72,7 @@ class TestDynamicPartition:
         sim = DynamicPartitionFrontend(image, build_frontend_config(384, 128),
                                        partition)
         sim.run(stream)
-        assert (sim.trace_cache.config.entries + sim.pb_entries
-                == partition.total_entries)
+        assert sim.trace_cache.config.entries + sim.pb_entries == 512
 
     def test_bounds_respected(self, gcc):
         image, stream = gcc

@@ -4,6 +4,7 @@ import pytest
 
 from repro.branch import BimodalPredictor
 from repro.caches import ICacheConfig, InstructionCache
+from repro.core import PreconstructionConfig
 from repro.engine import FunctionalEngine
 from repro.frontends import (
     FrontendMechanism,
@@ -50,7 +51,7 @@ def make_context(image, budget=64):
         bimodal=BimodalPredictor(entries=4096),
         trace_cache=TraceCache(TraceCacheConfig()),
         selection=SelectionConfig(), budget_entries=budget,
-        static_seed=False, preconstruction=None)
+        static_seed=False, preconstruction=PreconstructionConfig())
 
 
 class TestRegistry:
@@ -95,12 +96,8 @@ class TestRegistry:
 
     def test_zero_budget_means_unconfigured(self, compress):
         image, _ = compress
-        for name in ("mana", "nextline", "pmap"):
+        for name in mechanism_names():
             assert create_mechanism(name, make_context(image, 0)) is None
-        # Preconstruction is configured by its hardware config, not the
-        # generic budget; None config -> unconfigured.
-        assert create_mechanism("preconstruction",
-                                make_context(image, 64)) is None
 
     def test_build_types(self, compress):
         image, _ = compress
@@ -257,17 +254,19 @@ class TestSeamWiring:
         assert result.preconstruction is result.mechanism
         assert result.stats.buffer_hits > 0
 
-    def test_mechanism_kwarg_overrides_config(self, compress):
-        image, stream = compress
-        config = build_frontend_config(128, 64)
-        result = run_frontend(image, config, stream=stream,
-                              mechanism="nextline")
-        assert result.mechanism is not None
-        assert result.mechanism.name == "nextline"
-        assert result.config.mechanism == "nextline"
-        # The budget moved currencies: same total storage.
-        assert (result.config.mechanism_entries
-                == config.mechanism_entries == 64)
+    def test_one_budget_sizes_every_mechanism(self, compress):
+        # mechanism_budget is the one storage currency: 64 entries are
+        # 64 preconstruction-buffer entries, a 64-entry request queue,
+        # or MANA's record table and queue sharing 64 entries.
+        image, _ = compress
+        point = {name: FrontendSimulation(
+                     image, build_frontend_config(128, 64, mechanism=name))
+                 for name in mechanism_names()}
+        assert point["preconstruction"].precon.buffers.entries == 64
+        assert point["nextline"].mechanism.budget_entries == 64
+        assert point["pmap"].mechanism.budget_entries == 64
+        mana = point["mana"].mechanism
+        assert mana._record_capacity + mana.budget_entries == 64
 
     def test_zero_budget_is_baseline_for_every_mechanism(self, compress):
         image, stream = compress

@@ -16,7 +16,6 @@ import sys
 
 from repro.branch import BimodalPredictor
 from repro.caches import (
-    LRU,
     InstructionCache,
     SetAssociativeCache,
     stable_index,
@@ -65,7 +64,7 @@ def _straight_line_engine():
     icache = InstructionCache()
     engine = PreconstructionEngine(
         image=image, icache=icache, bimodal=BimodalPredictor(),
-        trace_cache=TraceCache())
+        trace_cache=TraceCache(), buffer_entries=256)
     return engine, icache
 
 
@@ -104,14 +103,13 @@ class TestPortOverdraftCarried:
 # ----------------------------------------------------------------------
 class TestInvalidateNotifiesPolicy:
     def test_lru_order_demotes_invalidated_way(self):
-        policy = LRU(num_sets=1, ways=4)
-        cache = SetAssociativeCache(num_sets=1, ways=4, policy=policy)
+        cache = SetAssociativeCache(num_sets=1, ways=4)
         for key in "abcd":
             cache.insert(key, key.upper())
         cache.lookup("a")  # recency: a d c b
         assert cache.invalidate("a")
         # The freed way (a's) must now be the least-recent of the set.
-        order = policy.recency_order(0)
+        order = cache.lru.recency_order(0)
         assert order == (3, 2, 1, 0)  # a held way 0; demoted to last
 
     def test_refill_reclaims_freed_way_before_live_lines(self):

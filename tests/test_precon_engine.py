@@ -57,8 +57,7 @@ def setup():
     bimodal = BimodalPredictor()
     engine = PreconstructionEngine(
         image=image, icache=icache, bimodal=bimodal,
-        trace_cache=trace_cache,
-        config=PreconstructionConfig(buffer_entries=128))
+        trace_cache=trace_cache, buffer_entries=128)
     return image, labels, traces, engine, trace_cache, bimodal
 
 
@@ -145,8 +144,7 @@ class TestStaticSeeding:
         engine = PreconstructionEngine(
             image=image, icache=InstructionCache(),
             bimodal=BimodalPredictor(), trace_cache=TraceCache(),
-            config=PreconstructionConfig(buffer_entries=128),
-            static_seeds=seeds)
+            buffer_entries=128, static_seeds=seeds)
         # Best seed (first in the list) sits on top of the stack.
         assert engine.stack.peek_newest() == seeds[0]
         assert engine.stats.static_seeds_offered == len(seeds)
@@ -158,8 +156,8 @@ class TestStaticSeeding:
         engine = PreconstructionEngine(
             image=image, icache=InstructionCache(),
             bimodal=BimodalPredictor(), trace_cache=TraceCache(),
-            config=PreconstructionConfig(buffer_entries=128,
-                                         start_stack_depth=depth),
+            buffer_entries=128,
+            config=PreconstructionConfig(start_stack_depth=depth),
             static_seeds=seeds)
         assert engine.stats.static_seeds_offered == depth
         # Drain the stack; the next tick must feed the second batch.

@@ -3,7 +3,6 @@
 from repro.engine.functional import FunctionalEngine
 from repro.isa import Instruction, Opcode, assemble
 from repro.preprocess import (
-    PreprocessConfig,
     Preprocessor,
     build_dependence_graph,
     fuse_shift_adds,
@@ -204,14 +203,3 @@ class TestPreprocessorPipeline:
         for trace in traces:
             view = preprocessor.process(trace)
             assert len(view) == len(trace.instructions)
-
-    def test_disabled_pipeline_is_identity(self):
-        config = PreprocessConfig(constant_propagation=False,
-                                  alu_fusion=False, scheduling=False)
-        assert not config.any_enabled
-        insts, _ = assemble("addi r1, r0, 1\nhalt")
-        image = ProgramImage(instructions=insts, code_base=0x1000,
-                            entry=0x1000)
-        stream = FunctionalEngine(image).run(2)
-        trace = traces_of_stream(stream)[0]
-        assert Preprocessor(config).process(trace) is trace.instructions

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.core import PreconstructionConfig
 from repro.engine import FunctionalEngine
-from repro.preprocess import PreprocessConfig
 from repro.processor import (
     BackendConfig,
     ProcessorConfig,
@@ -28,12 +26,9 @@ def vortex():
 
 def _config(tc=256, pb=0, preprocess=False, **backend_kwargs):
     return ProcessorConfig(
-        frontend=FrontendConfig(
-            trace_cache=TraceCacheConfig(entries=tc),
-            preconstruction=(PreconstructionConfig(buffer_entries=pb)
-                             if pb else None)),
-        backend=BackendConfig(**backend_kwargs),
-        preprocess=PreprocessConfig() if preprocess else None)
+        frontend=FrontendConfig(trace_cache=TraceCacheConfig(entries=tc),
+                                mechanism_budget=pb),
+        backend=BackendConfig(**backend_kwargs), preprocess=preprocess)
 
 
 class TestProcessorTiming:

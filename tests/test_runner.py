@@ -92,11 +92,11 @@ class TestExperimentSpec:
         spec = spec_for(static_seed=True)
         config = spec.frontend_config()
         assert config.trace_cache.entries == 64
-        assert config.preconstruction.buffer_entries == 32
+        assert config.mechanism_budget == 32
         assert config.static_seed
         proc = spec_for(kind="processor", preprocess=True).processor_config()
-        assert proc.preprocess is not None
-        assert spec_for().processor_config().preprocess is None
+        assert proc.preprocess is True
+        assert spec_for().processor_config().preprocess is False
 
     def test_budget_resolution_precedence(self, monkeypatch):
         monkeypatch.setenv("REPRO_INSTRUCTIONS", "1234")

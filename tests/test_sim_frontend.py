@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import PreconstructionConfig
 from repro.engine import FunctionalEngine
 from repro.sim import FrontendConfig, FrontendSimulation, run_frontend
 from repro.trace import TraceCacheConfig
@@ -19,11 +18,8 @@ def gcc():
 
 
 def _run(image, stream, tc=256, pb=0, **kwargs):
-    config = FrontendConfig(
-        trace_cache=TraceCacheConfig(entries=tc),
-        preconstruction=(PreconstructionConfig(buffer_entries=pb)
-                         if pb else None),
-        **kwargs)
+    config = FrontendConfig(trace_cache=TraceCacheConfig(entries=tc),
+                            mechanism_budget=pb, **kwargs)
     return run_frontend(image, config, INSTRUCTIONS, stream=stream)
 
 
@@ -106,13 +102,6 @@ class TestPreconstructionFrontend:
         assert result.stats.idle_cycles > 0
         assert (result.preconstruction.stats.idle_cycles_offered
                 == result.stats.idle_cycles)
-
-    def test_total_area_accounting(self):
-        config = FrontendConfig(
-            trace_cache=TraceCacheConfig(entries=256),
-            preconstruction=PreconstructionConfig(buffer_entries=256))
-        assert config.total_trace_entries == 512
-        assert config.total_trace_storage_bytes == 512 * 64
 
 
 class TestFrontendEdgeCases:
