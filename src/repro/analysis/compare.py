@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.frontends import mechanism_names
+from repro.frontends.preconstruction import PreconstructionMechanism
 from repro.runner import (
     ExperimentSpec,
     ResultCache,
@@ -91,7 +92,8 @@ def compare_specs(benchmark: str,
     degenerates to the bare frontend there, so one point serves all);
     then one spec per ``(mechanism, budget)``.  Every budget in
     ``pb_sizes`` must be positive: a zero budget would repeat the
-    baseline once per mechanism.
+    baseline once per mechanism.  The preconstruction buffers' ways
+    must divide each budget they are sized by.
     """
     pb_sizes = tuple(pb_sizes)
     if any(pb <= 0 for pb in pb_sizes):
@@ -100,7 +102,14 @@ def compare_specs(benchmark: str,
     budget = resolve_instructions(instructions)
     specs = [ExperimentSpec(benchmark=benchmark, tc_entries=tc_entries,
                             pb_entries=0, instructions=budget)]
-    for mechanism in _resolve_mechanisms(mechanisms):
+    mechanisms = _resolve_mechanisms(mechanisms)
+    ways = specs[0].frontend_config().preconstruction.buffer_ways
+    if (PreconstructionMechanism.name in mechanisms
+            and any(pb % ways for pb in pb_sizes)):
+        raise ValueError(f"pb_sizes must be multiples of the "
+                         f"preconstruction buffers' {ways} ways, got "
+                         f"{list(pb_sizes)}")
+    for mechanism in mechanisms:
         for pb in pb_sizes:
             specs.append(ExperimentSpec(
                 benchmark=benchmark, tc_entries=tc_entries, pb_entries=pb,

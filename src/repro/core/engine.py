@@ -86,38 +86,23 @@ class PreconstructionStats:
     static_seeds_offered: int = 0
 
 
-#: One dispatch-cue segment: its pcs, their set, the start point pushed
-#: after it (``None`` for a trace's trailing segment).
-_Segment = tuple[tuple[int, ...], frozenset, Optional[int]]
+def _cue_ends(trace: Trace) -> tuple[int, ...]:
+    """Where ``trace``'s pcs split after each start-point cue.
 
-
-def _cue_segments(trace: Trace) -> tuple[_Segment, ...]:
-    """``trace``'s pcs split after each start-point cue.
-
-    Each segment is ``(pcs, frozenset(pcs), push)``: ``push`` is the
-    start point its last instruction pushes (the instruction after a
-    call or a taken backward branch), ``None`` for the trailing
-    segment.  The stack only shrinks inside a segment, so a segment
-    whose pcs miss the stack on entry reaches none of its points.
+    Each entry is the index one past a call or a taken backward
+    branch; that instruction pushes the start point after it.  The
+    stack only shrinks between two cues, so a stretch of pcs that
+    misses the stack on entry reaches none of its points.  A trace
+    with no cue maps to the empty tuple, which every such trace
+    shares.
     """
-    segments: list[_Segment] = []
-    pcs: list[int] = []
+    ends: list[int] = []
     outcomes = iter(trace.trace_id.outcomes)
-    for pc, inst in zip(trace.pcs, trace.instructions):
-        pcs.append(pc)
-        if inst.is_call:
-            push = True
-        elif inst.is_conditional_branch:
-            push = next(outcomes) and inst.is_backward
-        else:
-            continue
-        if push:
-            segments.append((tuple(pcs), frozenset(pcs),
-                             pc + INSTRUCTION_BYTES))
-            pcs = []
-    if pcs:
-        segments.append((tuple(pcs), frozenset(pcs), None))
-    return tuple(segments)
+    for end, inst in enumerate(trace.instructions, 1):
+        if inst.is_call or (inst.is_conditional_branch
+                            and next(outcomes) and inst.is_backward):
+            ends.append(end)
+    return tuple(ends)
 
 
 def region_priority(regions_by_seq: dict[int, Region]
@@ -125,15 +110,14 @@ def region_priority(regions_by_seq: dict[int, Region]
     """The region priority the buffer replacement policy sees: active
     regions beat past ones, and the more recent region wins.
 
+    ``regions_by_seq`` holds exactly the active regions.
+
     A function over the engine's region map rather than a bound method,
     so the buffers hold no reference back to the engine and a finished
     point's state is freed by reference counting alone.
     """
     def priority(seq: int) -> tuple[int, int]:
-        region = regions_by_seq.get(seq)
-        if region is not None and region.active:
-            return (1, seq)
-        return (0, seq)
+        return (1, seq) if seq in regions_by_seq else (0, seq)
     return priority
 
 
@@ -160,6 +144,7 @@ class PreconstructionEngine:
 
         self.stack = StartPointStack(depth=cfg.start_stack_depth,
                                      completed_memory=cfg.completed_memory)
+        #: The active regions by seq; a finished region leaves it.
         self._regions_by_seq: dict[int, Region] = {}
         self.buffers = PreconstructionBuffers(
             entries=buffer_entries, ways=cfg.buffer_ways,
@@ -174,8 +159,17 @@ class PreconstructionEngine:
         for cid, constructor in enumerate(self.constructors):
             constructor.cid = cid
             constructor._obs_assigned = 0
+        #: Active regions in seq order, so newest (highest priority)
+        #: last: "it takes a new trace start point from the highest
+        #: priority worklist" walks this list reversed.
         self._active_regions: list[Region] = []
         self._next_seq = 0
+        #: Constructors holding a region, as of the last schedule pass.
+        self._busy: list[TraceConstructor] = []
+        #: Set when a schedule pass may assign or reap again: a
+        #: constructor was released, a region finished, or a start point
+        #: was queued while a constructor was idle (DESIGN §10).
+        self._dirty = False
         #: I-cache port cycles spent beyond what past idle bursts funded
         #: (a line fetch issued with 1 cycle of budget still costs the
         #: full miss latency); repaid out of the next burst's budget.
@@ -184,12 +178,8 @@ class PreconstructionEngine:
         #: Statically precomputed start points (best-first), fed to the
         #: stack at startup and whenever the dynamic cues run dry.
         self._static_seeds: deque[int] = deque(static_seeds or ())
-        #: Per-trace dispatch-cue memo: the start-point cues and the pc
-        #: set of a trace are pure functions of the trace, and the
-        #: selector interns trace objects, so each distinct trace is
-        #: scanned once rather than once per dispatch.  Keyed by id();
-        #: the stored trace reference pins the id.
-        self._cue_memo: dict[int, tuple] = {}
+        #: Live view of the stack's membership table.
+        self._pending = self.stack._counts.keys()
         #: Optional :class:`repro.obs.ObsBus`; ``None`` (the default)
         #: keeps every instrumentation site a single dead branch, so
         #: the event-driven hot path from the performance overhaul is
@@ -243,26 +233,33 @@ class PreconstructionEngine:
     # ------------------------------------------------------------------
     def observe_dispatch(self, trace: Trace) -> None:
         """Scan one dispatched trace for start-point cues and catch-up."""
-        memo = self._cue_memo.get(id(trace))
-        if memo is None or memo[0] is not trace:
-            memo = (trace, _cue_segments(trace), frozenset(trace.pcs))
-            self._cue_memo[id(trace)] = memo
+        # The cues are a pure function of the trace, and the selector
+        # interns traces, so every point dispatching a trace shares one
+        # scan of it.
+        ends = trace._memo.get("cues")
+        if ends is None:
+            ends = trace._memo["cues"] = _cue_ends(trace)
+        pcs = trace.pcs
         stack = self.stack
-        # The stack's membership table; only pushes add to it, and they
-        # fall between segments.
-        pending = stack._counts
-        for pcs, pc_set, push in memo[1]:
-            if not pc_set.isdisjoint(pending):
-                for pc in pcs:
-                    # Processor reached a pending start point: drop it.
-                    if pc in pending:
-                        stack.remove_reached(pc)
-            if push is not None:
-                stack.push(push)
-        self._check_catch_up(trace, memo[2])
+        pending = self._pending
+        start = 0
+        for end in ends:
+            if not pending.isdisjoint(pcs[start:end]):
+                self._reach(pcs[start:end])
+            stack.push(pcs[end - 1] + INSTRUCTION_BYTES)
+            start = end
+        if not pending.isdisjoint(pcs[start:]):
+            self._reach(pcs[start:])
+        self._check_catch_up(trace)
 
-    def _check_catch_up(self, trace: Trace,
-                        pcs: Optional[frozenset] = None) -> None:
+    def _reach(self, pcs: tuple[int, ...]) -> None:
+        """The processor reached these pcs: drop their pending points."""
+        pending = self._pending
+        for pc in pcs:
+            if pc in pending:
+                self.stack.remove_reached(pc)
+
+    def _check_catch_up(self, trace: Trace) -> None:
         """Abandon any active region the processor has reached.
 
         "Reached" means the dispatch stream actually arrived at the
@@ -273,11 +270,10 @@ class PreconstructionEngine:
         """
         if not self._active_regions:
             return
-        if pcs is None:
-            pcs = frozenset(trace.pcs)
-        for region in list(self._active_regions):
-            if region.start_pc in pcs:
-                self._finish_region(region, abandoned=True)
+        pcs = trace.pcs
+        for region in [r for r in self._active_regions
+                       if r.start_pc in pcs]:
+            self._finish_region(region, abandoned=True)
 
     # ------------------------------------------------------------------
     # Work metering (§3.3): idle slow-path cycles fund construction.
@@ -294,6 +290,10 @@ class PreconstructionEngine:
         the overdraft is repaid from the next burst instead of being
         forgotten (which used to over-credit the single I-cache port
         within every idle burst).
+
+        A schedule pass may run at the tick's start and after each
+        round with a notable step; it runs there only when it can
+        change something (see :meth:`_schedule`).
         """
         if idle_cycles <= 0:
             return
@@ -307,18 +307,13 @@ class PreconstructionEngine:
         port_used = 0
         handle = self._handle_step
         active_state = RegionState.ACTIVE
-        # Scheduling state (free prefetch caches, the start-point stack,
-        # region worklists, idle constructors) only changes through
-        # _handle_step events, so spawn/assign re-run after one instead
-        # of every round.
-        busy: list[TraceConstructor] = []
-        needs_schedule = True
+        busy = self._busy
+        may_schedule = True
         while decode_budget > 0:
-            if needs_schedule:
-                self._spawn_regions()
-                self._assign_constructors()
-                busy = [c for c in constructors if c.region is not None]
-                needs_schedule = False
+            if may_schedule:
+                if self._dirty or (self._free_prefetch and len(self.stack)):
+                    busy = self._schedule()
+                may_schedule = False
             if not busy:
                 break
             progressed = False
@@ -345,7 +340,7 @@ class PreconstructionEngine:
                     port_used += port_cost
                 if result.notable or region.state is not active_state:
                     handle(constructor, result)
-                    needs_schedule = True
+                    may_schedule = True
                 progressed = True
             if not progressed:
                 break
@@ -358,6 +353,22 @@ class PreconstructionEngine:
         self._port_debt = debt
 
     # ------------------------------------------------------------------
+    def _schedule(self) -> list[TraceConstructor]:
+        """One schedule pass: spawn, assign, reap; returns the busy
+        constructors.
+
+        It runs only when it can change something: ``_dirty`` is set,
+        or a prefetch cache is free while the start-point stack holds
+        an entry.  A reap frees its cache after this pass's spawn ran,
+        so that spawn waits for the next pass point; the flag is
+        cleared regardless, and the free cache alone calls that pass.
+        """
+        self._spawn_regions()
+        self._assign_constructors()
+        self._busy = [c for c in self.constructors if c.region is not None]
+        self._dirty = False
+        return self._busy
+
     def _spawn_regions(self) -> None:
         """Turn the newest start points into regions while caches are free."""
         if not self._free_prefetch or not len(self.stack):
@@ -392,14 +403,10 @@ class PreconstructionEngine:
         idle = [c for c in self.constructors if c.region is None]
         if not idle:
             return
-        regions = self._active_regions
-        if len(regions) > 1:
-            regions = sorted(regions, key=Region.priority_key, reverse=True)
-        for region in regions:
-            while idle and not region.worklist_empty:
-                point = region.pop_start_point()
-                if point is None:
-                    break
+        for region in reversed(self._active_regions):
+            worklist = region._worklist
+            while idle and worklist:
+                point = worklist.popleft()
                 constructor = idle.pop()
                 constructor.assign(region, point)
                 if self.obs:
@@ -417,8 +424,10 @@ class PreconstructionEngine:
         if result.completed is not None:
             self._install(region, result.completed, constructor)
         active = region.state is RegionState.ACTIVE
-        if result.new_start_point is not None and active:
-            region.push_start_point(result.new_start_point)
+        if (result.new_start_point is not None and active
+                and region.push_start_point(result.new_start_point)
+                and len(self._busy) < len(self.constructors)):
+            self._dirty = True  # an idle constructor can take it
         if result.region_fetch_bound:
             region.fetch_bound_hit = True
             self.stats.regions_fetch_bound += 1
@@ -429,6 +438,7 @@ class PreconstructionEngine:
                 self.obs.emit("engine", "constructor_release",
                               cid=constructor.cid)
             constructor.release()
+            self._dirty = True
 
     def _install(self, region: Region, trace: Trace,
                  constructor: Optional[TraceConstructor] = None) -> None:
@@ -488,11 +498,13 @@ class PreconstructionEngine:
                                   cid=constructor.cid)
                 constructor.release()
         self._active_regions.remove(region)
+        del self._regions_by_seq[region.seq]
         self._free_prefetch.append(region.prefetch_cache)
+        self._dirty = True
 
     def _reap_regions(self) -> None:
         """Complete regions whose work is exhausted."""
-        exhausted = [r for r in self._active_regions if r.worklist_empty]
+        exhausted = [r for r in self._active_regions if not r._worklist]
         if not exhausted:
             return
         assigned = {id(c.region) for c in self.constructors}

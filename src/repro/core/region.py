@@ -66,13 +66,6 @@ class Region:
     def active(self) -> bool:
         return self.state is RegionState.ACTIVE
 
-    def priority_key(self) -> tuple[int, int]:
-        """Sort key: active regions beat past regions, then newest first.
-
-        Higher tuple = higher priority.
-        """
-        return (1 if self.active else 0, self.seq)
-
     # ------------------------------------------------------------------
     def push_start_point(self, point: StartPoint) -> bool:
         """Queue a new trace start point unless already expanded/bounded."""
@@ -106,7 +99,3 @@ class Region:
         if self.active:
             self.state = RegionState.ABANDONED
             self._worklist.clear()
-
-    def covers(self, pc: int) -> bool:
-        """Whether ``pc`` is code this region has fetched (catch-up test)."""
-        return self.prefetch_cache.contains(pc)

@@ -89,10 +89,11 @@ class Trace:
     its identity may collide with the properly delimited trace from the
     same start point.  Partial traces must never be cached."""
 
-    _line_runs: dict = field(default_factory=dict, init=False,
-                             compare=False, repr=False)
-    """Per-line-size memo of :meth:`line_runs`; traces are immutable,
-    so the runs never change once computed."""
+    _memo: dict = field(default_factory=dict, init=False,
+                        compare=False, repr=False)
+    """Memos of pure functions of the trace (:meth:`line_runs` per line
+    size, :meth:`lines`, the preconstruction engine's dispatch cues);
+    traces are immutable, so a memo never changes once computed."""
 
     def __post_init__(self) -> None:
         if not self.instructions:
@@ -136,7 +137,7 @@ class Trace:
         deduplicated.  Memoized like :meth:`line_runs`.
         """
         key = ("lines", line_bytes)
-        memo = self._line_runs.get(key)
+        memo = self._memo.get(key)
         if memo is None:
             seen: set[int] = set()
             out: list[int] = []
@@ -145,7 +146,7 @@ class Trace:
                     seen.add(line)
                     out.append(line)
             memo = tuple(out)
-            self._line_runs[key] = memo
+            self._memo[key] = memo
         return memo
 
     def line_runs(self, line_bytes: int) -> tuple[tuple[int, int], ...]:
@@ -156,7 +157,7 @@ class Trace:
         Memoized: the timing models walk this once per dynamic
         occurrence of the trace, and the pcs are immutable.
         """
-        runs = self._line_runs.get(line_bytes)
+        runs = self._memo.get(line_bytes)
         if runs is None:
             out: list[tuple[int, int]] = []
             run_line = -1
@@ -171,5 +172,5 @@ class Trace:
                     run_line, run_count = line, 1
             out.append((run_line, run_count))
             runs = tuple(out)
-            self._line_runs[line_bytes] = runs
+            self._memo[line_bytes] = runs
         return runs

@@ -464,6 +464,14 @@ class TestCompareCLI:
         assert captured.err.count("\n") == 1
         assert "pb_sizes" in captured.err
 
+    def test_compare_budget_the_buffer_ways_do_not_divide(self, capsys):
+        assert main(["--instructions", "4000", "--no-cache", "compare",
+                     "--benchmarks", "gcc", "--pb", "33"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "pb_sizes" in captured.err and "2 ways" in captured.err
+
 def bench_payload(seconds=16.0):
     return {"schema": 2, "mode": "quick", "jobs": 1,
             "sections": {"figure5": {"specs": 4,

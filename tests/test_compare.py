@@ -46,6 +46,14 @@ class TestCompareSpecs:
             compare_specs("gcc", ["mana"], pb_sizes=(0,),
                           instructions=INSTRUCTIONS)
 
+    def test_budget_the_buffer_ways_do_not_divide_rejected(self):
+        with pytest.raises(ValueError, match="pb_sizes .* 2 ways"):
+            compare_specs("gcc", ["preconstruction"], pb_sizes=(32, 33),
+                          instructions=INSTRUCTIONS)
+        # The prefetchers keep no set-associative buffer.
+        assert len(compare_specs("gcc", ["mana"], pb_sizes=(33,),
+                                 instructions=INSTRUCTIONS)) == 2
+
     def test_mechanism_in_spec_digest(self):
         specs = compare_specs("gcc", ["pmap", "nextline"], pb_sizes=(64,),
                               instructions=INSTRUCTIONS)

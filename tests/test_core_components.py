@@ -113,21 +113,6 @@ class TestRegion:
         assert region.worklist_empty
         assert not region.push_start_point(StartPoint(pc=0x2000))
 
-    def test_priority_active_beats_past_then_newest(self):
-        old = self._region(seq=1)
-        new = self._region(seq=5)
-        done = self._region(seq=9)
-        done.complete()
-        ranked = sorted([done, old, new], key=Region.priority_key,
-                        reverse=True)
-        assert ranked == [new, old, done]
-
-    def test_covers_tracks_prefetch_cache(self):
-        region = self._region()
-        assert not region.covers(0x5000)
-        region.prefetch_cache.add_line(0x5000)
-        assert region.covers(0x5004)
-
 
 class TestPreconstructionBuffers:
     def test_probe_hit_and_take(self):
