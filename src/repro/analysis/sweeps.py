@@ -53,10 +53,6 @@ class Figure5Point:
     def total_entries(self) -> int:
         return self.tc_entries + self.pb_entries
 
-    @property
-    def total_kbytes(self) -> float:
-        return self.total_entries * 64 / 1024
-
 
 #: Paper §4.1 sweep ranges: TC 64..1024 entries, PB 32..256 entries.
 FIGURE5_TC_SIZES = (64, 128, 256, 512, 1024)

@@ -1,5 +1,5 @@
-"""Cache substrate: LRU replacement, set-associative store, I-cache,
-fill-up prefetch caches, and the perfect L2."""
+"""Cache substrate: set-associative LRU store, I-cache, D-cache and
+fill-up prefetch caches."""
 
 from repro.caches.dcache import DataCache, DCacheConfig, DCacheStats
 from repro.caches.icache import (
@@ -7,14 +7,11 @@ from repro.caches.icache import (
     ICacheConfig,
     InstructionCache,
 )
-from repro.caches.l2 import PerfectL2
 from repro.caches.prefetch_cache import PrefetchCache
-from repro.caches.replacement import LRU
-from repro.caches.setassoc import CacheStats, SetAssociativeCache, stable_index
+from repro.caches.setassoc import CacheStats, SetAssociativeCache
 
 __all__ = [
     "DataCache", "DCacheConfig", "DCacheStats",
-    "FetchTraffic", "ICacheConfig", "InstructionCache", "PerfectL2",
-    "PrefetchCache", "LRU", "CacheStats", "SetAssociativeCache",
-    "stable_index",
+    "FetchTraffic", "ICacheConfig", "InstructionCache",
+    "PrefetchCache", "CacheStats", "SetAssociativeCache",
 ]

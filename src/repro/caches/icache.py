@@ -105,9 +105,5 @@ class InstructionCache:
     def total_misses(self) -> int:
         return sum(t.misses for t in self.traffic.values())
 
-    @property
-    def total_instructions_supplied(self) -> int:
-        return sum(t.instructions_supplied for t in self.traffic.values())
-
     def client_traffic(self, name: str) -> FetchTraffic:
         return self._client(name)

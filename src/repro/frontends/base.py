@@ -162,25 +162,20 @@ class LinePrefetcher(FrontendMechanism):
     def __init__(self, icache: InstructionCache, budget_entries: int) -> None:
         self.icache = icache
         self.budget_entries = budget_entries
-        #: Pending line addresses, deduplicated, FIFO, bounded by the
-        #: storage budget (the queue is the mechanism's request table).
-        self._queue: list[int] = []
-        self._queued: set[int] = set()
+        #: Pending line addresses, FIFO in insertion order, deduplicated
+        #: by the keys, bounded by the storage budget (the queue is the
+        #: mechanism's request table).
+        self._queue: dict[int, None] = {}
         self.lines_requested = 0
         self.lines_prefetched = 0
 
     # ------------------------------------------------------------------
     def enqueue_line(self, line_addr: int) -> None:
-        if line_addr in self._queued:
-            return
-        if len(self._queue) >= self.budget_entries:
+        queue = self._queue
+        if line_addr in queue or len(queue) >= self.budget_entries:
             return
         self.lines_requested += 1
-        self._queue.append(line_addr)
-        self._queued.add(line_addr)
-
-    def enqueue_pc(self, pc: int) -> None:
-        self.enqueue_line(self.icache.line_address(pc))
+        queue[line_addr] = None
 
     def pending(self) -> int:
         return len(self._queue)
@@ -188,10 +183,11 @@ class LinePrefetcher(FrontendMechanism):
     # ------------------------------------------------------------------
     def tick(self, idle_cycles: int) -> None:
         """One queued line fetch per idle cycle on the I-cache port."""
+        queue = self._queue
         issued = 0
-        while issued < idle_cycles and self._queue:
-            line_addr = self._queue.pop(0)
-            self._queued.discard(line_addr)
+        while issued < idle_cycles and queue:
+            line_addr = next(iter(queue))
+            del queue[line_addr]
             issued += 1
             if self.icache.contains_line(line_addr):
                 continue

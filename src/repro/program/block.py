@@ -89,23 +89,3 @@ class BasicBlock:
     def successor_labels(self) -> tuple[str, ...]:
         """Labels of possible intra-procedure successors."""
         return self.terminator.targets
-
-    def body_size(self) -> int:
-        """Number of instructions the body will emit (calls emit one JAL)."""
-        return len(self.body)
-
-    def emitted_size(self) -> int:
-        """Instructions this block emits, including its terminator.
-
-        The exact count for FALLTHROUGH depends on final placement (a
-        ``J`` may be inserted); this returns the maximum.
-        """
-        term_cost = {
-            TermKind.FALLTHROUGH: 1,
-            TermKind.BRANCH: 1,
-            TermKind.JUMP: 1,
-            TermKind.RETURN: 1,
-            TermKind.INDIRECT_JUMP: 1,
-            TermKind.HALT: 1,
-        }[self.terminator.kind]
-        return self.body_size() + term_cost

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.program.block import BasicBlock, Call, TermKind
+from repro.program.block import BasicBlock
 
 
 @dataclass
@@ -71,20 +71,3 @@ class Procedure:
             raise ValueError(
                 f"entry block label {self.cfg.entry.label!r} must equal "
                 f"procedure name {self.name!r}")
-
-    def called_procedures(self) -> set[str]:
-        """Names of procedures this one calls directly."""
-        calls = set()
-        for block in self.cfg.blocks:
-            for item in block.body:
-                if isinstance(item, Call):
-                    calls.add(item.target_label)
-        return calls
-
-    def static_size(self) -> int:
-        """Upper bound on emitted instruction count."""
-        return sum(b.emitted_size() for b in self.cfg.blocks)
-
-    def has_returns(self) -> bool:
-        return any(b.terminator.kind is TermKind.RETURN
-                   for b in self.cfg.blocks)

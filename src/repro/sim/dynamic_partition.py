@@ -129,7 +129,13 @@ class DynamicPartitionFrontend(FrontendSimulation):
         return self._pb_entries
 
     def _apply_partition(self, pb_entries: int) -> None:
-        """Rebuild the trace cache and buffers at the new split."""
+        """Rebuild the trace cache and buffers at the new split.
+
+        The trace cache migrates each set oldest first
+        (:meth:`TraceCache.resident_traces`), so the new cache starts
+        with the same recency order: two traces that share a set before
+        and after the move keep their relative LRU position.
+        """
         old_tc = self.trace_cache
         old_buffers = self.precon.buffers
 

@@ -112,29 +112,12 @@ class Trace:
     def start_pc(self) -> int:
         return self.trace_id.start_pc
 
-    @property
-    def branch_count(self) -> int:
-        return len(self.trace_id.outcomes)
-
-    def last_instruction(self) -> Instruction:
-        return self.instructions[-1]
-
-    def backward_branch_positions(self) -> tuple[int, ...]:
-        """Indices of backward conditional branches inside the trace."""
-        return tuple(i for i, inst in enumerate(self.instructions)
-                     if inst.is_backward_branch())
-
-    def blocks_touched(self, line_bytes: int = 64) -> set[int]:
-        """Cache-line addresses this trace's instructions occupy."""
-        return {pc - (pc % line_bytes) for pc in self.pcs}
-
     def lines(self, line_bytes: int = 64) -> tuple[int, ...]:
         """Distinct cache-line addresses in first-touch order.
 
         The spatial footprint the I-cache-side prefetch mechanisms
-        (:mod:`repro.frontends`) key on.  Unlike :meth:`blocks_touched`
-        the order is preserved; unlike :meth:`line_runs` revisits are
-        deduplicated.  Memoized like :meth:`line_runs`.
+        (:mod:`repro.frontends`) key on.  Unlike :meth:`line_runs`
+        revisits are deduplicated.  Memoized like :meth:`line_runs`.
         """
         key = ("lines", line_bytes)
         memo = self._memo.get(key)

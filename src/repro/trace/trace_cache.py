@@ -79,9 +79,6 @@ class TraceCache:
                               pc=victim.trace_id.start_pc, len=len(victim))
         return evicted[1] if evicted else None
 
-    def invalidate(self, trace_id: TraceID) -> bool:
-        return self._store.invalidate(trace_id)
-
     # ------------------------------------------------------------------
     @property
     def stats(self):
@@ -95,4 +92,7 @@ class TraceCache:
         return self._store.occupancy()
 
     def resident_traces(self) -> list[Trace]:
+        """Resident traces, set by set, each set least-recently used
+        first: inserting them in this order into an empty cache of the
+        same geometry rebuilds every set's LRU order."""
         return [trace for _, trace in self._store.items()]

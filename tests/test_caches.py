@@ -3,47 +3,48 @@
 import pytest
 
 from repro.caches import (
-    LRU,
     ICacheConfig,
     InstructionCache,
-    PerfectL2,
     PrefetchCache,
     SetAssociativeCache,
 )
 
 
+def _one_set(ways: int) -> SetAssociativeCache:
+    return SetAssociativeCache(num_sets=1, ways=ways, index_fn=lambda key: 0)
+
+
 class TestLRU:
     def test_victim_is_least_recent(self):
-        lru = LRU(num_sets=1, ways=4)
-        for way in range(4):
-            lru.on_fill(0, way)
-        lru.on_access(0, 0)      # 0 becomes most recent
-        assert lru.victim(0) == 1
+        cache = _one_set(4)
+        for key in "abcd":
+            cache.insert(key, key.upper())
+        cache.lookup("a")        # a becomes most recent
+        assert cache.insert("e", "E") == ("b", "B")
 
     def test_fill_refreshes(self):
-        lru = LRU(num_sets=2, ways=2)
-        lru.on_fill(1, 0)
-        lru.on_fill(1, 1)
-        assert lru.victim(1) == 0
-        lru.on_fill(1, 0)
-        assert lru.victim(1) == 1
+        cache = _one_set(2)
+        cache.insert("a", 1)
+        cache.insert("b", 2)
+        cache.insert("a", 3)     # refill: a becomes most recent
+        assert cache.insert("c", 4) == ("b", 2)
 
 
 class TestSetAssociativeCache:
     def test_hit_after_insert(self):
-        cache = SetAssociativeCache(num_sets=4, ways=2)
-        cache.insert("a", 1)
-        assert cache.lookup("a") == 1
+        cache = SetAssociativeCache(num_sets=4, ways=2, index_fn=int)
+        cache.insert(5, 1)
+        assert cache.lookup(5) == 1
         assert cache.stats.hits == 1
 
     def test_miss_counted(self):
-        cache = SetAssociativeCache(num_sets=4, ways=2)
-        assert cache.lookup("nope") is None
+        cache = SetAssociativeCache(num_sets=4, ways=2, index_fn=int)
+        assert cache.lookup(7) is None
         assert cache.stats.misses == 1
 
     def test_eviction_within_set(self):
         # Single set: third insert must evict the LRU entry.
-        cache = SetAssociativeCache(num_sets=1, ways=2)
+        cache = _one_set(2)
         cache.insert("a", 1)
         cache.insert("b", 2)
         cache.lookup("a")  # refresh a
@@ -52,31 +53,25 @@ class TestSetAssociativeCache:
         assert "a" in cache and "c" in cache and "b" not in cache
 
     def test_reinsert_overwrites_in_place(self):
-        cache = SetAssociativeCache(num_sets=1, ways=2)
+        cache = _one_set(2)
         cache.insert("a", 1)
         assert cache.insert("a", 9) is None
-        assert cache.peek("a") == 9
+        assert list(cache.items()) == [("a", 9)]
         assert cache.occupancy() == 1
 
-    def test_peek_does_not_count(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
+    def test_contains_does_not_count(self):
+        cache = _one_set(2)
         cache.insert("a", 1)
-        cache.peek("a")
+        cache.insert("b", 2)
+        assert "a" in cache
         assert cache.stats.accesses == 0
-
-    def test_invalidate(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
-        cache.insert("a", 1)
-        assert cache.invalidate("a")
-        assert not cache.invalidate("a")
-        assert "a" not in cache
+        assert [key for key, _ in cache.items()] == ["a", "b"]
 
     def test_capacity_and_items(self):
         cache = SetAssociativeCache(num_sets=4, ways=2,
                                     index_fn=lambda k: k)
         for key in range(8):
             cache.insert(key, key * 10)
-        assert cache.capacity == 8
         assert cache.occupancy() == 8
         assert dict(cache.items()) == {k: k * 10 for k in range(8)}
 
@@ -153,10 +148,3 @@ class TestPrefetchCache:
         with pytest.raises(ValueError):
             PrefetchCache(capacity_instructions=10)  # not whole lines
 
-
-class TestPerfectL2:
-    def test_always_hits_with_fixed_latency(self):
-        l2 = PerfectL2()
-        assert l2.access() == 10
-        assert l2.access() == 10
-        assert l2.accesses == 2

@@ -3,9 +3,8 @@ guarantees that rode along with the hot-path overhaul:
 
 * trace-hit retire pacing uses ceiling division, not banker's ``round``;
 * the preconstruction I-cache port carries its overdraft across ticks;
-* invalidating a cache entry demotes its way in the replacement policy;
-* the default set-index hash is PYTHONHASHSEED-independent, so results
-  are byte-identical across processes;
+* results are PYTHONHASHSEED-independent, so they are byte-identical
+  across processes;
 * a golden pin of ``FrontendStats.summary()`` for a seeded workload.
 """
 
@@ -15,11 +14,7 @@ import subprocess
 import sys
 
 from repro.branch import BimodalPredictor
-from repro.caches import (
-    InstructionCache,
-    SetAssociativeCache,
-    stable_index,
-)
+from repro.caches import InstructionCache
 from repro.core import PreconstructionEngine
 from repro.isa import assemble
 from repro.program import ProgramImage
@@ -99,37 +94,7 @@ class TestPortOverdraftCarried:
 
 
 # ----------------------------------------------------------------------
-# Fix 3: invalidate demotes the way in the replacement policy.
-# ----------------------------------------------------------------------
-class TestInvalidateNotifiesPolicy:
-    def test_lru_order_demotes_invalidated_way(self):
-        cache = SetAssociativeCache(num_sets=1, ways=4)
-        for key in "abcd":
-            cache.insert(key, key.upper())
-        cache.lookup("a")  # recency: a d c b
-        assert cache.invalidate("a")
-        # The freed way (a's) must now be the least-recent of the set.
-        order = cache.lru.recency_order(0)
-        assert order == (3, 2, 1, 0)  # a held way 0; demoted to last
-
-    def test_refill_reclaims_freed_way_before_live_lines(self):
-        cache = SetAssociativeCache(num_sets=1, ways=2)
-        cache.insert("a", 1)
-        cache.insert("b", 2)
-        cache.lookup("a")
-        cache.invalidate("b")
-        # Without on_invalidate, "b"'s stale recency would leave "a" as
-        # the victim and the refill would evict a live line.
-        assert cache.insert("c", 3) is None
-        assert "a" in cache and "c" in cache
-
-    def test_invalidate_absent_key_is_noop(self):
-        cache = SetAssociativeCache(num_sets=2, ways=2)
-        assert not cache.invalidate("missing")
-
-
-# ----------------------------------------------------------------------
-# Fix 4: the default set index is PYTHONHASHSEED-independent.
+# Fix 4: results are PYTHONHASHSEED-independent.
 # ----------------------------------------------------------------------
 _CHILD_SCRIPT = """
 import json
@@ -152,14 +117,6 @@ def _metrics_under_hashseed(seed: str) -> dict:
 
 
 class TestHashSeedIndependence:
-    def test_stable_index_covers_key_shapes(self):
-        assert stable_index(7) == 7
-        assert stable_index("gcc") == stable_index("gcc")
-        assert (stable_index((0x1000, (True, False)))
-                == stable_index((0x1000, (True, False))))
-        assert stable_index(frozenset({1, 2})) == stable_index(
-            frozenset({2, 1}))
-
     def test_metrics_identical_across_hash_seeds(self):
         first = _metrics_under_hashseed("1")
         second = _metrics_under_hashseed("2")

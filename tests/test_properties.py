@@ -23,29 +23,34 @@ from repro.workloads import WorkloadProfile, generate
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 30)),
-                max_size=200))
-def test_setassoc_matches_reference_lru(ops):
-    """A 1-set LRU cache must behave exactly like an OrderedDict-based
-    reference implementation."""
-    ways = 4
-    cache = SetAssociativeCache(num_sets=1, ways=ways,
-                                index_fn=lambda key: 0)
-    reference: OrderedDict[int, int] = OrderedDict()
-    for is_insert, key in ops:
+                max_size=200),
+       st.integers(1, 4), st.integers(1, 4))
+def test_setassoc_matches_reference_lru(ops, num_sets, ways):
+    """An LRU cache must behave exactly like one OrderedDict-based
+    reference per set: lookups, evicted pairs, and the residents listed
+    set by set, each set least-recently used first."""
+    cache = SetAssociativeCache(num_sets=num_sets, ways=ways,
+                                index_fn=lambda key: key)
+    reference: list[OrderedDict[int, int]] = [
+        OrderedDict() for _ in range(num_sets)]
+    for step, (is_insert, key) in enumerate(ops):
+        entries = reference[key % num_sets]
         if is_insert:
-            cache.insert(key, key * 2)
-            if key in reference:
-                reference.move_to_end(key)
-            reference[key] = key * 2
-            if len(reference) > ways:
-                reference.popitem(last=False)
+            expected = None
+            if key in entries:
+                del entries[key]
+            elif len(entries) == ways:
+                expected = entries.popitem(last=False)
+            entries[key] = step
+            assert cache.insert(key, step) == expected
         else:
-            got = cache.lookup(key)
-            expected = reference.get(key)
-            assert got == expected
-            if key in reference:
-                reference.move_to_end(key)
-    assert dict(cache.items()) == dict(reference)
+            assert cache.lookup(key) == entries.get(key)
+            if key in entries:
+                entries.move_to_end(key)
+    assert list(cache.items()) == [
+        pair for entries in reference for pair in entries.items()]
+    assert cache.occupancy() == sum(map(len, reference))
+    assert cache.stats.hits + cache.stats.misses == cache.stats.accesses
 
 
 @given(st.lists(st.integers(0, 1023), max_size=300),

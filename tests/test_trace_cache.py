@@ -70,13 +70,6 @@ class TestTraceCacheBehaviour:
         cache.contains(trace.trace_id)
         assert cache.stats.accesses == 0
 
-    def test_invalidate(self):
-        cache = TraceCache(TraceCacheConfig(entries=64))
-        trace = _trace(0x3000)
-        cache.insert(trace)
-        assert cache.invalidate(trace.trace_id)
-        assert cache.lookup(trace.trace_id) is None
-
     def test_resident_traces(self):
         cache = TraceCache(TraceCacheConfig(entries=64))
         # Stride chosen to land in distinct sets (no conflict evictions).
@@ -85,6 +78,26 @@ class TestTraceCacheBehaviour:
             cache.insert(trace)
         assert set(t.trace_id for t in cache.resident_traces()) == \
             set(t.trace_id for t in traces)
+
+    def test_residents_rebuild_the_lru_order(self):
+        """resident_traces() lists each set least-recently used first,
+        so a fresh cache rebuilt from it picks the same next victim in
+        every set (the dynamic partition's migration relies on this)."""
+        config = TraceCacheConfig(entries=8, ways=2)
+        cache = TraceCache(config)
+        traces = [_trace(0x1000 + 4 * i) for i in range(8)]  # 2 per set
+        for trace in traces:
+            cache.insert(trace)
+        for trace in traces[:4]:  # each set's first fill becomes MRU
+            cache.lookup(trace.trace_id)
+        rebuilt = TraceCache(config)
+        for trace in cache.resident_traces():
+            rebuilt.insert(trace)
+        for i in range(4):
+            probe = _trace(0x2000 + 4 * i)  # set i
+            victim = cache.insert(probe)
+            assert victim is traces[4 + i]
+            assert rebuilt.insert(probe) is victim
 
     def test_lru_within_set(self):
         # Force everything into one set with a constant-index config.
