@@ -14,7 +14,6 @@ being perfect — add no extra stall to the requester).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from repro.caches.setassoc import SetAssociativeCache
@@ -70,25 +69,11 @@ class DataCache:
         self._lines: SetAssociativeCache[int, bool] = SetAssociativeCache(
             num_sets=self.config.num_sets, ways=self.config.ways,
             index_fn=lambda addr: addr // line)
-        self._port_load: Counter = Counter()
-        self._pe_port_load: Counter = Counter()
+        #: Port accesses per cycle, and per ``(pe, cycle)``; a cycle
+        #: with none is absent.
+        self._port_load: dict[int, int] = {}
+        self._pe_port_load: dict[tuple[int, int], int] = {}
         self.stats = DCacheStats()
-
-    # ------------------------------------------------------------------
-    def line_address(self, addr: int) -> int:
-        return addr - (addr % self.config.line_bytes)
-
-    def _allocate_port(self, cycle: int, pe: int) -> int:
-        """First cycle >= ``cycle`` with a free port for ``pe``."""
-        config = self.config
-        start = cycle
-        while (self._port_load[cycle] >= config.ports
-               or self._pe_port_load[(pe, cycle)] >= config.ports_per_pe):
-            cycle += 1
-        self._port_load[cycle] += 1
-        self._pe_port_load[(pe, cycle)] += 1
-        self.stats.port_stall_cycles += cycle - start
-        return cycle
 
     # ------------------------------------------------------------------
     def access(self, addr: int, is_store: bool, cycle: int,
@@ -100,8 +85,18 @@ class DataCache:
         eviction counts a writeback.
         """
         config = self.config
-        issue = self._allocate_port(cycle, pe)
-        line = self.line_address(addr)
+        # The first cycle from ``cycle`` with a free port for ``pe``.
+        port_load = self._port_load
+        pe_port_load = self._pe_port_load
+        issue = cycle
+        while (port_load.get(issue, 0) >= config.ports
+               or pe_port_load.get((pe, issue), 0) >= config.ports_per_pe):
+            issue += 1
+        port_load[issue] = port_load.get(issue, 0) + 1
+        key = (pe, issue)
+        pe_port_load[key] = pe_port_load.get(key, 0) + 1
+        self.stats.port_stall_cycles += issue - cycle
+        line = addr - addr % config.line_bytes
         hit = self._lines.lookup(line) is not None
         if is_store:
             self.stats.stores += 1

@@ -24,13 +24,11 @@ from repro.trace import Trace
 
 
 class Preprocessor:
-    """Fill-unit preprocessing stage."""
+    """Fill-unit preprocessing stage; stateless.  ``process`` stays a
+    method: perfbench's layer tracer times it as ``preprocess.s``."""
 
-    def __init__(self) -> None:
-        self.traces_processed = 0
-        self.instructions_rewritten = 0
-
-    def process(self, trace: Trace) -> tuple[Instruction, ...]:
+    @staticmethod
+    def process(trace: Trace) -> tuple[Instruction, ...]:
         """Return the *execution view* of ``trace``: the rewritten (and
         possibly reordered) instruction sequence the backend executes.
 
@@ -38,9 +36,5 @@ class Preprocessor:
         ``pcs``/``instructions`` pairing drives dispatch monitoring and
         trace identity; only backend timing consumes this view.
         """
-        instructions = schedule_trace(fuse_shift_adds(
+        return schedule_trace(fuse_shift_adds(
             propagate_constants(trace.instructions)))
-        self.traces_processed += 1
-        self.instructions_rewritten += sum(
-            1 for a, b in zip(trace.instructions, instructions) if a is not b)
-        return instructions

@@ -25,7 +25,6 @@ backend and the preprocessing scheduler agree on what is legal.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -73,48 +72,56 @@ class TraceTiming:
     issue_stalls: int = 0  # instruction-cycles spent waiting to issue
 
 
-class _Template:
-    """Per-instruction-tuple facts :meth:`BackendModel.execute_trace`
-    needs, computed once per distinct tuple."""
+class Template:
+    """What :meth:`BackendModel.execute_trace` reads of one instruction
+    tuple, computed once per trace and shared by every point.
 
-    __slots__ = ("instructions", "preds", "external", "memory",
-                 "latency", "last_writers", "controls")
+    The instruction tuple itself is not kept.  ``intern`` is a table of
+    the tuples already built (the plan's ``interned``): a new tuple equal
+    to one in it is replaced by that one, so the templates of one
+    partition share their many equal rows and pairs.
+    """
 
-    def __init__(self, instructions: tuple[Instruction, ...]) -> None:
-        #: Pins the tuple so its id() cannot be reused while memoised.
-        self.instructions = instructions
+    __slots__ = ("ops", "external", "last_writers", "controls")
+
+    def __init__(self, instructions: Sequence[Instruction],
+                 intern: Optional[dict[tuple, tuple]] = None) -> None:
+        table: dict[tuple, tuple] = {} if intern is None else intern
+        share = table.setdefault
         graph = build_dependence_graph(instructions)
-        #: Intra-trace ordering predecessors of each instruction.
-        self.preds = tuple(tuple(preds) for preds in graph.preds)
-        #: ``(index, register)`` for each source with no earlier in-trace
-        #: producer, in program order — the order result-bus slots are
-        #: allocated in.
-        external: list[tuple[int, int]] = []
-        #: ``(memory ordinal, is_store)`` per instruction, ``None`` for
-        #: non-memory instructions.
-        self.memory: list[Optional[tuple[int, bool]]] = []
-        ordinal = 0
+        ops = []
+        external = []
+        #: Register -> index of its last in-trace writer.
         last_writers: dict[int, int] = {}
+        ordinal = 0
         for i, inst in enumerate(instructions):
             for reg in inst.source_registers():
                 if reg not in last_writers:
-                    external.append((i, reg))
+                    external.append(share((i, reg), (i, reg)))
             dest = inst.destination_register()
             if dest is not None:
                 last_writers[dest] = i
+            memory: Optional[tuple[int, bool]] = None
             if inst.kind is Kind.LOAD or inst.kind is Kind.STORE:
-                self.memory.append((ordinal, inst.kind is Kind.STORE))
+                memory = (ordinal, inst.kind is Kind.STORE)
                 ordinal += 1
-            else:
-                self.memory.append(None)
+            preds = tuple(sorted(graph.preds[i]))
+            row = (share(preds, preds), instruction_latency(inst), memory)
+            ops.append(share(row, row))
+        #: ``(predecessors, latency, memory)`` per instruction: its
+        #: intra-trace ordering predecessors, and ``(memory ordinal,
+        #: is_store)`` for a load or store, else ``None``.
+        self.ops = tuple(ops)
+        #: ``(index, register)`` for each source with no earlier in-trace
+        #: producer, in program order — the order result-bus slots are
+        #: allocated in.
         self.external = tuple(external)
-        self.latency = tuple(instruction_latency(inst)
-                             for inst in instructions)
         #: ``(register, index of its last writer)``, in first-write order.
-        self.last_writers = tuple(last_writers.items())
-        self.controls = tuple(
-            i for i, inst in enumerate(instructions)
-            if inst.is_control or inst.is_conditional_branch)
+        self.last_writers = tuple(share(pair, pair)
+                                  for pair in last_writers.items())
+        controls = tuple(i for i, inst in enumerate(instructions)
+                         if inst.is_control or inst.is_conditional_branch)
+        self.controls = share(controls, controls)
 
 
 #: Completion time of an instruction that has not issued: later than any
@@ -131,38 +138,19 @@ class BackendModel:
         self.dcache = dcache if dcache is not None else DataCache(
             DCacheConfig())
         self._regs: dict[int, _RegValue] = {}
-        self._bus_load: Counter = Counter()
-        #: Per-tuple templates, keyed by id(); the template pins the tuple.
-        self._templates: dict[int, _Template] = {}
+        #: Result-bus broadcasts per cycle (cycles with none are absent).
+        self._bus_load: dict[int, int] = {}
         self.pe_free: list[int] = [0] * self.config.num_pes
         self.bus_conflicts = 0
 
     # ------------------------------------------------------------------
-    def _operand_ready(self, reg: int, pe: int, dispatch: int) -> int:
-        """Availability of a register produced *outside* this trace."""
-        value = self._regs.get(reg)
-        if value is None:
-            return 0
-        if value.pe == pe or value.ready <= dispatch:
-            # Same PE (bypassed) or already architected when we started.
-            return value.ready
-        # Cross-PE: needs a global result bus.
-        if value.broadcast is None:
-            slot = value.ready
-            while self._bus_load[slot] >= self.config.result_buses:
-                slot += 1
-                self.bus_conflicts += 1
-            self._bus_load[slot] += 1
-            value.broadcast = slot
-        return value.broadcast + self.config.cross_pe_delay
-
-    # ------------------------------------------------------------------
-    def execute_trace(self, instructions: tuple[Instruction, ...],
-                      dispatch: int, pe: int,
+    def execute_trace(self, template: Template, dispatch: int, pe: int,
                       mem_addrs: Sequence[int] = ()) -> TraceTiming:
         """Timestamp one trace's execution on ``pe`` starting at
         ``dispatch``; updates shared register/bus state.
 
+        ``template`` is the trace's :class:`Template`, which holds no
+        backend state, so any number of backends may share it.
         ``mem_addrs`` is indexed by each memory instruction's position
         among the trace's memory instructions (preprocessing preserves
         relative memory order, so the mapping survives scheduling).
@@ -175,59 +163,79 @@ class BackendModel:
         the next cycle in which some window entry becomes ready,
         charging the skipped cycles' stalls in one step.
         """
-        template = self._templates.get(id(instructions))
-        if template is None or template.instructions is not instructions:
-            template = _Template(instructions)
-            self._templates[id(instructions)] = template
+        config = self.config
+        ops = template.ops
+        n = len(ops)
 
-        # External operand availability per instruction: sources with no
-        # in-trace producer read backend register state.
-        external_ready = [dispatch] * len(instructions)
-        operand_ready = self._operand_ready
+        # External operand availability per instruction: a source with
+        # no in-trace producer reads backend register state.  A value
+        # from another PE that was still in flight at dispatch needs a
+        # global result bus; it is broadcast once, in the first cycle
+        # from its completion with a free bus.
+        external_ready = [dispatch] * n
+        regs = self._regs
+        bus_load = self._bus_load
         for index, reg in template.external:
-            ready = operand_ready(reg, pe, dispatch)
+            value = regs.get(reg)
+            if value is None:
+                continue
+            ready = value.ready
+            if value.pe != pe and ready > dispatch:
+                slot = value.broadcast
+                if slot is None:
+                    slot = ready
+                    while bus_load.get(slot, 0) >= config.result_buses:
+                        slot += 1
+                        self.bus_conflicts += 1
+                    bus_load[slot] = bus_load.get(slot, 0) + 1
+                    value.broadcast = slot
+                ready = slot + config.cross_pe_delay
             if ready > external_ready[index]:
                 external_ready[index] = ready
 
-        config = self.config
         width = config.issue_per_pe
         lookahead = config.issue_lookahead
-        preds = template.preds
-        memory = template.memory
-        latency = template.latency
         access = self.dcache.access
-        complete = [_NOT_ISSUED] * len(instructions)
-        pending = list(range(len(instructions)))
+        complete = [_NOT_ISSUED] * n
+        # The window holds the oldest unissued instructions; every one
+        # after it is unissued, so the queue behind it is just the
+        # index range from ``queued`` on.
+        queued = min(n, lookahead)
+        window = list(range(queued))
         cycle = dispatch
         stalls = 0
-        while pending:
-            window = pending[:lookahead]
+        while window:
             issued = 0
             next_ready = _NOT_ISSUED
             for index in window:
-                if issued == width:
-                    break
+                preds, latency, memory = ops[index]
                 ready = external_ready[index]
-                for pred in preds[index]:
+                for pred in preds:
                     if complete[pred] > ready:
                         ready = complete[pred]
                 if ready > cycle:
                     if ready < next_ready:
                         next_ready = ready
                     continue
-                mem = memory[index]
-                if mem is not None and mem_addrs:
-                    ordinal, is_store = mem
+                if memory is not None and mem_addrs:
+                    ordinal, is_store = memory
                     addr = (mem_addrs[ordinal] if ordinal < len(mem_addrs)
                             else 0)
                     delay = access(addr, is_store, cycle, pe)
                     complete[index] = cycle + (1 if is_store else delay)
                 else:
-                    complete[index] = cycle + latency[index]
+                    complete[index] = cycle + latency
                 issued += 1
+                if issued == width:
+                    break
             charged = min(len(window), width)
             if issued:
-                pending = [i for i in pending if complete[i] == _NOT_ISSUED]
+                window = [i for i in window if complete[i] == _NOT_ISSUED]
+                if queued < n:
+                    # The issued entries' places go to the next in line.
+                    top = min(n, queued + issued)
+                    window.extend(range(queued, top))
+                    queued = top
                 stalls += charged - issued
                 cycle += 1
             else:
@@ -236,13 +244,13 @@ class BackendModel:
                 stalls += (next_ready - cycle) * charged
                 cycle = next_ready
 
-        regs = self._regs
         for dest, index in template.last_writers:
             regs[dest] = _RegValue(complete[index], pe)
-        done = max(dispatch, max(complete, default=dispatch))
         last_control = dispatch
         for index in template.controls:
             if complete[index] > last_control:
                 last_control = complete[index]
-        return TraceTiming(dispatch=dispatch, done=done,
+        # Every instruction completes at least a cycle after dispatch.
+        return TraceTiming(dispatch=dispatch,
+                           done=max(complete, default=dispatch),
                            last_control=last_control, issue_stalls=stalls)

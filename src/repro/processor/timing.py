@@ -21,6 +21,10 @@ point-independent and computed once per partition), with:
   idle (dispatch-to-dispatch span minus slow-path busy time);
 * optional fill-unit preprocessing: the backend executes the
   preprocessed *execution view* of each trace.
+
+The backend executes each trace from its :class:`Template`, built once
+per partition and shared by every point on the plan
+(:func:`backend_template`).
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ from typing import Optional, Sequence, Union
 
 from repro.engine import FunctionalEngine, Stream, StreamRecord, as_stream
 from repro.frontends import PreconstructionMechanism
-from repro.isa import Instruction
 from repro.preprocess import Preprocessor
-from repro.processor.backend import BackendConfig, BackendModel
+from repro.processor.backend import BackendConfig, BackendModel, Template
 from repro.program import ProgramImage
 from repro.sim.config import FrontendConfig
 from repro.sim.frontend_runner import FrontendPoint
-from repro.trace import Trace, TraceID
+from repro.trace import Trace
 from repro.vector.plan import NTP_NONE, NTP_WRONG, BatchPlan
 
 
@@ -91,9 +94,9 @@ class ProcessorSimulation(FrontendPoint):
 
     The frontend point (caches, bimodal table, mechanism, plan set-up
     and slow path) is the one :class:`~repro.sim.FrontendSimulation`
-    runs; this model adds the backend and the preprocessed views, and
-    drives the mechanism through its ``probe``, ``observe_dispatch``
-    and ``tick`` hooks.  Everything point-independent comes from the
+    runs; this model adds the backend, which executes the templates all
+    points on the plan share, and drives the mechanism through its
+    ``probe``, ``observe_dispatch`` and ``tick`` hooks.  Everything point-independent comes from the
     plan :meth:`run` is given.
     """
 
@@ -103,9 +106,6 @@ class ProcessorSimulation(FrontendPoint):
         super().__init__(image, config.frontend, ProcessorStats())
         self.config = config
         self.backend = BackendModel(config.backend)
-        self.preprocessor: Optional[Preprocessor] = (
-            Preprocessor() if config.preprocess else None)
-        self._views: dict[TraceID, tuple[Instruction, ...]] = {}
 
     # ------------------------------------------------------------------
     def run(self, stream: Union[Stream, Sequence[StreamRecord]],
@@ -129,16 +129,6 @@ class ProcessorSimulation(FrontendPoint):
                                backend=self.backend)
 
     # ------------------------------------------------------------------
-    def _execution_view(self, trace: Trace) -> tuple[Instruction, ...]:
-        if self.preprocessor is None:
-            return trace.instructions
-        view = self._views.get(trace.trace_id)
-        if view is None:
-            view = self.preprocessor.process(trace)
-            self._views[trace.trace_id] = view
-        return view
-
-    # ------------------------------------------------------------------
     def _dispatch(self, plan: BatchPlan, addresses: Sequence[int]) -> None:
         """Fetch, dispatch and execute every occurrence of ``plan``."""
         stats = self.stats
@@ -155,6 +145,7 @@ class ProcessorSimulation(FrontendPoint):
         # The bimodal table's only reader is the preconstruction engine.
         train = self.precon is not None
         bimodal_update = self.bimodal.update
+        preprocess = self.config.preprocess
 
         fetch_free = prev_last_control = prev_retire = prev_dispatch = 0
         pe = 0
@@ -195,12 +186,17 @@ class ProcessorSimulation(FrontendPoint):
             fetch_free = fetch_done
 
             dispatch = max(fetch_done, pe_free[pe])
-            # Known defect, kept for result compatibility: the backend
-            # indexes this slice by memory ordinal, but it holds one slot
-            # per instruction (0 for non-memory ones), so most memory
-            # operations read another instruction's address.
-            timing = execute(self._execution_view(trace), dispatch, pe,
-                             addresses[offset:offset + n])
+            # Known defects, kept for result compatibility (DESIGN §18):
+            # 1. The backend indexes this slice by memory ordinal, but it
+            #    holds one slot per instruction (0 for non-memory ones),
+            #    so most memory operations read another instruction's
+            #    address.
+            # 2. Preprocessed templates are keyed by trace id, and a
+            #    flushed partial tail may share its id with an earlier
+            #    full trace: a preprocessing point then executes the full
+            #    trace's view, charging the tail's own length and slice.
+            timing = execute(backend_template(plan, trace, preprocess),
+                             dispatch, pe, addresses[offset:offset + n])
             offset += n
             stats.issue_stalls += timing.issue_stalls
             retire = max(timing.done, prev_retire)
@@ -228,6 +224,29 @@ class ProcessorSimulation(FrontendPoint):
         stats.ntp_none = plan.ntp_none
         stats.ntp_correct = plan.ntp_correct
         stats.ntp_wrong = plan.ntp_wrong
+
+
+def backend_template(plan: BatchPlan, trace: Trace,
+                     preprocess: bool) -> Template:
+    """The backend template of ``trace`` on ``plan``, built on first use.
+
+    A template is a pure function of the trace, so every point on the
+    plan shares it.  The raw one lives in the trace's own memo, like its
+    dispatch cues (DESIGN §10); the preprocessed one, the fill unit's
+    execution view, in ``plan.templates`` keyed by trace id.
+    """
+    if preprocess:
+        template = plan.templates.get(trace.trace_id)
+        if template is None:
+            template = plan.templates[trace.trace_id] = Template(
+                Preprocessor.process(trace), plan.interned)
+        return template
+    memo = trace._memo
+    template = memo.get("template")
+    if template is None:
+        template = memo["template"] = Template(trace.instructions,
+                                               plan.interned)
+    return template
 
 
 def run_processor(image: ProgramImage, config: ProcessorConfig,

@@ -21,6 +21,10 @@ plain Python, from the trace partition itself:
 * per-occurrence branch (pc, taken) pairs and I-cache line runs
   (shared tuples across repeated traces).
 
+Processor points also leave on the plan what they derive from a trace
+and not from their own configuration: the backend templates of the
+preprocessed traces (:mod:`repro.processor.timing`).
+
 What stays per point — and real — in the dispatch loop
 (:mod:`repro.sim.frontend_runner`): trace-cache and I-cache contents,
 the frontend mechanism, and every stat derived from hit/miss outcomes.
@@ -28,7 +32,7 @@ the frontend mechanism, and every stat derived from hit/miss outcomes.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.branch import BimodalPredictor, NextTracePredictor
@@ -66,6 +70,15 @@ class BatchPlan:
     ntp_none: int
     ntp_correct: int
     ntp_wrong: int
+
+    # Filled by the processor points that run on the plan, and shared by
+    # all of them (DESIGN §18): each preprocessed trace's backend
+    # template, keyed by trace id, and the table its tuples (and the raw
+    # templates' in each trace's memo) are interned through.
+    templates: dict = field(default_factory=dict, init=False,
+                            compare=False, repr=False)
+    interned: dict = field(default_factory=dict, init=False,
+                           compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.traces)

@@ -9,7 +9,8 @@ the run, and the complete observability event stream.  The points are
 * every frontend mechanism on compress and gcc;
 * one dynamic-partition run (stats, residents and epoch decisions);
 * the Figure 6 and Figure 8 processor points on go and perl (stats,
-  buffer residents, result-bus conflicts and data-cache counters).
+  buffer residents, result-bus conflicts and data-cache counters), each
+  on a plan of its own and, in three orders, all on one shared plan.
 
 Every point with a preconstruction engine also pins the engine's full
 :class:`PreconstructionStats` record (decode steps, port cycles, region
@@ -105,19 +106,23 @@ def _frontend_payload(result) -> dict:
     }
 
 
+def _processor_payload(result) -> dict:
+    backend = result.backend
+    return {"stats": dataclasses.asdict(result.stats),
+            "preconstruction": _preconstruction_stats(
+                result.preconstruction),
+            "buffers": _buffer_residents(result.preconstruction),
+            "bus_conflicts": backend.bus_conflicts,
+            "dcache": dataclasses.asdict(backend.dcache.stats)}
+
+
 def _point_payload(spec, streams: StreamCache) -> dict:
     image = streams.image(spec.benchmark, spec.workload_seed)
     stream = streams.stream(spec.benchmark, spec.workload_seed)
     if spec.kind == "processor":
-        result = run_processor(image, spec.processor_config(),
-                               spec.instructions, stream=stream)
-        backend = result.backend
-        return {"stats": dataclasses.asdict(result.stats),
-                "preconstruction": _preconstruction_stats(
-                    result.preconstruction),
-                "buffers": _buffer_residents(result.preconstruction),
-                "bus_conflicts": backend.bus_conflicts,
-                "dcache": dataclasses.asdict(backend.dcache.stats)}
+        return _processor_payload(run_processor(
+            image, spec.processor_config(), spec.instructions,
+            stream=stream))
     config = spec.frontend_config()
     if spec.kind == "dynamic":
         result = run_frontend(image, config, spec.instructions,
@@ -177,6 +182,45 @@ class TestFrontendIdentityGolden:
         assert not drifted, (
             f"stats, residents or events drifted from "
             f"tests/golden/frontend_identity.json: {drifted}")
+
+
+class TestSharedProcessorPlan:
+    """The processor points of one partition share its plan, and with it
+    every trace's backend templates (DESIGN §18): a point's results must
+    not depend on which points built them."""
+
+    ORDERS = ("forward", "reversed", "preprocessing first")
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_points_on_one_plan_match_golden(self, golden, order):
+        points = [(key, spec) for key, spec in _identity_points()
+                  if spec.kind == "processor"]
+        if order == "reversed":
+            points.reverse()
+        elif order == "preprocessing first":
+            points.sort(key=lambda point: not point[1].preprocess)
+        # A cache of its own: fresh traces and plans, so every template
+        # is built by the first point of this order to need it.
+        streams = StreamCache(BUDGET)
+        drifted = []
+        for key, spec in points:
+            config = spec.processor_config()
+            plan = streams.plan(spec.benchmark, spec.instructions,
+                                config.frontend, spec.workload_seed)
+            payload = _processor_payload(run_processor(
+                streams.image(spec.benchmark, spec.workload_seed), config,
+                spec.instructions,
+                stream=streams.stream(spec.benchmark, spec.workload_seed),
+                plan=plan))
+            if _digest(payload) != golden["points"][key]:
+                drifted.append(key)
+        assert len(points) == 8 and not drifted, (
+            f"points sharing a plan drifted from the golden: {drifted}")
+        for benchmark in PROCESSOR_BENCHMARKS:
+            plan = streams.plan(benchmark, BUDGET,
+                                points[0][1].processor_config().frontend)
+            assert plan.templates and all(
+                "template" in trace._memo for trace in plan.traces)
 
 
 def _run_frontend_points(specs, streams: StreamCache) -> None:

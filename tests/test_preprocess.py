@@ -199,7 +199,7 @@ class TestPreprocessorPipeline:
                             entry=0x1000, labels=labels)
         stream = FunctionalEngine(image).run(50)
         traces = traces_of_stream(stream)
-        preprocessor = Preprocessor()
         for trace in traces:
-            view = preprocessor.process(trace)
+            view = Preprocessor.process(trace)
             assert len(view) == len(trace.instructions)
+            assert view == Preprocessor.process(trace)  # a pure function

@@ -10,12 +10,12 @@ from repro.caches.dcache import DataCache, DCacheConfig
 from repro.isa import Instruction, Kind, Opcode, assemble
 from repro.preprocess.dependence import build_dependence_graph
 from repro.processor import BackendConfig, BackendModel, TraceTiming
-from repro.processor.backend import _RegValue
+from repro.processor.backend import Template, _RegValue
 
 
-def _seq(source: str):
+def _seq(source: str) -> Template:
     insts, _ = assemble(source)
-    return tuple(insts)
+    return Template(insts)
 
 
 class TestSingleTraceTiming:
@@ -156,7 +156,26 @@ class TestWindowedIssue:
 
 class _ReferenceBackend(BackendModel):
     """The per-cycle issue loop: every cycle is walked one at a time,
-    including the ones in which nothing issues."""
+    including the ones in which nothing issues, over the instructions'
+    full dependence graph."""
+
+    def _operand_ready(self, reg, pe, dispatch):
+        """Availability of a register produced *outside* this trace."""
+        value = self._regs.get(reg)
+        if value is None:
+            return 0
+        if value.pe == pe or value.ready <= dispatch:
+            # Same PE (bypassed) or already architected when we started.
+            return value.ready
+        # Cross-PE: needs a global result bus.
+        if value.broadcast is None:
+            slot = value.ready
+            while self._bus_load.get(slot, 0) >= self.config.result_buses:
+                slot += 1
+                self.bus_conflicts += 1
+            self._bus_load[slot] = self._bus_load.get(slot, 0) + 1
+            value.broadcast = slot
+        return value.broadcast + self.config.cross_pe_delay
 
     def execute_trace(self, instructions, dispatch, pe, mem_addrs=()):
         config = self.config
@@ -249,38 +268,76 @@ _ADDRESSES = st.one_of(
              min_size=1, max_size=16).map(tuple))
 
 
+_GEOMETRY = dict(
+    lookahead=st.integers(1, 6), width=st.integers(1, 3),
+    buses=st.integers(1, 3), delay=st.integers(0, 2),
+    ports=st.sampled_from([(1, 1), (2, 1), (4, 2)]))
+_SCHEDULE = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                               st.integers(0, 6), _ADDRESSES),
+                     min_size=1, max_size=12)
+
+
+def _pair(lookahead, width, buses, delay, ports):
+    """A backend and its per-cycle reference model, of one geometry."""
+    config = BackendConfig(num_pes=4, issue_per_pe=width,
+                           issue_lookahead=lookahead,
+                           result_buses=buses, cross_pe_delay=delay)
+    # Two sets of four 64-byte lines: small enough to miss and evict.
+    dcache = DCacheConfig(size_bytes=512, ways=4, ports=ports[0],
+                          ports_per_pe=ports[1])
+    return (BackendModel(config, DataCache(dcache)),
+            _ReferenceBackend(config, DataCache(dcache)))
+
+
 class TestSkipMatchesPerCycleLoop:
-    """The idle-cycle skip and per-tuple template reproduce the per-cycle
-    loop exactly: timings, register and bus state, data-cache state."""
+    """The idle-cycle skip and the shared per-trace template reproduce
+    the per-cycle loop exactly: timings, register and bus state,
+    data-cache state."""
 
     @settings(max_examples=120, deadline=None)
     @given(traces=st.lists(_TRACE, min_size=1, max_size=4),
-           schedule=st.lists(st.tuples(st.integers(0, 3),
-                                       st.integers(0, 3),
-                                       st.integers(0, 6), _ADDRESSES),
-                             min_size=1, max_size=12),
-           lookahead=st.integers(1, 6), width=st.integers(1, 3),
-           buses=st.integers(1, 3), delay=st.integers(0, 2),
-           ports=st.sampled_from([(1, 1), (2, 1), (4, 2)]))
+           schedule=_SCHEDULE, **_GEOMETRY)
     def test_matches_reference(self, traces, schedule, lookahead, width,
                                buses, delay, ports):
-        config = BackendConfig(num_pes=4, issue_per_pe=width,
-                               issue_lookahead=lookahead,
-                               result_buses=buses, cross_pe_delay=delay)
-        # Two sets of four 64-byte lines: small enough to miss and evict.
-        dcache = DCacheConfig(size_bytes=512, ways=4, ports=ports[0],
-                              ports_per_pe=ports[1])
-        fast = BackendModel(config, DataCache(dcache))
-        slow = _ReferenceBackend(config, DataCache(dcache))
+        fast, slow = _pair(lookahead, width, buses, delay, ports)
+        # One template per trace, reused as the plan's are.
+        templates = [Template(trace) for trace in traces]
         dispatch = 0
         for which, pe, step, addresses in schedule:
-            # Reuse one tuple object per trace, as interned traces do.
-            instructions = traces[which % len(traces)]
+            which %= len(traces)
             dispatch += step
-            assert fast.execute_trace(instructions, dispatch, pe,
+            assert fast.execute_trace(templates[which], dispatch, pe,
                                       addresses) == \
-                slow.execute_trace(instructions, dispatch, pe, addresses)
+                slow.execute_trace(traces[which], dispatch, pe, addresses)
             assert _state(fast) == _state(slow)
+
+    @settings(max_examples=60, deadline=None)
+    @given(traces=st.lists(_TRACE, min_size=1, max_size=4),
+           schedules=st.tuples(_SCHEDULE, _SCHEDULE),
+           first=st.fixed_dictionaries(_GEOMETRY),
+           second=st.fixed_dictionaries(_GEOMETRY))
+    def test_backends_sharing_templates(self, traces, schedules, first,
+                                        second):
+        """Two backends of different geometries take turns executing
+        from one set of templates, as the points on one plan do: a
+        template carries nothing from one backend to the other."""
+        interned: dict = {}
+        templates = [Template(trace, interned) for trace in traces]
+        pairs = [_pair(**first), _pair(**second)]
+        dispatch = [0, 0]
+        for turn in range(max(map(len, schedules))):
+            for side, schedule in enumerate(schedules):
+                if turn >= len(schedule):
+                    continue
+                which, pe, step, addresses = schedule[turn]
+                which %= len(traces)
+                dispatch[side] += step
+                fast, slow = pairs[side]
+                assert fast.execute_trace(templates[which], dispatch[side],
+                                          pe, addresses) == \
+                    slow.execute_trace(traces[which], dispatch[side], pe,
+                                       addresses)
+                assert _state(fast) == _state(slow)
 
 
 def _state(backend: BackendModel) -> tuple:
