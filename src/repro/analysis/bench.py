@@ -23,12 +23,10 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.analysis.sweeps import figure5_specs
-from repro.analysis.tables import TABLE_BENCHMARKS, tables_specs
+from repro.analysis.exhibits import EXHIBITS
 from repro.obs.manifest import utc_timestamp
 from repro.runner import ExperimentRunner, ExperimentSpec
 from repro.telemetry.session import current_telemetry
-from repro.workloads import SPEC95_NAMES
 
 #: Committed append-only history of bench runs — what ``repro
 #: report``'s trajectory panel and ``bench --check`` read.
@@ -43,17 +41,15 @@ QUICK_BENCHMARKS = ("gcc", "go")
 
 def bench_sections(quick: bool = False
                    ) -> list[tuple[str, list[ExperimentSpec]]]:
-    """The (name, specs) sections one bench mode measures."""
+    """The (name, specs) sections one bench mode measures: the Figure-5
+    panel on :data:`QUICK_BENCHMARKS`, or Figure 5 and the Tables on
+    their default benchmarks."""
     if quick:
-        specs = [spec for benchmark in QUICK_BENCHMARKS
-                 for spec in figure5_specs(benchmark, QUICK_INSTRUCTIONS)]
-        return [("figure5", specs)]
-    return [
-        ("figure5", [spec for benchmark in SPEC95_NAMES
-                     for spec in figure5_specs(benchmark,
-                                               FULL_INSTRUCTIONS)]),
-        ("tables", tables_specs(FULL_INSTRUCTIONS, TABLE_BENCHMARKS)),
-    ]
+        return [("figure5", EXHIBITS["figure5"].specs(QUICK_INSTRUCTIONS,
+                                                      QUICK_BENCHMARKS))]
+    return [(name, EXHIBITS[name].specs(FULL_INSTRUCTIONS,
+                                        EXHIBITS[name].benchmarks))
+            for name in ("figure5", "tables")]
 
 
 def run_bench(quick: bool = False, jobs: int = 1,

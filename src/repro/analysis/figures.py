@@ -18,16 +18,13 @@ from typing import Optional, Sequence
 
 from repro.analysis.charts import bar_chart, series_table
 from repro.analysis.sweeps import Figure5Point
-from repro.runner import (
-    ExperimentSpec,
-    ResultCache,
-    RunResult,
-    StreamCache,
-    resolve_instructions,
-    sweep,
-)
+from repro.runner import ExperimentSpec, RunResult, resolve_instructions
 
 SPEEDUP_BENCHMARKS = ("gcc", "go", "perl", "vortex")
+#: Figures 6 and 8 compare a 256-entry trace cache with 128 TC + 128 PB
+#: entries (equal area), as (TC, PB) entries.
+SPEEDUP_BASELINE = (256, 0)
+SPEEDUP_PRECON = (128, 128)
 
 
 # ----------------------------------------------------------------------
@@ -73,13 +70,13 @@ class SpeedupResult:
 
 
 def figure6_specs(instructions: Optional[int] = None,
-                  benchmarks=SPEEDUP_BENCHMARKS,
-                  base=(256, 0), precon=(128, 128)) -> list[ExperimentSpec]:
+                  benchmarks=SPEEDUP_BENCHMARKS) -> list[ExperimentSpec]:
     """The (baseline, preconstruction) processor pair per benchmark."""
     budget = resolve_instructions(instructions)
     return [ExperimentSpec(benchmark=benchmark, tc_entries=tc, pb_entries=pb,
                            kind="processor", instructions=budget)
-            for benchmark in benchmarks for tc, pb in (base, precon)]
+            for benchmark in benchmarks
+            for tc, pb in (SPEEDUP_BASELINE, SPEEDUP_PRECON)]
 
 
 def figure6_from_results(results: Sequence[RunResult]) -> list[SpeedupResult]:
@@ -88,17 +85,6 @@ def figure6_from_results(results: Sequence[RunResult]) -> list[SpeedupResult]:
     return [SpeedupResult(base.spec.benchmark, base.metrics["cycles"],
                           pre.metrics["cycles"])
             for base, pre in zip(pairs, pairs)]
-
-
-def figure6(cache: StreamCache,
-            benchmarks=SPEEDUP_BENCHMARKS,
-            base=(256, 0), precon=(128, 128), *, jobs: int = 1,
-            result_cache: Optional[ResultCache] = None
-            ) -> list[SpeedupResult]:
-    """Performance improvement from preconstruction (equal area)."""
-    specs = figure6_specs(cache.instructions, benchmarks, base, precon)
-    return figure6_from_results(sweep(specs, jobs=jobs, cache=result_cache,
-                                      stream_cache=cache))
 
 
 def format_figure6(results: list[SpeedupResult]) -> str:
@@ -146,14 +132,15 @@ class ExtendedPipelineResult:
 
 
 def figure8_specs(instructions: Optional[int] = None,
-                  benchmarks=SPEEDUP_BENCHMARKS,
-                  base=(256, 0), precon=(128, 128)) -> list[ExperimentSpec]:
+                  benchmarks=SPEEDUP_BENCHMARKS) -> list[ExperimentSpec]:
     """The four Figure 8 configurations per benchmark, as specs."""
     budget = resolve_instructions(instructions)
     specs = []
     for benchmark in benchmarks:
-        for (tc, pb), preprocess in ((base, False), (precon, False),
-                                     (base, True), (precon, True)):
+        for (tc, pb), preprocess in ((SPEEDUP_BASELINE, False),
+                                     (SPEEDUP_PRECON, False),
+                                     (SPEEDUP_BASELINE, True),
+                                     (SPEEDUP_PRECON, True)):
             specs.append(ExperimentSpec(
                 benchmark=benchmark, tc_entries=tc, pb_entries=pb,
                 preprocess=preprocess, kind="processor",
@@ -174,17 +161,6 @@ def figure8_from_results(results: Sequence[RunResult]
             preproc_cycles=prep.metrics["cycles"],
             combined_cycles=both.metrics["cycles"]))
     return assembled
-
-
-def figure8(cache: StreamCache,
-            benchmarks=SPEEDUP_BENCHMARKS,
-            base=(256, 0), precon=(128, 128), *, jobs: int = 1,
-            result_cache: Optional[ResultCache] = None
-            ) -> list[ExtendedPipelineResult]:
-    """The extended pipeline comparison (paper §6)."""
-    specs = figure8_specs(cache.instructions, benchmarks, base, precon)
-    return figure8_from_results(sweep(specs, jobs=jobs, cache=result_cache,
-                                      stream_cache=cache))
 
 
 def format_figure8(results: list[ExtendedPipelineResult]) -> str:

@@ -1,15 +1,11 @@
-"""Sweep drivers: benchmark x configuration grids as spec batches.
+"""Frontend spec grids: Figure 5 and the dynamic-partition extension.
 
-Every driver now describes its grid as a list of
-:class:`~repro.runner.ExperimentSpec` and delegates execution to
-:mod:`repro.runner` — which deduplicates points, serves unchanged ones
-from the content-addressed result cache, and fans benchmark groups out
-across worker processes (``jobs``).  The ``*_specs`` builders and
-``*_points`` assemblers are exposed separately so ``repro all`` can
-batch every exhibit's specs through one scheduler pass.
-
-One point runs through :func:`repro.runner.run_point` (or
-:func:`~repro.runner.execute_spec`, which bypasses the result cache).
+Each builder describes its grid as a list of
+:class:`~repro.runner.ExperimentSpec`; :mod:`repro.runner` runs it,
+deduplicating points, serving unchanged ones from the
+content-addressed result cache and fanning benchmark groups out across
+worker processes (``jobs``).  :data:`repro.analysis.exhibits.EXHIBITS`
+pairs each builder with the renderer of its exhibit.
 
 The per-run instruction budget follows one precedence order —
 explicit value > ``REPRO_INSTRUCTIONS`` env > built-in default — see
@@ -23,17 +19,15 @@ from typing import Iterable, Optional, Sequence
 
 from repro.runner import (
     ExperimentSpec,
-    ResultCache,
     RunResult,
     StreamCache,
     resolve_instructions,
-    sweep,
 )
 
 __all__ = [
     "DYNAMIC_BENCHMARKS", "DYNAMIC_SPLIT", "FIGURE5_PB_SIZES",
     "FIGURE5_TC_SIZES", "Figure5Point", "StreamCache", "dynamic_specs",
-    "figure5_points", "figure5_specs", "figure5_sweep",
+    "figure5_points", "figure5_specs", "format_dynamic",
 ]
 
 
@@ -59,15 +53,13 @@ FIGURE5_TC_SIZES = (64, 128, 256, 512, 1024)
 FIGURE5_PB_SIZES = (0, 32, 128, 256)
 
 
-def figure5_specs(benchmark: str, instructions: Optional[int] = None,
-                  tc_sizes: Iterable[int] = FIGURE5_TC_SIZES,
-                  pb_sizes: Iterable[int] = FIGURE5_PB_SIZES
+def figure5_specs(benchmark: str, instructions: Optional[int] = None
                   ) -> list[ExperimentSpec]:
     """The Figure 5 grid for one benchmark, as specs."""
     budget = resolve_instructions(instructions)
     return [ExperimentSpec(benchmark=benchmark, tc_entries=tc,
                            pb_entries=pb, instructions=budget)
-            for tc in tc_sizes for pb in pb_sizes]
+            for tc in FIGURE5_TC_SIZES for pb in FIGURE5_PB_SIZES]
 
 
 def figure5_points(results: Sequence[RunResult]) -> list[Figure5Point]:
@@ -77,18 +69,6 @@ def figure5_points(results: Sequence[RunResult]) -> list[Figure5Point]:
                          pb_entries=r.spec.pb_entries,
                          miss_per_ki=r.metrics["trace_misses_per_ki"])
             for r in results]
-
-
-def figure5_sweep(cache: StreamCache, benchmark: str,
-                  tc_sizes: Iterable[int] = FIGURE5_TC_SIZES,
-                  pb_sizes: Iterable[int] = FIGURE5_PB_SIZES, *,
-                  jobs: int = 1,
-                  result_cache: Optional[ResultCache] = None
-                  ) -> list[Figure5Point]:
-    """Miss-rate grid for one benchmark (the Figure 5 panel data)."""
-    specs = figure5_specs(benchmark, cache.instructions, tc_sizes, pb_sizes)
-    return figure5_points(sweep(specs, jobs=jobs, cache=result_cache,
-                                stream_cache=cache))
 
 
 # ----------------------------------------------------------------------
@@ -112,3 +92,20 @@ def dynamic_specs(instructions: Optional[int] = None,
                                 pb_entries=pb, instructions=budget)
         specs += [static, static.replace(kind="dynamic")]
     return specs
+
+
+def format_dynamic(results: Sequence[RunResult]) -> str:
+    """One line per benchmark from results in :func:`dynamic_specs`
+    order: the static split's miss rate against the adaptive one's."""
+    tc, pb = DYNAMIC_SPLIT
+    lines = []
+    pairs = iter(results)
+    for static, dynamic in zip(pairs, pairs):
+        static_miss = static.metrics["trace_misses_per_ki"]
+        moving = dynamic.metrics
+        lines.append(
+            f"{static.spec.benchmark}: "
+            f"static({tc}+{pb})={static_miss:.2f} miss/KI, "
+            f"dynamic={moving['trace_misses_per_ki']:.2f} miss/KI, "
+            f"trajectory={moving['pb_trajectory']}")
+    return "\n".join(lines)

@@ -18,14 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.runner import (
-    ExperimentSpec,
-    ResultCache,
-    RunResult,
-    StreamCache,
-    resolve_instructions,
-    sweep,
-)
+from repro.runner import ExperimentSpec, RunResult, resolve_instructions
 
 TABLE_BENCHMARKS = ("gcc", "go")
 BASELINE = (512, 0)
@@ -82,16 +75,6 @@ def tables_from_results(results: Sequence[RunResult],
         t3.append(TableRow(benchmark, base["icache_miss_instructions_per_ki"],
                            pre["icache_miss_instructions_per_ki"]))
     return TablesResult(table1=t1, table2=t2, table3=t3)
-
-
-def compute_tables(cache: StreamCache,
-                   benchmarks=TABLE_BENCHMARKS, *, jobs: int = 1,
-                   result_cache: Optional[ResultCache] = None
-                   ) -> TablesResult:
-    """Run both configurations per benchmark and extract all 3 tables."""
-    specs = tables_specs(cache.instructions, benchmarks)
-    results = sweep(specs, jobs=jobs, cache=result_cache, stream_cache=cache)
-    return tables_from_results(results, benchmarks)
 
 
 _TITLES = {

@@ -16,6 +16,12 @@ The surface, by layer:
   :class:`RunResult`, :func:`run_point`, :func:`sweep`,
   :class:`ExperimentRunner`, :class:`ResultCache`,
   :class:`StreamCache`, :func:`resolve_instructions`;
+* **Exhibits** — :data:`EXHIBITS`, one entry per paper exhibit: its
+  default benchmarks, ``specs(instructions, benchmarks)`` and
+  ``render(results, benchmarks)``, so ``exhibit.render(sweep(specs),
+  benchmarks)`` prints what ``python -m repro <exhibit>`` prints; the
+  :func:`format_figure5`, :func:`format_figure6`,
+  :func:`format_figure8` and :func:`format_all_tables` layouts;
 * **Workloads** — :func:`build_workload`, :data:`SPEC95_NAMES`,
   :class:`WorkloadProfile`, :func:`generate`;
 * **Static analysis** — :func:`analyze` (benchmark name in, full
@@ -74,15 +80,12 @@ from __future__ import annotations
 
 from repro.analysis import (
     COMPARE_PB_SIZES,
+    EXHIBITS,
     CompareRow,
     append_trajectory,
     compare_from_results,
     compare_specs,
     compare_sweep,
-    compute_tables,
-    figure5_sweep,
-    figure6,
-    figure8,
     format_all_tables,
     format_compare,
     format_figure5,
@@ -235,6 +238,7 @@ __all__ = [
     "DEFAULT_INSTRUCTIONS",
     "DiffResult",
     "DynamicPartitionConfig",
+    "EXHIBITS",
     "ExperimentRunner",
     "ExperimentSpec",
     "FrontendConfig",
@@ -284,7 +288,6 @@ __all__ = [
     "compare_from_results",
     "compare_specs",
     "compare_sweep",
-    "compute_tables",
     "configure_logging",
     "create_mechanism",
     "current_telemetry",
@@ -292,9 +295,6 @@ __all__ = [
     "diff_specs",
     "disable_telemetry",
     "enable_telemetry",
-    "figure5_sweep",
-    "figure6",
-    "figure8",
     "format_all_tables",
     "format_compare",
     "format_figure5",

@@ -40,14 +40,16 @@ any command in ``cProfile``.  Telemetry is off — and free — by
 default, and never perturbs results: ``repro all`` output is
 byte-identical either way.
 
-Every exhibit command routes through :mod:`repro.runner`: points are
-described as :class:`ExperimentSpec` batches, deduplicated, served
-from the content-addressed result cache when inputs are unchanged
-(disable with ``--no-cache``, relocate with ``--cache-dir``), and
-fanned out across ``--jobs`` worker processes grouped by benchmark.
-Output is bit-identical regardless of ``--jobs`` — results merge in
-spec order.  ``repro all`` regenerates every exhibit through a single
-scheduler pass and can write its timing report for CI artifacts.
+The exhibit commands are the rows of :data:`repro.analysis.EXHIBITS`,
+which gives each one's benchmarks, specs and layout.  Their points run
+through :mod:`repro.runner`: deduplicated, served from the
+content-addressed result cache when inputs are unchanged (disable with
+``--no-cache``, relocate with ``--cache-dir``), and fanned out across
+``--jobs`` worker processes grouped by benchmark.  Output is
+bit-identical regardless of ``--jobs`` — results merge in spec order.
+``repro all`` regenerates every exhibit through a single scheduler
+pass, printing what the single commands print, and can write its
+timing report for CI artifacts.
 
 The instruction budget precedence is ``--instructions`` >
 ``REPRO_INSTRUCTIONS`` env > built-in default (60 000).
@@ -64,41 +66,19 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis import (
-    DYNAMIC_BENCHMARKS,
-    DYNAMIC_SPLIT,
-    dynamic_specs,
-    figure5_points,
-    figure5_specs,
-    figure6_from_results,
-    figure6_specs,
-    figure8_from_results,
-    figure8_specs,
-    format_all_tables,
-    format_figure5,
-    format_figure6,
-    format_figure8,
-    tables_from_results,
-    tables_specs,
-)
-from repro.analysis.figures import SPEEDUP_BENCHMARKS
-from repro.analysis.tables import TABLE_BENCHMARKS
+from repro.analysis import EXHIBITS
 from repro.runner import (
     ExperimentRunner,
     ExperimentSpec,
     ResultCache,
-    RunResult,
     resolve_instructions,
     run_observed,
     run_point,
     stderr_progress,
 )
 from repro.workloads import SPEC95_NAMES
-
-Lookup = dict[ExperimentSpec, RunResult]
-Exhibit = tuple[str, list[ExperimentSpec], Callable[[Lookup], str]]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -178,13 +158,8 @@ def _parser() -> argparse.ArgumentParser:
     trace.add_argument("--metrics", default=None, metavar="PATH",
                        help="also write interval metrics as JSONL")
 
-    for name, helptext in (
-            ("figure5", "miss rate vs combined TC+PB size"),
-            ("tables", "Tables 1-3: I-cache traffic"),
-            ("figure6", "speedup from preconstruction"),
-            ("figure8", "extended pipeline speedups"),
-            ("dynamic", "dynamic-partition extension experiment")):
-        cmd = sub.add_parser(name, help=helptext)
+    for exhibit in EXHIBITS.values():
+        cmd = sub.add_parser(exhibit.name, help=exhibit.help)
         cmd.add_argument("--jobs", type=int, default=1,
                          help="worker processes (grouped by benchmark)")
         cmd.add_argument("--benchmarks", nargs="+", choices=SPEC95_NAMES,
@@ -367,7 +342,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# Exhibit sections (shared by the single commands and ``repro all``)
+# Exhibits (the single commands and ``repro all``)
 # ----------------------------------------------------------------------
 def _restrict(defaults: Sequence[str],
               selected: Optional[Sequence[str]]) -> list[str]:
@@ -379,109 +354,27 @@ def _restrict(defaults: Sequence[str],
     return restricted or list(defaults)
 
 
-def _figure5_exhibit(benchmarks: Sequence[str], instructions: int) -> Exhibit:
-    specs = [spec for benchmark in benchmarks
-             for spec in figure5_specs(benchmark, instructions)]
-
-    def render(lookup: Lookup) -> str:
-        blocks = []
-        for benchmark in benchmarks:
-            panel = figure5_specs(benchmark, instructions)
-            blocks.append(format_figure5(
-                benchmark, figure5_points([lookup[s] for s in panel])))
-        return "\n\n".join(blocks)
-
-    return "figure5", specs, render
-
-
-def _tables_exhibit(benchmarks: Sequence[str], instructions: int) -> Exhibit:
-    specs = tables_specs(instructions, benchmarks)
-
-    def render(lookup: Lookup) -> str:
-        return format_all_tables(
-            tables_from_results([lookup[s] for s in specs], benchmarks))
-
-    return "tables", specs, render
-
-
-def _figure6_exhibit(benchmarks: Sequence[str], instructions: int) -> Exhibit:
-    specs = figure6_specs(instructions, benchmarks)
-
-    def render(lookup: Lookup) -> str:
-        return format_figure6(
-            figure6_from_results([lookup[s] for s in specs]))
-
-    return "figure6", specs, render
-
-
-def _figure8_exhibit(benchmarks: Sequence[str], instructions: int) -> Exhibit:
-    specs = figure8_specs(instructions, benchmarks)
-
-    def render(lookup: Lookup) -> str:
-        return format_figure8(
-            figure8_from_results([lookup[s] for s in specs]))
-
-    return "figure8", specs, render
-
-
-def _dynamic_exhibit(benchmarks: Sequence[str], instructions: int) -> Exhibit:
-    specs = dynamic_specs(instructions, benchmarks)
-
-    def render(lookup: Lookup) -> str:
-        tc, pb = DYNAMIC_SPLIT
-        lines = []
-        pairs = iter(specs)
-        for static, dynamic in zip(pairs, pairs):
-            static_miss = lookup[static].metrics["trace_misses_per_ki"]
-            moving = lookup[dynamic].metrics
-            lines.append(
-                f"{static.benchmark}: "
-                f"static({tc}+{pb})={static_miss:.2f} miss/KI, "
-                f"dynamic={moving['trace_misses_per_ki']:.2f} miss/KI, "
-                f"trajectory={moving['pb_trajectory']}")
-        return "\n".join(lines)
-
-    return "dynamic", specs, render
-
-
-def _plan(command: str, instructions: int,
-          selected: Optional[Sequence[str]]) -> list[Exhibit]:
-    """The exhibits a command regenerates, in presentation order."""
-    builders = {
-        "figure5": lambda: _figure5_exhibit(
-            _restrict(SPEC95_NAMES, selected), instructions),
-        "tables": lambda: _tables_exhibit(
-            _restrict(TABLE_BENCHMARKS, selected), instructions),
-        "figure6": lambda: _figure6_exhibit(
-            _restrict(SPEEDUP_BENCHMARKS, selected), instructions),
-        "figure8": lambda: _figure8_exhibit(
-            _restrict(SPEEDUP_BENCHMARKS, selected), instructions),
-        "dynamic": lambda: _dynamic_exhibit(
-            _restrict(DYNAMIC_BENCHMARKS, selected), instructions),
-    }
-    if command == "all":
-        return [builders[name]() for name in
-                ("figure5", "tables", "figure6", "figure8", "dynamic")]
-    return [builders[command]()]
-
-
 def _run_exhibits(args, instructions: int) -> int:
     result_cache = (None if args.no_cache
                     else ResultCache(args.cache_dir))
-    selected = getattr(args, "benchmarks", None)
-    exhibits = _plan(args.command, instructions, selected)
-    specs = [spec for _, exhibit_specs, _ in exhibits
-             for spec in exhibit_specs]
+    exhibits = (EXHIBITS.values() if args.command == "all"
+                else [EXHIBITS[args.command]])
+    sections = []
+    for exhibit in exhibits:
+        benchmarks = _restrict(exhibit.benchmarks, args.benchmarks)
+        sections.append((exhibit, benchmarks,
+                         exhibit.specs(instructions, benchmarks)))
+    specs = [spec for *_, exhibit_specs in sections for spec in exhibit_specs]
     progress = stderr_progress if (args.jobs > 1 or args.command == "all") \
         else None
     runner = ExperimentRunner(jobs=args.jobs, cache=result_cache,
                               progress=progress)
-    lookup: Lookup = dict(zip(specs, runner.run(specs)))
-    for index, (_, _, render) in enumerate(exhibits):
-        if index:
-            print()
-        print(render(lookup))
-    if args.command in ("figure5", "all"):
+    lookup = dict(zip(specs, runner.run(specs)))
+    # Each exhibit ends in a blank line, so ``all`` prints exactly what
+    # the single commands print, one after another.
+    for exhibit, benchmarks, exhibit_specs in sections:
+        print(exhibit.render([lookup[spec] for spec in exhibit_specs],
+                             benchmarks))
         print()
     stats_json = getattr(args, "stats_json", None)
     if stats_json:
@@ -887,8 +780,7 @@ def _dispatch(args) -> int:
             print(f"{key:32s} {value:12.3f}")
         return 0
 
-    if args.command in ("figure5", "tables", "figure6", "figure8",
-                        "dynamic", "all"):
+    if args.command in EXHIBITS or args.command == "all":
         return _run_exhibits(args, instructions)
     return 1  # pragma: no cover - argparse enforces choices
 

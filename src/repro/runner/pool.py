@@ -377,6 +377,11 @@ class TimingReport:
         self._cache_hits.add(cache_hits)
         self._wall.add(wall_seconds)
 
+    def merge(self, other: TimingReport) -> None:
+        """Fold another report's tallies and points into this one."""
+        self.registry.merge(other.registry.to_dict())
+        self.points += other.points
+
     def record(self, result: RunResult) -> None:
         self._point_seconds.observe(result.wall_seconds)
         self.points.append({"spec": result.spec.label,
@@ -467,24 +472,18 @@ class ExperimentRunner:
             if self.cache is not None:
                 self.cache.put(result.spec, result)
 
-        wall = time.perf_counter() - started
-        self.report.add(requested=len(specs), unique=len(unique),
-                        executed=len(executed), cache_hits=hits,
-                        wall_seconds=wall)
+        tally = TimingReport(jobs=self.jobs)
+        tally.add(requested=len(specs), unique=len(unique),
+                  executed=len(executed), cache_hits=hits,
+                  wall_seconds=time.perf_counter() - started)
         for spec in unique:
-            self.report.record(results[spec])
+            tally.record(results[spec])
+        # The report is cumulative across batches; the process session
+        # gets this pass's deltas, so ``--telemetry-json`` sees
+        # scheduler totals without reaching into per-runner reports.
+        self.report.merge(tally)
         if self.tele:
-            # Mirror *this pass's deltas* into the process session (the
-            # report itself is cumulative across batches) so
-            # ``--telemetry-json`` sees scheduler totals without
-            # reaching into per-runner reports.
-            pass_report = TimingReport(jobs=self.jobs)
-            pass_report.add(requested=len(specs), unique=len(unique),
-                            executed=len(executed), cache_hits=hits,
-                            wall_seconds=wall)
-            for spec in unique:
-                pass_report.record(results[spec])
-            self.tele.registry.merge(pass_report.registry.to_dict())
+            self.tele.registry.merge(tally.registry.to_dict())
         return [results[spec] for spec in specs]
 
     # ------------------------------------------------------------------

@@ -3,10 +3,10 @@
 A trace is identified by its starting PC and the outcomes of the
 conditional branches inside it (the paper indexes both the trace cache
 and the preconstruction buffers "by hashing the starting address of the
-trace with the branch outcomes").  Register-indirect transfers embed
-their observed targets in the identity as well, since two dynamic paths
-can otherwise share a start address and outcome vector while diverging
-at a jump table.
+trace with the branch outcomes").  Selection ends a trace at every
+register-indirect transfer, so those two fix the trace's path and the
+identity holds no indirect targets; a trailing indirect's target is
+the trace's ``next_pc``.
 """
 
 from __future__ import annotations
@@ -33,16 +33,15 @@ class TraceID:
 
     start_pc: int
     outcomes: tuple[bool, ...]
-    indirect_targets: tuple[int, ...] = ()
     _hash: int = field(init=False, compare=False, repr=False)
     #: Trace-cache and preconstruction-buffer set index before the
     #: modulo: the start address folded with the branch outcomes.
     _index: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # The trailing () pins the hash, and so every predictor index.
         object.__setattr__(
-            self, "_hash",
-            hash((self.start_pc, self.outcomes, self.indirect_targets)))
+            self, "_hash", hash((self.start_pc, self.outcomes, ())))
         outcome_bits = 0
         for outcome in self.outcomes:
             outcome_bits = (outcome_bits << 1) | outcome
@@ -59,8 +58,7 @@ class TraceID:
             return NotImplemented
         return (self._hash == other._hash
                 and self.start_pc == other.start_pc
-                and self.outcomes == other.outcomes
-                and self.indirect_targets == other.indirect_targets)
+                and self.outcomes == other.outcomes)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         bits = "".join("T" if o else "N" for o in self.outcomes)

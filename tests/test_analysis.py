@@ -6,19 +6,21 @@ from repro.analysis import (
     Figure5Point,
     StreamCache,
     bar_chart,
-    compute_tables,
+    figure5_points,
     figure5_series,
-    figure5_sweep,
+    figure5_specs,
     format_all_tables,
     format_figure5,
     format_figure6,
     format_figure8,
     format_table,
     series_table,
+    tables_from_results,
+    tables_specs,
 )
 from repro.analysis.figures import ExtendedPipelineResult, SpeedupResult
 from repro.analysis.tables import TableRow
-from repro.runner import ExperimentSpec, execute_spec
+from repro.runner import ExperimentSpec, execute_spec, sweep
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +65,13 @@ class TestSweepRunners:
         assert not hasattr(repro.analysis, "processor_config")
 
     def test_figure5_sweep_grid(self, cache):
-        points = figure5_sweep(cache, "compress", tc_sizes=(64, 128),
-                               pb_sizes=(0, 32))
-        assert len(points) == 4
-        keys = {(p.tc_entries, p.pb_entries) for p in points}
-        assert keys == {(64, 0), (64, 32), (128, 0), (128, 32)}
+        specs = figure5_specs("compress", cache.instructions)
+        assert len(specs) == 20
+        corner = [spec for spec in specs
+                  if spec.tc_entries <= 128 and spec.pb_entries <= 32]
+        points = figure5_points(sweep(corner, stream_cache=cache))
+        keys = [(p.tc_entries, p.pb_entries) for p in points]
+        assert keys == [(64, 0), (64, 32), (128, 0), (128, 32)]
 
 
 class TestFigureFormatting:
@@ -114,7 +118,9 @@ class TestTableFormatting:
         assert "Table 1" in text and "gcc" in text
 
     def test_compute_tables_smoke(self, cache):
-        result = compute_tables(cache, benchmarks=("compress",))
+        specs = tables_specs(cache.instructions, ("compress",))
+        result = tables_from_results(sweep(specs, stream_cache=cache),
+                                     ("compress",))
         assert len(result.table1) == 1
         text = format_all_tables(result)
         assert "Table 3" in text

@@ -19,10 +19,15 @@ class TestSurface:
             assert hasattr(api, name), name
 
     def test_exhibit_names(self):
-        for name in ("figure5_sweep", "figure6", "figure8", "compute_tables",
-                     "format_figure5", "format_figure6", "format_figure8",
-                     "format_all_tables"):
+        for name in ("EXHIBITS", "format_figure5", "format_figure6",
+                     "format_figure8", "format_all_tables"):
             assert hasattr(api, name), name
+        # Each was specs -> sweep -> assemble, which EXHIBITS now does.
+        for name in ("figure5_sweep", "figure6", "figure8",
+                     "compute_tables"):
+            assert name not in api.__all__, name
+        assert list(api.EXHIBITS) == ["figure5", "tables", "figure6",
+                                      "figure8", "dynamic"]
 
     def test_all_is_accurate(self):
         for name in api.__all__:

@@ -220,12 +220,18 @@ class TestRunnerCLI:
                      "--benchmarks", "compress"]) == 0
         assert capsys.readouterr().out == cached
 
-    def test_all_matches_individual_commands(self, capsys):
-        assert main(["--instructions", "4000", "--no-cache", "tables",
-                     "--benchmarks", "compress"]) == 0
-        tables = capsys.readouterr().out
-        assert main(ALL_ARGS) == 0
-        assert tables.strip() in capsys.readouterr().out
+    def test_all_matches_individual_commands(self, capsys, tmp_path):
+        from repro.analysis import EXHIBITS
+
+        warm = ["--cache-dir", str(tmp_path / "warm")]
+        assert main(warm + ALL_ARGS) == 0
+        whole = capsys.readouterr().out
+        singles = []
+        for name in EXHIBITS:
+            assert main(warm + ["--instructions", "4000", name,
+                                "--benchmarks", "compress"]) == 0
+            singles.append(capsys.readouterr().out)
+        assert whole == "".join(singles)
 
     def test_cache_dir_flag(self, capsys, tmp_path):
         custom = tmp_path / "elsewhere"

@@ -1,9 +1,10 @@
 """The paper's claims, one test per row of EXPERIMENTS.md's verdict table.
 
-Every exhibit is computed once per module through the same
-``*_specs``/``*_from_results`` drivers ``repro all`` uses, at the
+Every exhibit is computed once per module from the rows of
+:data:`repro.analysis.EXHIBITS` that ``repro all`` runs, at the
 instruction budget in ``REPRO_INSTRUCTIONS`` (read once, at import;
-default 20 000, the budget of CI's ``repro all`` job).  EXPERIMENTS.md
+default 20 000, the budget of CI's ``repro all`` job), and assembled
+into typed rows by the ``*_from_results`` helpers.  EXPERIMENTS.md
 quotes its numbers at 60 000; CI runs this file at that budget too::
 
     REPRO_INSTRUCTIONS=60000 PYTHONPATH=src python -m pytest \\
@@ -26,15 +27,11 @@ import pytest
 
 from repro.analysis import (
     DYNAMIC_BENCHMARKS,
-    dynamic_specs,
+    EXHIBITS,
     figure5_points,
-    figure5_specs,
     figure6_from_results,
-    figure6_specs,
     figure8_from_results,
-    figure8_specs,
     tables_from_results,
-    tables_specs,
 )
 from repro.core import ConstructorConfig
 from repro.runner import (
@@ -45,7 +42,6 @@ from repro.runner import (
 )
 from repro.sim import run_frontend
 from repro.trace import SelectionConfig
-from repro.workloads import SPEC95_NAMES
 
 BUDGET = int(os.environ.get("REPRO_INSTRUCTIONS", "20000"))
 
@@ -66,41 +62,41 @@ DYNAMIC_ENVELOPE = [ExperimentSpec(benchmark=name, tc_entries=512 - pb,
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def results():
-    """Every exhibit's points, run in one deduplicated pass over two
-    worker processes, as ``repro all --jobs 2`` runs them."""
-    specs = [*(spec for name in SPEC95_NAMES
-               for spec in figure5_specs(name, BUDGET)),
-             *tables_specs(BUDGET), *figure6_specs(BUDGET),
-             *figure8_specs(BUDGET), *dynamic_specs(BUDGET),
-             *DYNAMIC_ENVELOPE]
-    return dict(zip(specs, ExperimentRunner(jobs=2).run(specs)))
+    """Each exhibit's results in spec order, by exhibit name, plus the
+    dynamic envelope's, run in one deduplicated pass over two worker
+    processes, as ``repro all --jobs 2`` runs them."""
+    grids = {name: exhibit.specs(BUDGET, exhibit.benchmarks)
+             for name, exhibit in EXHIBITS.items()}
+    grids["envelope"] = DYNAMIC_ENVELOPE
+    specs = [spec for grid in grids.values() for spec in grid]
+    lookup = dict(zip(specs, ExperimentRunner(jobs=2).run(specs)))
+    return {name: [lookup[spec] for spec in grid]
+            for name, grid in grids.items()}
 
 
 @pytest.fixture(scope="module")
 def figure5(results):
     """Misses per 1000 instructions by benchmark, then (TC, PB)."""
+    points = figure5_points(results["figure5"])
     return {name: {(p.tc_entries, p.pb_entries): p.miss_per_ki
-                   for p in figure5_points([results[spec] for spec in
-                                            figure5_specs(name, BUDGET)])}
-            for name in SPEC95_NAMES}
+                   for p in points if p.benchmark == name}
+            for name in EXHIBITS["figure5"].benchmarks}
 
 
 @pytest.fixture(scope="module")
 def tables(results):
-    return tables_from_results([results[spec]
-                                for spec in tables_specs(BUDGET)])
+    return tables_from_results(results["tables"])
 
 
 @pytest.fixture(scope="module")
 def figure6(results):
-    return {r.benchmark: r.speedup_percent for r in figure6_from_results(
-        [results[spec] for spec in figure6_specs(BUDGET)])}
+    return {r.benchmark: r.speedup_percent
+            for r in figure6_from_results(results["figure6"])}
 
 
 @pytest.fixture(scope="module")
 def figure8(results):
-    return figure8_from_results([results[spec]
-                                 for spec in figure8_specs(BUDGET)])
+    return figure8_from_results(results["figure8"])
 
 
 @pytest.fixture(scope="module")
@@ -320,14 +316,14 @@ def test_extension_dynamic_partition(results):
     dynamic run equals its static start; only the 60k budget judges it,
     and there the controller must have completed an epoch.
     """
-    specs = dynamic_specs(BUDGET)
-    for dynamic in specs[1::2]:
-        name = dynamic.benchmark
+    for dynamic in results["dynamic"][1::2]:
+        name = dynamic.spec.benchmark
         if BUDGET >= 60_000:
-            assert results[dynamic].metrics["pb_trajectory"], name
-        statics = [results[spec].metrics["trace_misses_per_ki"]
-                   for spec in DYNAMIC_ENVELOPE if spec.benchmark == name]
-        moving = results[dynamic].metrics["trace_misses_per_ki"]
+            assert dynamic.metrics["pb_trajectory"], name
+        statics = [static.metrics["trace_misses_per_ki"]
+                   for static in results["envelope"]
+                   if static.spec.benchmark == name]
+        moving = dynamic.metrics["trace_misses_per_ki"]
         assert moving <= max(statics) * 1.15, (name, moving, statics)
         assert moving <= min(statics) * 1.5, (name, moving, statics)
 
