@@ -76,7 +76,7 @@ def _identity_points():
 
 def _trace_id(trace) -> list:
     trace_id = trace.trace_id
-    return [trace_id.start_pc, list(trace_id.outcomes), []]
+    return [trace_id.start_pc, list(trace_id.outcomes)]
 
 
 def _buffer_residents(engine) -> list:
