@@ -21,8 +21,8 @@ from repro.analysis.sweeps import Figure5Point
 from repro.runner import ExperimentSpec, RunResult, resolve_instructions
 
 SPEEDUP_BENCHMARKS = ("gcc", "go", "perl", "vortex")
-#: Figures 6 and 8 compare a 256-entry trace cache with 128 TC + 128 PB
-#: entries (equal area), as (TC, PB) entries.
+#: The (TC, PB) entries Figures 6 and 8 compare: a 256-entry trace
+#: cache against 128 TC + 128 PB (equal area).
 SPEEDUP_BASELINE = (256, 0)
 SPEEDUP_PRECON = (128, 128)
 
@@ -137,14 +137,12 @@ def figure8_specs(instructions: Optional[int] = None,
     budget = resolve_instructions(instructions)
     specs = []
     for benchmark in benchmarks:
-        for (tc, pb), preprocess in ((SPEEDUP_BASELINE, False),
-                                     (SPEEDUP_PRECON, False),
-                                     (SPEEDUP_BASELINE, True),
-                                     (SPEEDUP_PRECON, True)):
-            specs.append(ExperimentSpec(
-                benchmark=benchmark, tc_entries=tc, pb_entries=pb,
-                preprocess=preprocess, kind="processor",
-                instructions=budget))
+        for preprocess in (False, True):
+            for tc, pb in (SPEEDUP_BASELINE, SPEEDUP_PRECON):
+                specs.append(ExperimentSpec(
+                    benchmark=benchmark, tc_entries=tc, pb_entries=pb,
+                    preprocess=preprocess, kind="processor",
+                    instructions=budget))
     return specs
 
 
