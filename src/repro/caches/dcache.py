@@ -64,11 +64,11 @@ class DataCache:
 
     def __init__(self, config: DCacheConfig | None = None) -> None:
         self.config = config or DCacheConfig()
-        line = self.config.line_bytes
-        # Payload is the dirty bit.
+        # Keyed by line number; the payload is the dirty bit.
         self._lines: SetAssociativeCache[int, bool] = SetAssociativeCache(
-            num_sets=self.config.num_sets, ways=self.config.ways,
-            index_fn=lambda addr: addr // line)
+            num_sets=self.config.num_sets, ways=self.config.ways)
+        self._sets = self._lines.sets
+        self._num_sets = self._lines.num_sets
         #: Port accesses per cycle, and per ``(pe, cycle)``; a cycle
         #: with none is absent.
         self._port_load: dict[int, int] = {}
@@ -96,21 +96,22 @@ class DataCache:
         key = (pe, issue)
         pe_port_load[key] = pe_port_load.get(key, 0) + 1
         self.stats.port_stall_cycles += issue - cycle
-        line = addr - addr % config.line_bytes
-        hit = self._lines.lookup(line) is not None
+        line = addr // config.line_bytes
+        entries = self._sets[line % self._num_sets]
+        dirty = entries.pop(line, None)
         if is_store:
             self.stats.stores += 1
         else:
             self.stats.loads += 1
-        if hit:
-            if is_store:
-                self._lines.insert(line, True)  # set dirty
+        if dirty is not None:
+            # A hit becomes the most recent; a store sets the dirty bit.
+            entries[line] = dirty or is_store
             return (issue - cycle) + config.hit_latency
         if is_store:
             self.stats.store_misses += 1
         else:
             self.stats.load_misses += 1
-        evicted = self._lines.insert(line, is_store)
+        evicted = self._lines.insert(line, is_store, line)
         if evicted is not None and evicted[1]:
             self.stats.writebacks += 1
         return (issue - cycle) + config.miss_latency

@@ -10,6 +10,7 @@ I-cache, I-cache misses, instructions supplied by misses).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.caches.setassoc import SetAssociativeCache
@@ -59,22 +60,18 @@ class InstructionCache:
 
     def __init__(self, config: ICacheConfig | None = None) -> None:
         self.config = config or ICacheConfig()
-        line = self.config.line_bytes
+        #: Keyed by line number; a line's set is its number modulo the
+        #: set count.
         self._lines: SetAssociativeCache[int, bool] = SetAssociativeCache(
-            num_sets=self.config.num_sets,
-            ways=self.config.ways,
-            index_fn=lambda addr: addr // line,
-        )
-        self.traffic: dict[str, FetchTraffic] = {}
+            num_sets=self.config.num_sets, ways=self.config.ways)
+        self._sets = self._lines.sets
+        self._num_sets = self._lines.num_sets
+        self.traffic: defaultdict[str, FetchTraffic] = defaultdict(
+            FetchTraffic)
 
     # ------------------------------------------------------------------
     def line_address(self, pc: int) -> int:
         return pc - (pc % self.config.line_bytes)
-
-    def _client(self, name: str) -> FetchTraffic:
-        if name not in self.traffic:
-            self.traffic[name] = FetchTraffic()
-        return self.traffic[name]
 
     # ------------------------------------------------------------------
     def fetch_line(self, pc: int, client: str,
@@ -85,20 +82,24 @@ class InstructionCache:
         (for traffic accounting).  Returns ``(latency_cycles, missed)``.
         A miss fills the line (perfect L2 — no further misses).
         """
-        line_addr = self.line_address(pc)
-        traffic = self._client(client)
+        config = self.config
+        traffic = self.traffic[client]
         traffic.lines_accessed += 1
         traffic.instructions_supplied += instructions
-        if self._lines.lookup(line_addr) is not None:
-            return self.config.hit_latency, False
-        self._lines.insert(line_addr, True)
+        line = pc // config.line_bytes
+        entries = self._sets[line % self._num_sets]
+        if entries.pop(line, False):
+            entries[line] = True  # a hit becomes the most recent
+            return config.hit_latency, False
+        self._lines.insert(line, True, line)
         traffic.misses += 1
         traffic.instructions_from_misses += instructions
-        return self.config.miss_latency, True
+        return config.miss_latency, True
 
     def contains_line(self, pc: int) -> bool:
         """Non-destructive probe (no counters, no fill)."""
-        return self.line_address(pc) in self._lines
+        line = pc // self.config.line_bytes
+        return line in self._sets[line % self._num_sets]
 
     # ------------------------------------------------------------------
     @property
@@ -106,4 +107,4 @@ class InstructionCache:
         return sum(t.misses for t in self.traffic.values())
 
     def client_traffic(self, name: str) -> FetchTraffic:
-        return self._client(name)
+        return self.traffic[name]

@@ -25,23 +25,21 @@ class PrefetchCache:
             raise ValueError("capacity must be a whole number of lines")
         self.capacity_lines = capacity_instructions // line_instructions
         self.line_bytes = line_bytes
-        self._lines: set[int] = set()
+        #: Line numbers (``pc // line_bytes``) of the resident lines; the
+        #: preconstruction engine probes it directly once per step.
+        self.lines: set[int] = set()
 
     # ------------------------------------------------------------------
-    def line_address(self, pc: int) -> int:
-        return pc - (pc % self.line_bytes)
-
     def contains(self, pc: int) -> bool:
-        # line_address() inlined: probed once per constructor step.
-        return pc - (pc % self.line_bytes) in self._lines
+        return pc // self.line_bytes in self.lines
 
     @property
     def full(self) -> bool:
-        return len(self._lines) >= self.capacity_lines
+        return len(self.lines) >= self.capacity_lines
 
     @property
     def occupancy_lines(self) -> int:
-        return len(self._lines)
+        return len(self.lines)
 
     # ------------------------------------------------------------------
     def add_line(self, pc: int) -> bool:
@@ -51,8 +49,8 @@ class PrefetchCache:
         absent — the signal that the region has hit its fetch bound.
         Adding an already-present line always succeeds (no growth).
         """
-        line = pc - (pc % self.line_bytes)
-        lines = self._lines
+        line = pc // self.line_bytes
+        lines = self.lines
         if line in lines:
             return True
         if len(lines) >= self.capacity_lines:
@@ -62,4 +60,4 @@ class PrefetchCache:
 
     def reset(self) -> None:
         """Empty the cache for reuse by a new region."""
-        self._lines.clear()
+        self.lines.clear()

@@ -1,20 +1,25 @@
-"""Set-associative LRU store keyed by hashable tags.
+"""Set-associative LRU store.
 
-Used by the instruction and data caches (keys are line addresses) and
-by the trace cache (keys are trace identities).  Each caller passes the
-function that maps a key to its integer set index: a line index for the
-L1 caches, the folded start address and branch outcomes for the trace
-cache, as the paper describes.
+Used by the instruction and data caches (keys are line numbers) and by
+the trace cache (keys are trace identities).  The owner keeps one
+integer set index per key and reduces it modulo the set count itself:
+a line number for the L1 caches, the folded start address and branch
+outcomes (``TraceID._index``) for the trace cache, as the paper
+describes.
 
 LRU is the one replacement policy of every cache in the paper's machine
 (§4.1), so a set is one dict ordered least- to most-recently used: a hit
 or a fill moves its key to the end, and a full set evicts its first key.
+Owners probe ``sets[index % num_sets]`` directly (a hit re-adds its
+key: ``entries[key] = entries.pop(key)``), so a probe on the hot path is
+dict operations, not a chain of calls; :meth:`insert` holds the fill and
+eviction rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generic, Hashable, Iterator, Optional, TypeVar
+from typing import Generic, Hashable, Iterator, Optional, TypeVar
 
 K = TypeVar("K", bound=Hashable)
 V = TypeVar("V")
@@ -22,7 +27,7 @@ V = TypeVar("V")
 
 @dataclass
 class CacheStats:
-    """Counted probes of a :class:`SetAssociativeCache`."""
+    """Counted probes of a cache."""
 
     accesses: int = 0
     hits: int = 0
@@ -30,46 +35,26 @@ class CacheStats:
 
 
 class SetAssociativeCache(Generic[K, V]):
-    """A set-associative store of key -> value with LRU replacement.
+    """A set-associative store of key -> value with LRU replacement."""
 
-    ``index_fn`` maps a key to its set index (any int; reduced modulo
-    the set count).
-    """
-
-    def __init__(self, num_sets: int, ways: int,
-                 index_fn: Callable[[K], int]) -> None:
+    def __init__(self, num_sets: int, ways: int) -> None:
         if num_sets <= 0 or ways <= 0:
             raise ValueError("num_sets and ways must be positive")
         self.num_sets = num_sets
         self.ways = ways
-        self._index_fn = index_fn
         #: Per set: key -> value, least-recently used first.
-        self._sets: list[dict[K, V]] = [{} for _ in range(num_sets)]
-        self.stats = CacheStats()
+        self.sets: list[dict[K, V]] = [{} for _ in range(num_sets)]
 
     # ------------------------------------------------------------------
-    def lookup(self, key: K) -> Optional[V]:
-        """Probe for ``key``; counts the access and updates recency."""
-        stats = self.stats
-        stats.accesses += 1
-        entries = self._sets[self._index_fn(key) % self.num_sets]
-        if key in entries:
-            stats.hits += 1
-            value = entries[key] = entries.pop(key)
-            return value
-        stats.misses += 1
-        return None
-
-    def __contains__(self, key: K) -> bool:
-        return key in self._sets[self._index_fn(key) % self.num_sets]
-
-    def insert(self, key: K, value: V) -> Optional[tuple[K, V]]:
-        """Install ``key`` -> ``value`` as its set's most recent entry;
-        returns the evicted pair, if any.
+    def insert(self, key: K, value: V, index: int
+               ) -> Optional[tuple[K, V]]:
+        """Install ``key`` -> ``value`` as the most recent entry of set
+        ``index`` (reduced modulo the set count); returns the evicted
+        pair, if any.
 
         Inserting an existing key overwrites it and evicts nothing.
         """
-        entries = self._sets[self._index_fn(key) % self.num_sets]
+        entries = self.sets[index % self.num_sets]
         evicted = None
         if key in entries:
             del entries[key]
@@ -83,8 +68,8 @@ class SetAssociativeCache(Generic[K, V]):
     def items(self) -> Iterator[tuple[K, V]]:
         """Yield every resident (key, value) pair, set by set, each set
         least-recently used first."""
-        for entries in self._sets:
+        for entries in self.sets:
             yield from entries.items()
 
     def occupancy(self) -> int:
-        return sum(len(entries) for entries in self._sets)
+        return sum(len(entries) for entries in self.sets)

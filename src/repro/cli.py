@@ -68,7 +68,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis import EXHIBITS
+from repro.analysis import EXHIBITS, Exhibit
 from repro.runner import (
     ExperimentRunner,
     ExperimentSpec,
@@ -344,14 +344,20 @@ def _parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # Exhibits (the single commands and ``repro all``)
 # ----------------------------------------------------------------------
-def _restrict(defaults: Sequence[str],
+def _restrict(exhibit: Exhibit,
               selected: Optional[Sequence[str]]) -> list[str]:
-    """Intersect an exhibit's default benchmark set with a user filter
-    (falling back to the defaults when the intersection is empty)."""
+    """Intersect an exhibit's default benchmark set with a user filter;
+    a filter that leaves the exhibit nothing to run is a ``ValueError``
+    naming the benchmarks it accepts."""
     if selected is None:
-        return list(defaults)
-    restricted = [b for b in defaults if b in selected]
-    return restricted or list(defaults)
+        return list(exhibit.benchmarks)
+    restricted = [b for b in exhibit.benchmarks if b in selected]
+    if not restricted:
+        raise ValueError(
+            f"--benchmarks {' '.join(selected)} shares no benchmark with "
+            f"exhibit {exhibit.name!r}, which accepts "
+            f"{', '.join(exhibit.benchmarks)}")
+    return restricted
 
 
 def _run_exhibits(args, instructions: int) -> int:
@@ -361,7 +367,7 @@ def _run_exhibits(args, instructions: int) -> int:
                 else [EXHIBITS[args.command]])
     sections = []
     for exhibit in exhibits:
-        benchmarks = _restrict(exhibit.benchmarks, args.benchmarks)
+        benchmarks = _restrict(exhibit, args.benchmarks)
         sections.append((exhibit, benchmarks,
                          exhibit.specs(instructions, benchmarks)))
     specs = [spec for *_, exhibit_specs in sections for spec in exhibit_specs]

@@ -178,7 +178,8 @@ class PreconstructionEngine:
         #: Statically precomputed start points (best-first), fed to the
         #: stack at startup and whenever the dynamic cues run dry.
         self._static_seeds: deque[int] = deque(static_seeds or ())
-        #: Live view of the stack's membership table.
+        #: Live view of the stack's membership table; empty exactly
+        #: when the stack is.
         self._pending = self.stack._counts.keys()
         #: Optional :class:`repro.obs.ObsBus`; ``None`` (the default)
         #: keeps every instrumentation site a single dead branch, so
@@ -199,7 +200,7 @@ class PreconstructionEngine:
     # them.  Seeds are pushed in reverse so the best one sits on top.
     # ------------------------------------------------------------------
     def _refill_from_seeds(self) -> None:
-        if not self._static_seeds or len(self.stack):
+        if not self._static_seeds or self._pending:
             return
         batch: list[int] = []
         while self._static_seeds and len(batch) < self.config.start_stack_depth:
@@ -268,12 +269,15 @@ class PreconstructionEngine:
         usually share a line, and the whole point of a loop-exit region
         is to be built *while* the processor is still iterating).
         """
-        if not self._active_regions:
+        active = self._active_regions
+        if not active:
             return
         pcs = trace.pcs
-        for region in [r for r in self._active_regions
-                       if r.start_pc in pcs]:
-            self._finish_region(region, abandoned=True)
+        # A loop over a copy, not a comprehension: finishing a region
+        # removes it from the active list.
+        for region in active.copy():
+            if region.start_pc in pcs:
+                self._finish_region(region, abandoned=True)
 
     # ------------------------------------------------------------------
     # Work metering (§3.3): idle slow-path cycles fund construction.
@@ -299,19 +303,21 @@ class PreconstructionEngine:
             return
         stats = self.stats
         stats.idle_cycles_offered += idle_cycles
-        self._refill_from_seeds()
+        if self._static_seeds:
+            self._refill_from_seeds()
         port_budget = idle_cycles - self._port_debt
         constructors = self.constructors
-        decode_budget = idle_cycles * len(constructors)
-        decode_steps = 0
+        decode_budget = funded = idle_cycles * len(constructors)
         port_used = 0
         handle = self._handle_step
         active_state = RegionState.ACTIVE
         busy = self._busy
+        free_prefetch = self._free_prefetch
+        pending = self._pending
         may_schedule = True
         while decode_budget > 0:
             if may_schedule:
-                if self._dirty or (self._free_prefetch and len(self.stack)):
+                if self._dirty or (free_prefetch and pending):
                     busy = self._schedule()
                 may_schedule = False
             if not busy:
@@ -325,15 +331,15 @@ class PreconstructionEngine:
                     continue  # released mid-round (its region finished)
                 # Will the step consume the shared I-cache port?
                 pc = constructor._pc
+                cache = region.prefetch_cache
                 needs_fetch = (pc is not None and
-                               not region.prefetch_cache.contains(pc))
+                               pc // cache.line_bytes not in cache.lines)
                 if needs_fetch and port_budget <= 0:
                     continue  # stalled on the I-cache port
                 result = constructor.step(needs_fetch)
                 # Every step costs exactly one decode slot; only fetch
                 # steps touch the port, so skip the arithmetic otherwise.
                 decode_budget -= 1
-                decode_steps += 1
                 port_cost = result.port_cost
                 if port_cost:
                     port_budget -= port_cost
@@ -344,7 +350,7 @@ class PreconstructionEngine:
                 progressed = True
             if not progressed:
                 break
-        stats.decode_steps += decode_steps
+        stats.decode_steps += funded - decode_budget
         stats.port_cycles_used += port_used
         if self.obs and port_used:
             self.obs.metrics.on_port_cycles(self.obs.now, port_used)
@@ -365,42 +371,54 @@ class PreconstructionEngine:
         """
         self._spawn_regions()
         self._assign_constructors()
-        self._busy = [c for c in self.constructors if c.region is not None]
+        # Plain loops throughout the pass: a comprehension or generator
+        # is one more function call per pass.
+        busy = self._busy = []
+        for constructor in self.constructors:
+            if constructor.region is not None:
+                busy.append(constructor)
         self._dirty = False
-        return self._busy
+        return busy
 
     def _spawn_regions(self) -> None:
         """Turn the newest start points into regions while caches are free."""
-        if not self._free_prefetch or not len(self.stack):
+        free_prefetch = self._free_prefetch
+        pending = self._pending
+        if not free_prefetch or not pending:
             return
-        newest_first = self.config.stack_order == "newest_first"
-        while self._free_prefetch and len(self.stack):
-            start_pc = (self.stack.pop_newest() if newest_first
-                        else self.stack.pop_oldest())
-            if start_pc is None:
-                break
-            if self.stack.recently_completed(start_pc):
+        stack = self.stack
+        pop = (stack.pop_newest if self.config.stack_order == "newest_first"
+               else stack.pop_oldest)
+        while free_prefetch and pending:
+            start_pc = pop()
+            if stack.recently_completed(start_pc):
                 continue
-            if any(r.start_pc == start_pc for r in self._active_regions):
-                continue
-            cache = self._free_prefetch.pop()
-            cache.reset()
-            region = Region(
-                seq=self._next_seq, start_pc=start_pc, prefetch_cache=cache,
-                max_start_points=self.config.max_start_points_per_region)
-            self._next_seq += 1
-            self._active_regions.append(region)
-            self._regions_by_seq[region.seq] = region
-            self.stats.regions_started += 1
-            if self.obs:
-                self.obs.emit("engine", "region_spawn", region=region.seq,
-                              pc=start_pc)
+            for region in self._active_regions:
+                if region.start_pc == start_pc:
+                    break
+            else:
+                cache = free_prefetch.pop()
+                cache.reset()
+                region = Region(
+                    seq=self._next_seq, start_pc=start_pc,
+                    prefetch_cache=cache,
+                    max_start_points=self.config.max_start_points_per_region)
+                self._next_seq += 1
+                self._active_regions.append(region)
+                self._regions_by_seq[region.seq] = region
+                self.stats.regions_started += 1
+                if self.obs:
+                    self.obs.emit("engine", "region_spawn",
+                                  region=region.seq, pc=start_pc)
 
     def _assign_constructors(self) -> None:
         """Hand free constructors start points, highest-priority region
         first ("it takes a new trace start point from the highest
         priority worklist")."""
-        idle = [c for c in self.constructors if c.region is None]
+        idle = []
+        for constructor in self.constructors:
+            if constructor.region is None:
+                idle.append(constructor)
         if not idle:
             return
         for region in reversed(self._active_regions):
@@ -504,12 +522,18 @@ class PreconstructionEngine:
 
     def _reap_regions(self) -> None:
         """Complete regions whose work is exhausted."""
-        exhausted = [r for r in self._active_regions if not r._worklist]
+        exhausted = []
+        for region in self._active_regions:
+            if not region._worklist:
+                exhausted.append(region)
         if not exhausted:
             return
-        assigned = {id(c.region) for c in self.constructors}
+        constructors = self.constructors
         for region in exhausted:
-            if id(region) not in assigned:
+            for constructor in constructors:
+                if constructor.region is region:
+                    break
+            else:
                 self._finish_region(region)
 
     # ------------------------------------------------------------------

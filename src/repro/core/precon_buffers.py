@@ -68,14 +68,13 @@ class PreconstructionBuffers:
     def size_bytes(self) -> int:
         return self.entries * BYTES_PER_ENTRY
 
-    def _set_for(self, trace_id: TraceID) -> dict[TraceID, _BufferLine]:
-        return self._sets[trace_id._index % self.num_sets]
-
     # ------------------------------------------------------------------
+    # A trace's set is ``TraceID._index`` modulo the set count, as in
+    # the trace cache; each probe indexes ``_sets`` itself.
     def probe(self, trace_id: TraceID) -> Optional[Trace]:
         """Parallel probe with the trace cache (counted, non-destructive)."""
         self.stats.probes += 1
-        line = self._set_for(trace_id).get(trace_id)
+        line = self._sets[trace_id._index % self.num_sets].get(trace_id)
         if self.obs:
             self.obs.emit("buffers", "probe", hit=line is not None)
         if line is None:
@@ -85,11 +84,12 @@ class PreconstructionBuffers:
 
     def contains(self, trace_id: TraceID) -> bool:
         """Uncounted presence check (dedup before construction effort)."""
-        return trace_id in self._set_for(trace_id)
+        return trace_id in self._sets[trace_id._index % self.num_sets]
 
     def take(self, trace_id: TraceID) -> Optional[Trace]:
         """Remove and return a trace (promotion into the trace cache)."""
-        line = self._set_for(trace_id).pop(trace_id, None)
+        line = self._sets[trace_id._index % self.num_sets].pop(trace_id,
+                                                              None)
         if line is None:
             return None
         self.stats.invalidations += 1
@@ -105,29 +105,35 @@ class PreconstructionBuffers:
         already hold traces of the same region) — the region resource
         bound.  Re-inserting an identical trace id refreshes it in place.
         """
-        target_set = self._set_for(trace.trace_id)
-        if trace.trace_id in target_set:
-            target_set[trace.trace_id] = _BufferLine(trace, region_seq)
+        trace_id = trace.trace_id
+        target_set = self._sets[trace_id._index % self.num_sets]
+        if trace_id in target_set:
+            target_set[trace_id] = _BufferLine(trace, region_seq)
             return True
         if len(target_set) < self.ways:
-            target_set[trace.trace_id] = _BufferLine(trace, region_seq)
+            target_set[trace_id] = _BufferLine(trace, region_seq)
             self.stats.inserts += 1
             if self.obs:
                 self.obs.emit("buffers", "insert", region=region_seq,
                               displaced=False, occupancy=self.occupancy())
             return True
-        # Full set: evict the lowest-priority line not owned by us.
-        candidates = [(self.priority_fn(line.region_seq), tid)
-                      for tid, line in target_set.items()
-                      if line.region_seq != region_seq]
-        if not candidates:
+        # Full set: evict the lowest-priority line not owned by us (the
+        # earliest filled among equals).
+        priority_fn = self.priority_fn
+        victim = None
+        lowest = None
+        for tid, line in target_set.items():
+            if line.region_seq != region_seq:
+                priority = priority_fn(line.region_seq)
+                if victim is None or priority < lowest:
+                    victim, lowest = tid, priority
+        if victim is None:
             self.stats.insert_failures += 1
             if self.obs:
                 self.obs.emit("buffers", "insert_fail", region=region_seq)
             return False
-        _, victim = min(candidates, key=lambda candidate: candidate[0])
         del target_set[victim]
-        target_set[trace.trace_id] = _BufferLine(trace, region_seq)
+        target_set[trace_id] = _BufferLine(trace, region_seq)
         self.stats.inserts += 1
         self.stats.displaced += 1
         if self.obs:

@@ -115,9 +115,11 @@ _OPEN, _BRANCH, _CUT, _END = range(4)
 #: Event of a plain step that must not fetch: the walk-length bound.
 _UNFETCHED = (False, None, None, False, False)
 
-#: Child slot of a branch ending per bias read; a cut's continuation
-#: sits in slot 0 of a one-slot list.
-_SLOT = {Bias.STRONG_TAKEN: 0, Bias.STRONG_NOT_TAKEN: 1, Bias.WEAK: 2}
+#: A branch ending's children in slot order: the slot of a bias read
+#: is its position here (``_SLOTS.index(bias)`` compares identities, so
+#: it calls no ``Enum.__hash__``).  A cut's continuation sits in slot 0
+#: of a one-slot list.
+_SLOTS = (Bias.STRONG_TAKEN, Bias.STRONG_NOT_TAKEN, Bias.WEAK)
 
 
 class _ScriptNode:
@@ -129,7 +131,7 @@ class _ScriptNode:
     ``None`` for a plain step or ``(fetch allowed, completed trace, new
     start point, finished, notable)``.  ``children`` holds the node
     that continues the walk: one per :class:`Bias` read at a branch
-    ending (see ``_SLOT``), or the one continuation of a cut.
+    ending (see ``_SLOTS``), or the one continuation of a cut.
     """
 
     __slots__ = ("pcs", "events", "kind", "children")
@@ -319,7 +321,7 @@ class TraceConstructor:
         children = node.children
         child = None
         if children is not None:
-            child = children[0 if bias is None else _SLOT[bias]]
+            child = children[0 if bias is None else _SLOTS.index(bias)]
         if child is None:
             self._recover()
             if kind == _BRANCH:
@@ -418,7 +420,7 @@ class TraceConstructor:
         if self._rec is not None:
             node = self._close(_BRANCH, pc)
             assert node.children is not None
-            self._record(_ScriptNode(), node.children, _SLOT[bias])
+            self._record(_ScriptNode(), node.children, _SLOTS.index(bias))
         return bias
 
     def _close(self, kind: int, next_pc: Optional[int]) -> _ScriptNode:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.caches import PrefetchCache
@@ -29,16 +29,31 @@ class StartPoint:
 
     ``call_stack`` is the tuple of return addresses the region traversal
     has entered through (innermost last).
+
+    Start points key the regions' visited sets and the walk-script
+    roots, so the hash is computed once, at construction, as
+    :class:`~repro.trace.TraceID` does; equality still compares both
+    fields.
     """
 
     pc: int
     call_stack: tuple[int, ...] = ()
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.pc, self.call_stack)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class RegionState(enum.Enum):
     ACTIVE = "active"
     COMPLETED = "completed"    # worklist drained or resource bound hit
     ABANDONED = "abandoned"    # processor caught up
+
+
+_ACTIVE = RegionState.ACTIVE
 
 
 class Region:
@@ -69,7 +84,7 @@ class Region:
     # ------------------------------------------------------------------
     def push_start_point(self, point: StartPoint) -> bool:
         """Queue a new trace start point unless already expanded/bounded."""
-        if not self.active:
+        if self.state is not _ACTIVE:
             return False
         if point in self._visited:
             return False

@@ -197,26 +197,37 @@ class BackendModel:
         lookahead = config.issue_lookahead
         access = self.dcache.access
         complete = [_NOT_ISSUED] * n
-        # The window holds the oldest unissued instructions; every one
-        # after it is unissued, so the queue behind it is just the
-        # index range from ``queued`` on.
+        # An entry's ready cycle once every predecessor has issued (and
+        # so has a final completion time); ``_NOT_ISSUED`` until then.
+        settled = [_NOT_ISSUED] * n
+        # The window holds the oldest unissued instructions, oldest
+        # first; every one after it is unissued, so the queue behind it
+        # is just the index range from ``queued`` on.
         queued = min(n, lookahead)
         window = list(range(queued))
         cycle = dispatch
         stalls = 0
         while window:
+            charged = min(len(window), width)
             issued = 0
             next_ready = _NOT_ISSUED
-            for index in window:
-                preds, latency, memory = ops[index]
-                ready = external_ready[index]
-                for pred in preds:
-                    if complete[pred] > ready:
-                        ready = complete[pred]
+            position = 0
+            while position < len(window):
+                index = window[position]
+                ready = settled[index]
+                if ready == _NOT_ISSUED:
+                    ready = external_ready[index]
+                    for pred in ops[index][0]:
+                        if complete[pred] > ready:
+                            ready = complete[pred]
+                    if ready < _NOT_ISSUED:
+                        settled[index] = ready
                 if ready > cycle:
                     if ready < next_ready:
                         next_ready = ready
+                    position += 1
                     continue
+                _, latency, memory = ops[index]
                 if memory is not None and mem_addrs:
                     ordinal, is_store = memory
                     addr = (mem_addrs[ordinal] if ordinal < len(mem_addrs)
@@ -225,14 +236,12 @@ class BackendModel:
                     complete[index] = cycle + (1 if is_store else delay)
                 else:
                     complete[index] = cycle + latency
+                del window[position]  # issued: its place goes to the queue
                 issued += 1
                 if issued == width:
                     break
-            charged = min(len(window), width)
             if issued:
-                window = [i for i in window if complete[i] == _NOT_ISSUED]
                 if queued < n:
-                    # The issued entries' places go to the next in line.
                     top = min(n, queued + issued)
                     window.extend(range(queued, top))
                     queued = top

@@ -91,6 +91,11 @@ class TraceBuilder:
         #: reused outright (sharing its line-run memo across all its
         #: occurrences).
         self._trace_intern: dict[tuple[TraceID, int], Trace] = {}
+        #: The first rule-delimited trace emitted per identity.  Traces
+        #: that share its identity and pcs (a trailing indirect with
+        #: another target, or a flushed tail that happens to end where
+        #: it does) share its instruction and pc tuples and its memos.
+        self._paths: dict[TraceID, Trace] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -194,23 +199,31 @@ class TraceBuilder:
             if trace is not None:
                 return trace
 
-        pcs: list[int] = []
-        instructions: list[Instruction] = []
-        for entry in entries:
-            pcs.append(entry[0])
-            instructions.append(entry[1])
+        pcs = tuple([entry[0] for entry in entries])
+        path = self._paths.get(trace_id)
+        if path is not None and path.pcs == pcs:
+            pcs = path.pcs
+            instructions = path.instructions
+        else:
+            path = None
+            instructions = tuple([entry[1] for entry in entries])
         last_inst = last[1]
         trace = Trace(
             trace_id=trace_id,
-            instructions=tuple(instructions),
-            pcs=tuple(pcs),
+            instructions=instructions,
+            pcs=pcs,
             next_pc=last_next,
             ends_in_call=last_inst.is_call,
             ends_in_return=last_inst.is_return,
             partial=partial,
         )
+        if path is not None:
+            # Every memo is a pure function of the identity and the
+            # path, never of ``next_pc``: one set serves both traces.
+            object.__setattr__(trace, "_memo", path._memo)
         if not partial:
             self._trace_intern[memo_key] = trace
+            self._paths.setdefault(trace_id, trace)
         return trace
 
 

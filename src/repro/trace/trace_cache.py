@@ -10,19 +10,13 @@ accounting used in the Figure 5 equal-area comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.caches import SetAssociativeCache
+from repro.caches import CacheStats, SetAssociativeCache
 from repro.trace.trace import MAX_TRACE_LENGTH, Trace, TraceID
 
 BYTES_PER_ENTRY = MAX_TRACE_LENGTH * 4
 """Area accounting: one trace-cache entry is 64 bytes of storage."""
-
-
-#: Set index: the start address folded with the branch outcomes,
-#: computed once per :class:`TraceID` (``TraceID._index``).
-_index_trace_id: Callable[[TraceID], int] = attrgetter("_index")
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,12 @@ class TraceCacheConfig:
 
 
 class TraceCache:
-    """Primary trace cache."""
+    """Primary trace cache.
+
+    A trace's set is ``TraceID._index`` (the start address folded with
+    the branch outcomes, computed once per identity) modulo the set
+    count.
+    """
 
     def __init__(self, config: TraceCacheConfig | None = None) -> None:
         self.config = config or TraceCacheConfig()
@@ -52,27 +51,38 @@ class TraceCache:
         #: keeps every instrumentation site a single dead branch.
         self.obs = None
         self._store: SetAssociativeCache[TraceID, Trace] = \
-            SetAssociativeCache(
-                num_sets=self.config.num_sets,
-                ways=self.config.ways,
-                index_fn=_index_trace_id,
-            )
+            SetAssociativeCache(num_sets=self.config.num_sets,
+                                ways=self.config.ways)
+        self._sets = self._store.sets
+        self._num_sets = self._store.num_sets
+        #: Counted probes (:meth:`lookup` only).
+        self.stats = CacheStats()
 
     # ------------------------------------------------------------------
     def lookup(self, trace_id: TraceID) -> Optional[Trace]:
         """Counted probe (updates LRU)."""
-        return self._store.lookup(trace_id)
+        stats = self.stats
+        stats.accesses += 1
+        entries = self._sets[trace_id._index % self._num_sets]
+        trace = entries.pop(trace_id, None)
+        if trace is None:
+            stats.misses += 1
+            return None
+        stats.hits += 1
+        entries[trace_id] = trace  # a hit becomes the most recent
+        return trace
 
     def contains(self, trace_id: TraceID) -> bool:
         """Uncounted probe, used by the preconstruction dedup check."""
-        return trace_id in self._store
+        return trace_id in self._sets[trace_id._index % self._num_sets]
 
     def insert(self, trace: Trace) -> Optional[Trace]:
         """Install a trace; returns the evicted trace, if any."""
-        evicted = self._store.insert(trace.trace_id, trace)
+        trace_id = trace.trace_id
+        evicted = self._store.insert(trace_id, trace, trace_id._index)
         if self.obs:
             self.obs.emit("trace_cache", "fill",
-                          pc=trace.trace_id.start_pc, len=len(trace))
+                          pc=trace_id.start_pc, len=len(trace))
             if evicted:
                 victim = evicted[1]
                 self.obs.emit("trace_cache", "evict",
@@ -80,10 +90,6 @@ class TraceCache:
         return evicted[1] if evicted else None
 
     # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        return self._store.stats
-
     @property
     def size_bytes(self) -> int:
         return self.config.size_bytes

@@ -11,67 +11,76 @@ from repro.caches import (
 
 
 def _one_set(ways: int) -> SetAssociativeCache:
-    return SetAssociativeCache(num_sets=1, ways=ways, index_fn=lambda key: 0)
+    return SetAssociativeCache(num_sets=1, ways=ways)
+
+
+def _probe(cache: SetAssociativeCache, key, index: int = 0):
+    """An owner's probe of set ``index``: a hit becomes its set's most
+    recent entry."""
+    entries = cache.sets[index % cache.num_sets]
+    if key not in entries:
+        return None
+    value = entries[key] = entries.pop(key)
+    return value
 
 
 class TestLRU:
     def test_victim_is_least_recent(self):
         cache = _one_set(4)
         for key in "abcd":
-            cache.insert(key, key.upper())
-        cache.lookup("a")        # a becomes most recent
-        assert cache.insert("e", "E") == ("b", "B")
+            cache.insert(key, key.upper(), 0)
+        _probe(cache, "a")       # a becomes most recent
+        assert cache.insert("e", "E", 0) == ("b", "B")
 
     def test_fill_refreshes(self):
         cache = _one_set(2)
-        cache.insert("a", 1)
-        cache.insert("b", 2)
-        cache.insert("a", 3)     # refill: a becomes most recent
-        assert cache.insert("c", 4) == ("b", 2)
+        cache.insert("a", 1, 0)
+        cache.insert("b", 2, 0)
+        cache.insert("a", 3, 0)  # refill: a becomes most recent
+        assert cache.insert("c", 4, 0) == ("b", 2)
 
 
 class TestSetAssociativeCache:
     def test_hit_after_insert(self):
-        cache = SetAssociativeCache(num_sets=4, ways=2, index_fn=int)
-        cache.insert(5, 1)
-        assert cache.lookup(5) == 1
-        assert cache.stats.hits == 1
+        cache = SetAssociativeCache(num_sets=4, ways=2)
+        cache.insert(5, 1, 5)
+        assert _probe(cache, 5, 5) == 1
+        assert cache.sets[1] == {5: 1}   # set index reduced mod 4
 
-    def test_miss_counted(self):
-        cache = SetAssociativeCache(num_sets=4, ways=2, index_fn=int)
-        assert cache.lookup(7) is None
-        assert cache.stats.misses == 1
+    def test_miss_leaves_set_unchanged(self):
+        cache = SetAssociativeCache(num_sets=4, ways=2)
+        cache.insert(3, 1, 3)
+        assert _probe(cache, 7, 7) is None
+        assert cache.sets[3] == {3: 1}
 
     def test_eviction_within_set(self):
         # Single set: third insert must evict the LRU entry.
         cache = _one_set(2)
-        cache.insert("a", 1)
-        cache.insert("b", 2)
-        cache.lookup("a")  # refresh a
-        evicted = cache.insert("c", 3)
+        cache.insert("a", 1, 0)
+        cache.insert("b", 2, 0)
+        _probe(cache, "a")  # refresh a
+        evicted = cache.insert("c", 3, 0)
         assert evicted == ("b", 2)
-        assert "a" in cache and "c" in cache and "b" not in cache
+        assert list(cache.sets[0]) == ["a", "c"]
 
     def test_reinsert_overwrites_in_place(self):
         cache = _one_set(2)
-        cache.insert("a", 1)
-        assert cache.insert("a", 9) is None
+        cache.insert("a", 1, 0)
+        assert cache.insert("a", 9, 0) is None
         assert list(cache.items()) == [("a", 9)]
         assert cache.occupancy() == 1
 
     def test_contains_does_not_count(self):
         cache = _one_set(2)
-        cache.insert("a", 1)
-        cache.insert("b", 2)
-        assert "a" in cache
-        assert cache.stats.accesses == 0
+        cache.insert("a", 1, 0)
+        cache.insert("b", 2, 0)
+        assert "a" in cache.sets[0]   # a membership test is no hit
         assert [key for key, _ in cache.items()] == ["a", "b"]
 
     def test_capacity_and_items(self):
-        cache = SetAssociativeCache(num_sets=4, ways=2,
-                                    index_fn=lambda k: k)
+        cache = SetAssociativeCache(num_sets=4, ways=2)
         for key in range(8):
-            cache.insert(key, key * 10)
+            cache.insert(key, key * 10, key)
         assert cache.occupancy() == 8
         assert dict(cache.items()) == {k: k * 10 for k in range(8)}
 

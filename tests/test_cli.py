@@ -104,7 +104,7 @@ class TestCLI:
 
     def test_dynamic_smoke(self, capsys):
         assert main(["--instructions", "6000", "dynamic",
-                     "--benchmarks", "compress"]) == 0
+                     "--benchmarks", "gcc"]) == 0
         assert "trajectory" in capsys.readouterr().out
 
     def test_analyze_human_report(self, capsys):
@@ -179,7 +179,8 @@ class TestCLI:
         assert "4000.000" in capsys.readouterr().out
 
 
-ALL_ARGS = ["--instructions", "4000", "all", "--benchmarks", "compress",
+# gcc is a default benchmark of every exhibit.
+ALL_ARGS = ["--instructions", "4000", "all", "--benchmarks", "gcc",
             "--jobs", "2"]
 
 
@@ -217,7 +218,7 @@ class TestRunnerCLI:
         assert main(ALL_ARGS) == 0
         cached = capsys.readouterr().out
         assert main(["--instructions", "4000", "--no-cache", "all",
-                     "--benchmarks", "compress"]) == 0
+                     "--benchmarks", "gcc"]) == 0
         assert capsys.readouterr().out == cached
 
     def test_all_matches_individual_commands(self, capsys, tmp_path):
@@ -229,14 +230,27 @@ class TestRunnerCLI:
         singles = []
         for name in EXHIBITS:
             assert main(warm + ["--instructions", "4000", name,
-                                "--benchmarks", "compress"]) == 0
+                                "--benchmarks", "gcc"]) == 0
             singles.append(capsys.readouterr().out)
         assert whole == "".join(singles)
+
+    @pytest.mark.parametrize("command", ["tables", "all"])
+    def test_benchmarks_outside_an_exhibit_exit_2(self, capsys, tmp_path,
+                                                  command):
+        args = ["--instructions", "4000", "--cache-dir", str(tmp_path),
+                command, "--benchmarks", "compress"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"{command}: --benchmarks compress shares no benchmark with "
+            "exhibit 'tables', which accepts gcc, go"]
+        assert not any(tmp_path.rglob("*.json"))  # nothing ran
 
     def test_cache_dir_flag(self, capsys, tmp_path):
         custom = tmp_path / "elsewhere"
         assert main(["--instructions", "4000", "--cache-dir", str(custom),
-                     "tables", "--benchmarks", "compress"]) == 0
+                     "tables", "--benchmarks", "gcc"]) == 0
         capsys.readouterr()
         assert any(custom.rglob("*.json"))
 

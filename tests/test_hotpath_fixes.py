@@ -5,7 +5,9 @@ guarantees that rode along with the hot-path overhaul:
 * the preconstruction I-cache port carries its overdraft across ticks;
 * results are PYTHONHASHSEED-independent, so they are byte-identical
   across processes;
-* a golden pin of ``FrontendStats.summary()`` for a seeded workload.
+* a golden pin of ``FrontendStats.summary()`` for a seeded workload;
+* DESIGN §10's byte-identity oracle: with the two pacing and port
+  fixes undone in memory, gcc still gives the pre-fix metrics.
 """
 
 import json
@@ -19,8 +21,9 @@ from repro.core import PreconstructionEngine
 from repro.isa import assemble
 from repro.program import ProgramImage
 from repro.runner import ExperimentSpec, execute_spec
+from repro.sim import frontend_runner
 from repro.sim.frontend_runner import retire_pace_table
-from repro.trace import TraceCache
+from repro.trace import MAX_TRACE_LENGTH, TraceCache
 
 
 # ----------------------------------------------------------------------
@@ -146,3 +149,35 @@ class TestGoldenMetrics:
         spec = ExperimentSpec(benchmark="compress", tc_entries=64,
                               pb_entries=32, instructions=8000)
         assert execute_spec(spec).metrics == GOLDEN_SUMMARY
+
+
+# ----------------------------------------------------------------------
+# DESIGN §10's byte-identity oracle.  Re-introduce the two timing bugs
+# fixed with the hot-path overhaul, in memory only: ``round()`` retire
+# pacing and an I-cache port debt forgotten at every tick.  The
+# simulator must then give the metrics it gave before those fixes, to
+# the last digit; if it does, every optimisation since changed nothing.
+# ----------------------------------------------------------------------
+def _round_pace_table(retire_ipc: float) -> tuple[int, ...]:
+    return tuple(max(1, round(n / retire_ipc))
+                 for n in range(MAX_TRACE_LENGTH + 1))
+
+
+class TestByteIdentityOracle:
+    def test_pre_fix_metrics_reproduce(self, monkeypatch):
+        monkeypatch.setattr(frontend_runner, "retire_pace_table",
+                            _round_pace_table)
+        tick = PreconstructionEngine.tick
+
+        def tick_forgetting_debt(engine, idle_cycles):
+            engine._port_debt = 0
+            tick(engine, idle_cycles)
+        monkeypatch.setattr(PreconstructionEngine, "tick",
+                            tick_forgetting_debt)
+        spec = ExperimentSpec(benchmark="gcc", tc_entries=256,
+                              pb_entries=256, kind="frontend",
+                              instructions=60_000)
+        metrics = execute_spec(spec).metrics
+        assert metrics["cycles"] == 30418
+        assert metrics["traces"] == 4016
+        assert metrics["trace_misses_per_ki"] == 6.733333333333333

@@ -656,7 +656,7 @@ class TestTelemetryCLI:
         from repro.cli import main
 
         args = ["--instructions", "4000", "all",
-                "--benchmarks", "compress", "--jobs", "2"]
+                "--benchmarks", "gcc", "--jobs", "2"]
         assert main(args) == 0
         plain = capsys.readouterr().out
         dump = tmp_path / "telemetry.json"
@@ -674,7 +674,7 @@ class TestTelemetryCLI:
 
         dump = tmp_path / "telemetry.json"
         assert main(["--instructions", "4000", "all",
-                     "--benchmarks", "compress",
+                     "--benchmarks", "gcc",
                      "--telemetry-json", str(dump)]) == 0
         capsys.readouterr()
         assert main(["telemetry", str(dump)]) == 0
@@ -694,7 +694,7 @@ class TestTelemetryCLI:
         # The run also drops last_telemetry.json under the (hermetic)
         # cache root, which a bare ``repro telemetry`` then reads.
         assert main(["--instructions", "4000", "all",
-                     "--benchmarks", "compress", "--telemetry-json",
+                     "--benchmarks", "gcc", "--telemetry-json",
                      str(tmp_path / "dump.json")]) == 0
         capsys.readouterr()
         assert main(["telemetry"]) == 0

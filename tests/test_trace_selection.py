@@ -106,6 +106,43 @@ class TestBuilderRules:
         assert trace.trace_id.outcomes == (True, False)
 
 
+class TestSharedPathMemo:
+    """Traces that differ only in a trailing indirect's target share
+    one path: one memo dict, one instruction tuple, one pc tuple."""
+
+    @staticmethod
+    def _emit_indirect(builder, target):
+        builder.add(*_nop_entry(0x1000))
+        return builder.add(0x1004, Instruction(Opcode.JR, rs1=9), False,
+                           target)
+
+    def test_indirect_targets_share_one_memo(self):
+        builder = TraceBuilder()
+        first = self._emit_indirect(builder, 0x2000)
+        second = self._emit_indirect(builder, 0x3000)
+        assert first is not second
+        assert (first.next_pc, second.next_pc) == (0x2000, 0x3000)
+        assert first.trace_id is second.trace_id
+        assert second._memo is first._memo
+        assert second.pcs is first.pcs
+        assert second.instructions is first.instructions
+        runs = first.line_runs(64)
+        assert second.line_runs(64) is runs
+        # The interned trace per (identity, next_pc) is unchanged.
+        assert self._emit_indirect(builder, 0x3000) is second
+
+    def test_partial_tail_with_other_pcs_keeps_its_own_memo(self):
+        builder = TraceBuilder()
+        full = self._emit_indirect(builder, 0x2000)
+        builder.add(*_nop_entry(0x1000))
+        tail = builder.flush()
+        assert tail.partial and tail.trace_id == full.trace_id
+        assert tail.pcs == (0x1000,)
+        assert tail._memo is not full._memo
+        assert tail.line_runs(64) == ((0x1000, 1),)
+        assert full.line_runs(64) == ((0x1000, 2),)
+
+
 class TestAlignmentHeuristic:
     def _fill_with_backward_branch(self, branch_index: int,
                                    align: int = 4) -> Trace:
